@@ -277,20 +277,20 @@ def cmd_table(config: RunConfig, out) -> None:
 
 
 def cmd_validate(config: RunConfig, out) -> None:
-    _, systems = _build_systems(config)
+    # Regime checks need only the kinematics: no W_ion table is built.
+    from .kinematics import AMU_ME, ATOM_SIZE_AU, MIN_KL, MIN_NET_CHARGE, SUDDEN_RATIO_MAX
+
     out.write(f"molstrip {__version__} validate\n")
-    for system in systems:
-        params = system.params
+    for energy in config.energies:
+        params = velocity_from_energy(energy)
         out.write(
             f"\nenergy {_fmt(params.energy_mev_u)} MeV/u: "
             f"v = {_fmt(params.velocity_au)} a.u., gamma = {_fmt(params.gamma)}\n"
         )
-        warnings = {w.name: w for w in validate_regime(params, system.projectile, system.geometry)}
-        from .kinematics import AMU_ME, ATOM_SIZE_AU, MIN_KL, MIN_NET_CHARGE, SUDDEN_RATIO_MAX
-
+        warnings = {w.name: w for w in validate_regime(params, config.projectile, config.geometry)}
         tau_c = ATOM_SIZE_AU / (params.gamma * params.velocity_au)
-        net = system.projectile.net_charge
-        kl = params.gamma * AMU_ME * params.velocity_au * max(system.geometry.extent, ATOM_SIZE_AU)
+        net = config.projectile.net_charge
+        kl = params.gamma * AMU_ME * params.velocity_au * max(config.geometry.extent, ATOM_SIZE_AU)
         checks = [
             ("sudden collision (tau_c/tau_e)", tau_c, f"< {SUDDEN_RATIO_MAX:g}", "sudden"),
             ("projectile net charge", net, f">= {MIN_NET_CHARGE:g}", "charge"),

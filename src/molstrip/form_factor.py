@@ -128,6 +128,36 @@ def _bound_kernels(n_max: int):
     return r, kernels
 
 
+def _spherical_jn_orders(n_max: int, x: np.ndarray) -> np.ndarray:
+    """j_l(x) for l = 0..n_max-1 at once; shape (n_max, len(x)).
+
+    Bitwise equal to ``sp.spherical_jn(l, x)``: scipy's real-argument routine
+    starts from j_0 = sin(x)/x and j_1 = (j_0 - cos(x))/x and steps up with
+    j_{l+1} = (2l+1) j_l / x - j_{l-1} in this operation order, except where
+    l >= x (l > 0) or x = 0, which it routes through J_{l+1/2}; those entries
+    are taken from scipy directly.  Entries with l < x only ever depend on
+    lower orders that are also below x, so the shared recurrence reproduces
+    each of them exactly while costing O(n_max) per point instead of O(l)
+    per element.
+    """
+    out = np.empty((n_max, x.size))
+    # Entries that overflow or divide by zero are among those replaced below.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        jm1 = np.sin(x) / x
+        out[0] = jm1
+        if n_max > 1:
+            j = (jm1 - np.cos(x)) / x
+            out[1] = j
+            for l in range(1, n_max - 1):
+                jm1, j = j, (2 * l + 1) * j / x - jm1
+                out[l + 1] = j
+    ells = np.arange(n_max)[:, None]
+    direct = ((ells >= x[None, :]) & (ells > 0)) | (x[None, :] == 0.0)
+    li, xi = np.nonzero(direct)
+    out[li, xi] = sp.spherical_jn(li, x[xi])
+    return out
+
+
 def _shell_probabilities(s_values: np.ndarray, n_max: int) -> np.ndarray:
     """P(1s -> shell n) for each s; shape (len(s), n_max), shells n = 1..n_max."""
     s_values = np.atleast_1d(np.asarray(s_values, dtype=float))
@@ -136,10 +166,11 @@ def _shell_probabilities(s_values: np.ndarray, n_max: int) -> np.ndarray:
     s_values = np.where(s_values < 1e-100, 0.0, s_values)
     r, kernels = _bound_kernels(n_max)
     out = np.zeros((s_values.size, n_max))
-    ells = np.arange(n_max)
     for i, s in enumerate(s_values):
-        # j_l(s r) for all l at once; at s = 0 only l = 0 survives.
-        jl = sp.spherical_jn(ells[:, None], s * r[None, :])
+        # j_l(s r) for all l from one recurrence, bitwise equal to scipy's
+        # spherical_jn (see _spherical_jn_orders); at s = 0 only l = 0
+        # survives.  One s at a time keeps memory at (n_max, len(r)).
+        jl = _spherical_jn_orders(n_max, s * r)
         for l in range(n_max):
             amps = kernels[l] @ jl[l]          # one entry per n = l+1..n_max
             out[i, l:] += (2 * l + 1) * amps * amps

@@ -1,11 +1,19 @@
 """Adaptive two-dimensional quadrature over the impact-parameter plane.
 
 Cells are rectangles evaluated with nested tensor Gauss-Legendre rules (4x4
-against 8x8); the difference serves as the local error estimate and the worst
-cells are split until every component of the (possibly vector-valued)
-integrand meets the requested relative tolerance.  Evaluation is batched, so
-the integrand receives whole point arrays, and cell creation order is fixed,
-which makes the final reduction deterministic regardless of scheduling.
+against 8x8); the difference serves as the local error estimate and cells are
+split until every component of the (possibly vector-valued) integrand meets
+the requested relative tolerance.
+
+Each sweep splits only the cells the tolerance needs (excess cover): with the
+cells ranked by their worst per-component error-to-tolerance ratio, it splits
+the shortest leading run whose summed errors cover the excess
+``total_error - tolerance`` of every component still above its tolerance.
+The run never exceeds the cells with a positive ratio, the ``max_cells``
+budget (each split adds three cells) or ``_BATCH`` cells.  Evaluation is
+batched, so the integrand receives whole point arrays, and cell creation
+order is fixed, which makes the final reduction deterministic regardless of
+scheduling.
 
 A quadrant fast path integrates [0, W]^2 and multiplies by 4 for integrands
 with mirror symmetry in both axes (homonuclear diatomic with the bond
@@ -22,7 +30,7 @@ __all__ = ["integrate_b_plane", "QuadratureError"]
 
 _LOW_ORDER = 4
 _HIGH_ORDER = 8
-_BATCH = 256          # cells refined per sweep
+_BATCH = 256          # ceiling on the cells one sweep splits (80 evals each)
 _INITIAL_DIVISIONS = 8
 
 
@@ -70,6 +78,16 @@ def _eval_cells(integrand, rects: np.ndarray):
     low = np.einsum("kpm,p->km", vals[:, :_N_LO], _WTS_LO) * area
     high = np.einsum("kpm,p->km", vals[:, _N_LO:], _WTS_HI) * area
     return high, np.abs(high - low)
+
+
+def _excess_cover(sorted_err: np.ndarray, excess: np.ndarray) -> int:
+    """Length of the shortest prefix of ``sorted_err`` rows whose summed error
+    covers ``excess`` in every component that is above its tolerance
+    (``excess > 0``); all rows if no prefix does."""
+    over = excess > 0
+    covered = np.all(np.cumsum(sorted_err[:, over], axis=0) >= excess[over], axis=1)
+    hits = np.flatnonzero(covered)
+    return int(hits[0]) + 1 if hits.size else len(sorted_err)
 
 
 def _initial_edges(lo: float, hi: float, splits) -> np.ndarray:
@@ -138,7 +156,13 @@ def integrate_b_plane(
         refinable = np.minimum(rects[:, 2], rects[:, 3]) > min_cell_size
         score = (err / scale[None, :]).max(axis=1)
         score[~refinable] = -1.0
-        if n_cells >= max_cells or not np.any(score > 0):
+        order = np.argsort(-score, kind="stable")
+        n_refine = min(
+            _excess_cover(err[order[:_BATCH]], tot_err - scale),
+            int(np.count_nonzero(score > 0)),
+            (max_cells - n_cells) // 3,
+        )
+        if n_refine <= 0:
             achieved = float(np.max(tot_err / np.maximum(np.abs(totals), abs_tol)))
             raise QuadratureError(
                 f"b-plane quadrature did not reach rel_tol={rel_tol:g} "
@@ -146,8 +170,7 @@ def integrate_b_plane(
                 multiplier * totals, multiplier * tot_err, n_cells,
             )
 
-        n_refine = min(_BATCH, int(np.count_nonzero(score > 0)))
-        worst = np.argsort(-score, kind="stable")[:n_refine]
+        worst = order[:n_refine]
         keep = np.ones(len(rects), dtype=bool)
         keep[worst] = False
 

@@ -90,6 +90,8 @@ def kick_magnitude(atom: HfsAtom, v: float, r: np.ndarray) -> np.ndarray:
     r = np.maximum(np.asarray(r, dtype=float), MIN_IMPACT_RADIUS)
     acc = np.zeros_like(r)
     for a, al in zip(atom.A, atom.alpha):
+        if a == 0.0:
+            continue      # an unused term adds exactly +0.0; skip its K1 call
         acc += al * a * sp.k1(al * r)
     return 2.0 * atom.Z / v * acc
 

@@ -21,6 +21,7 @@ from molstrip.cross_section import (
 )
 from molstrip.form_factor import ProjectileSpec
 from molstrip.kinematics import velocity_from_energy
+from molstrip.quadrature import integrate_b_plane
 
 N2_BOND_LENGTH = 2.07
 
@@ -214,3 +215,31 @@ class TestOrientationAverage:
         lo = scan.sigma_au[:, 0].min() - 3.0 * scan.quad_error[:, 0].max()
         hi = scan.sigma_au[:, 0].max() + 3.0 * scan.quad_error[:, 0].max()
         assert lo <= scan.sigma_avg[0] <= hi
+
+
+class TestErrorHonesty:
+    """The reported quad_error must bound the true error of every channel."""
+
+    @pytest.mark.parametrize("energy", [10.0, 1000.0])
+    @pytest.mark.parametrize("n_electrons", [1, 3])
+    def test_quad_error_bounds_true_error(self, make_system, n_electrons, energy):
+        system = make_system(n_electrons, energy)
+        for theta in (0.0, 0.5, math.pi / 2):
+            ref = cross_section_fixed(system, theta, rel_tol=1e-6)
+            for tol in (1e-2, 1e-3):
+                for r, r_ref in zip(cross_section_fixed(system, theta, rel_tol=tol), ref):
+                    assert abs(r.sigma_au - r_ref.sigma_au) <= r.quad_error, (theta, tol, r.m)
+
+    def test_evaluation_budget(self, make_system, monkeypatch):
+        evals = []
+
+        def counting(integrand, **kwargs):
+            def counted(points):
+                evals.append(len(points))
+                return integrand(points)
+
+            return integrate_b_plane(counted, **kwargs)
+
+        monkeypatch.setattr("molstrip.cross_section.integrate_b_plane", counting)
+        cross_section_fixed(make_system(1, 10.0), 0.5, rel_tol=1e-3)
+        assert sum(evals) <= 40_000

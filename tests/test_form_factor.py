@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special as sp
 
 from molstrip.form_factor import (
+    DEFAULT_N_MAX,
     IonizationTable,
     ProjectileSpec,
+    _radial_grid,
+    _spherical_jn_orders,
     bound_survival_probability,
     build_ionization_table,
     elastic_form_factor,
@@ -58,6 +62,30 @@ class TestElasticFormFactor:
             elastic_form_factor(-1.0, 26.0)
         with pytest.raises(ValueError):
             elastic_form_factor(1.0, 0.0)
+
+
+class TestSphericalBesselOrders:
+    @staticmethod
+    def _scipy(n_max, x):
+        return sp.spherical_jn(np.arange(n_max)[:, None], x[None, :])
+
+    @pytest.mark.parametrize("n_max", [10, DEFAULT_N_MAX])
+    def test_bitwise_equal_on_default_table_grid(self, n_max):
+        # Every x = s r the default table build uses: x = 0, x <= l and x > l.
+        r, _ = _radial_grid()
+        for s in np.linspace(0.0, 20.0, 400):
+            x = s * r
+            assert np.array_equal(_spherical_jn_orders(n_max, x), self._scipy(n_max, x)), s
+
+    @pytest.mark.parametrize("n_max", [1, 2, 10, 20, 30])
+    def test_bitwise_equal_at_order_boundaries_and_tail(self, n_max):
+        ells = np.arange(1, n_max, dtype=float)
+        edges = np.concatenate([ells, np.nextafter(ells, 0.0), np.nextafter(ells, np.inf)])
+        x = np.concatenate([[0.0, 1e-300, 1e-100], edges,
+                            np.linspace(0.0, 2400.0, 200_001)])
+        got = _spherical_jn_orders(n_max, x)
+        assert got.shape == (n_max, x.size)
+        assert np.array_equal(got, self._scipy(n_max, x))
 
 
 class TestBoundSurvival:

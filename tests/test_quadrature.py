@@ -77,6 +77,15 @@ class TestFailureModes:
         assert np.all(np.asarray(err.values) > 0)
         assert np.all(np.asarray(err.errors) > 0)
 
+    def test_nonconvergence_respects_max_cells(self):
+        def needle(pts):
+            return 1.0 / (1e-8 + pts[:, 0] ** 2 + pts[:, 1] ** 2)
+
+        for max_cells in (500, 501, 502):
+            with pytest.raises(QuadratureError) as excinfo:
+                integrate_b_plane(needle, half_width=1.0, rel_tol=1e-10, max_cells=max_cells)
+            assert excinfo.value.n_cells <= max_cells
+
 
 class TestDeterminism:
     def test_repeated_runs_bit_identical(self):

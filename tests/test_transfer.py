@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special as sp
 
 from molstrip.transfer import (
+    MIN_IMPACT_RADIUS,
     eikonal_phase_single,
+    kick_magnitude,
     momentum_transfer_single,
     total_kick_magnitude,
     total_momentum_transfer,
@@ -76,6 +79,19 @@ class TestSingleAtomKick:
     def test_zero_b_rejected(self, nitrogen):
         with pytest.raises(ValueError):
             momentum_transfer_single(nitrogen, 10.0, (0.0, 0.0))
+
+
+class TestKickMagnitude:
+    def test_equals_all_terms_sum_bitwise(self, hfs_table):
+        # Zero-amplitude terms are skipped; they would add exactly +0.0.
+        r = np.concatenate([[0.0, MIN_IMPACT_RADIUS], np.geomspace(1e-5, 80.0, 500)])
+        for atom in hfs_table.values():
+            rc = np.maximum(r, MIN_IMPACT_RADIUS)
+            acc = np.zeros_like(rc)
+            for a, al in zip(atom.A, atom.alpha):
+                acc += al * a * sp.k1(al * rc)
+            expected = 2.0 * atom.Z / 7.5 * acc
+            assert np.array_equal(kick_magnitude(atom, 7.5, r), expected), atom.Z
 
 
 class TestTotalKick:

@@ -43,6 +43,20 @@ class ConfigError(ValueError):
     """Invalid run configuration; the message names the offending field."""
 
 
+CONFIG_FIELDS = frozenset({
+    "projectile", "target", "energies_mev_u", "theta_grid", "tolerance", "table",
+    "units", "seed", "threads", "output", "hfs_table",
+})
+
+# W_ion table parameters: (type, default, minimum), as build_ionization_table
+# requires them.
+TABLE_FIELDS = {
+    "s_max": (float, 20.0, 20.0),
+    "n_points": (int, 400, 200),
+    "n_max": (int, 20, 10),
+}
+
+
 @dataclass
 class RunConfig:
     projectile: ProjectileSpec
@@ -50,7 +64,9 @@ class RunConfig:
     energies: list[float]
     theta_grid: np.ndarray
     tolerance: float = 1e-3
-    table_params: dict = field(default_factory=lambda: {"s_max": 20.0, "n_points": 400, "n_max": 20})
+    table_params: dict = field(
+        default_factory=lambda: {key: spec[1] for key, spec in TABLE_FIELDS.items()}
+    )
     units: str = "au"
     seed: int = 0
     threads: int = 1
@@ -132,6 +148,24 @@ def _parse_theta_grid(spec) -> np.ndarray:
     return grid
 
 
+def _parse_table(spec) -> dict:
+    if not isinstance(spec, dict):
+        raise ConfigError("table: expected an object")
+    for key in spec:
+        if key not in TABLE_FIELDS:
+            raise ConfigError(f"table.{key}: unknown field (known: {sorted(TABLE_FIELDS)})")
+    params = {}
+    for key, (kind, default, minimum) in TABLE_FIELDS.items():
+        value = spec.get(key, default)
+        allowed = (int, float) if kind is float else int
+        if isinstance(value, bool) or not isinstance(value, allowed):
+            raise ConfigError(f"table.{key}: expected {kind.__name__}, got {value!r}")
+        if not (math.isfinite(value) and value >= minimum):
+            raise ConfigError(f"table.{key} must be finite and >= {minimum:g}, got {value!r}")
+        params[key] = kind(value)
+    return params
+
+
 def load_config(path, overrides: dict | None = None) -> RunConfig:
     try:
         with open(path) as fh:
@@ -140,6 +174,11 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError("config: expected a JSON object")
+    for key in raw:
+        if key not in CONFIG_FIELDS:
+            raise ConfigError(f"{key}: unknown config field (known: {sorted(CONFIG_FIELDS)})")
     overrides = overrides or {}
     merged = {**raw, **{k: v for k, v in overrides.items() if v is not None}}
 
@@ -163,8 +202,7 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
     if units not in ("au", "cm2"):
         raise ConfigError(f"units must be 'au' or 'cm2', got {units!r}")
 
-    table_params = {"s_max": 20.0, "n_points": 400, "n_max": 20}
-    table_params.update(_get(merged, "table", {}))
+    table_params = _parse_table(_get(merged, "table", {}))
 
     threads = int(_get(merged, "threads", 1))
     if threads < 1:
@@ -186,11 +224,7 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
 
 
 def _build_systems(config: RunConfig):
-    table = build_ionization_table(
-        s_max=float(config.table_params["s_max"]),
-        n_points=int(config.table_params["n_points"]),
-        n_max=int(config.table_params["n_max"]),
-    )
+    table = build_ionization_table(**config.table_params)
     systems = []
     for energy in config.energies:
         params = velocity_from_energy(energy)

@@ -136,7 +136,11 @@ def _single_electron_p(projections, atoms, proj, v, table, points):
 
 
 def _outer_cutoff(projections, atoms, proj, v, table) -> float:
-    """Radius beyond which the integrand is below CUTOFF_FRACTION of its peak."""
+    """Radius beyond which the integrand is below CUTOFF_FRACTION of its peak.
+
+    Raises QuadratureError when the integrand is still above that fraction at
+    the last sample, 150 a.u. past the outermost atom.
+    """
     projections = np.asarray(projections, dtype=float)
     outer = float(np.max(np.hypot(projections[:, 0], projections[:, 1])))
     direction = projections[np.argmax(np.hypot(projections[:, 0], projections[:, 1]))]
@@ -149,6 +153,12 @@ def _outer_cutoff(projections, atoms, proj, v, table) -> float:
     peak = float(p.max())
     if peak <= 0.0:
         return outer + 1.0
+    if p[-1] > CUTOFF_FRACTION * peak:
+        raise QuadratureError(
+            f"outer cutoff not reached: at r = {outer + t[-1]:g} a.u. the integrand is "
+            f"still {p[-1] / peak:.3g} of its peak (cutoff {CUTOFF_FRACTION:g})",
+            values=None, errors=None, n_cells=0,
+        )
     above = np.nonzero(p > CUTOFF_FRACTION * peak)[0]
     t_cut = t[above[-1]] if len(above) else 1.0
     return outer + float(t_cut) + 1.0

@@ -7,7 +7,10 @@ Three deliberately different routes back the production code:
 * ``continuum_ionization_oracle`` — W_ion(s) by direct integration of the
   squared 1s -> continuum matrix elements over all ejected-electron momenta
   (partial-wave Coulomb waves propagated by Numerov), checking the
-  bound-state-complement route in ``form_factor``.
+  bound-state-complement route in ``form_factor``.  One outward Numerov
+  sweep steps every (k node, partial wave) pair at once and accumulates the
+  radial overlap integrals as it goes, so memory stays O(n_k l_max) beyond
+  the (l, r) tables.
 * ``bessel_reference`` — McDonald functions from the defining integral
   representation in arbitrary precision, checking ``special_functions``.
 
@@ -22,7 +25,6 @@ from dataclasses import dataclass
 import mpmath as mp
 import numpy as np
 from scipy import special as sp
-from scipy.integrate import simpson
 
 from .atomic_data import Orientation, transverse_positions
 from .cross_section import CollisionSystem, _binomial_channels, _canonical_frame
@@ -123,83 +125,141 @@ def mc_cross_section(
 # ---------------------------------------------------------------------------
 
 
-def _coulomb_amplitude_log(l: int, eta: float) -> float:
-    """log C_l(eta): regular Coulomb wave F_l ~ C_l rho^{l+1} at the origin."""
-    lg = sp.loggamma(complex(l + 1, eta))
+def _coulomb_amplitude_log(l, eta):
+    """log C_l(eta): regular Coulomb wave F_l ~ C_l rho^{l+1} at the origin.
+
+    Elementwise over broadcast ``l`` and ``eta`` arrays.
+    """
+    lg = sp.loggamma(l + 1.0 + 1j * eta)
     return l * math.log(2.0) - 0.5 * math.pi * eta + lg.real - sp.gammaln(2 * l + 2)
 
 
-def _coulomb_series_start(ls: np.ndarray, eta: float, rho: float, n_terms: int = 60):
-    """F_l(eta, rho) from the regular power series, per l.
+def _start_indices(k_nodes, logc, h, n_r):
+    """Radial index j0 at which Numerov takes over from the series, per (k, l).
 
-    The series converges for all rho; callers size n_terms to the evaluation
-    point (roughly 1.5 rho + 20 terms) and keep rho below ~l so the partial
-    sums stay cancellation-free.
+    Numerov needs h^2 g << 1; the centrifugal term forces a start radius
+    proportional to l, where the series (exact) seeds nodes j0 - 1 and j0.
+    Three constraints pick j0:
+     * at least 2l grid steps in, so h^2 g / 12 stays < ~1/48;
+     * where the prefactor C_l rho^{l+1} is representable (log > -250) --
+       it can underflow at small rho for large l while the wave is O(1)
+       within the physical range;
+     * for l >= 20, at ~0.4 of the classical turning point l/k: stepping
+       through the deep barrier accumulates a relative amplitude error
+       ~3e-5 per unit l, while the skipped inner tail is suppressed by
+       exp(-0.65 l) and contributes nothing.
     """
-    coeffs = np.zeros((len(ls), n_terms))
-    coeffs[:, 0] = 1.0
-    coeffs[:, 1] = eta / (ls + 1.0)
+    start = np.empty(logc.shape, dtype=int)
+    for a, k in enumerate(k_nodes):
+        for li in range(logc.shape[1]):
+            rho_min = math.exp((-250.0 - logc[a, li]) / (li + 1.0))
+            j_pref = int(math.ceil(rho_min / (k * h)))
+            j_turn = int(0.4 * li / (k * h)) if li >= 20 else 0
+            start[a, li] = min(max(1, 2 * li, j_pref, j_turn), n_r - 2)
+    return start
+
+
+def _coulomb_series_start(ls, eta, rho, logc, n_terms):
+    """F_l(eta, rho) from the regular power series, elementwise.
+
+    ``ls``, ``eta`` and ``logc`` broadcast to the trailing shape of ``rho``;
+    one coefficient recurrence serves every leading slice of ``rho``.  The
+    series converges for all rho; callers size n_terms to the largest
+    evaluation point (roughly 1.5 rho + 20 terms) and keep rho below ~l so
+    the partial sums stay cancellation-free.
+    """
+    c_prev = np.ones(rho.shape[1:])
+    c_cur = eta / (ls + 1.0) * c_prev
+    series = c_prev + c_cur * rho
     for n in range(2, n_terms):
-        coeffs[:, n] = (2.0 * eta * coeffs[:, n - 1] - coeffs[:, n - 2]) / (
-            n * (n + 2.0 * ls + 1.0)
-        )
-    powers = rho ** np.arange(n_terms)
-    series = coeffs @ powers
-    logc = np.array([_coulomb_amplitude_log(int(l), eta) for l in ls])
-    log_pref = logc + (ls + 1.0) * math.log(rho)
+        c_prev, c_cur = c_cur, (2.0 * eta * c_cur - c_prev) / (n * (n + 2.0 * ls + 1.0))
+        series += c_cur * rho**n
+    log_pref = logc + (ls + 1.0) * np.log(rho)
     # Deep under the centrifugal barrier the prefactor underflows; those
-    # start values are zeroed (callers pick start radii where this cannot
+    # start values are zeroed (the start indices are chosen where this cannot
     # discard representable waves).
-    out = np.where(log_pref > -290.0, np.exp(np.maximum(log_pref, -290.0)) * series, 0.0)
-    return out
+    return np.where(log_pref > -290.0, np.exp(np.maximum(log_pref, -290.0)) * series, 0.0)
 
 
-def _coulomb_waves(k: float, l_max: int, r: np.ndarray) -> np.ndarray:
-    """F_l(-1/k, k r) for l = 0..l_max on a uniform r grid (Numerov).
+_CHUNK = 64   # radial nodes per accumulation of the overlap integrals
+
+
+def _coulomb_overlaps(k_nodes, l_max, r, weight):
+    """sum_j weight[j, l] F_l(-1/k, k r_j) for every (k, l): one Numerov sweep.
 
     The radial equation in r is u'' = [l(l+1)/r^2 - 2/r - k^2] u, the
     attractive hydrogen continuum problem; outward propagation of the
-    regular solution is stable.
+    regular solution is stable.  All k nodes and partial waves step together
+    as one (n_k, l_max+1) array; each element is seeded from the series at
+    its own start index and stays zero before it.  ``weight`` is
+    (n_r, l_max+1) with the quadrature weights folded in; the sums are
+    accumulated every _CHUNK nodes, so no (n_k, l, n_r) array is formed.
     """
+    n_r = len(r)
     h = r[1] - r[0]
     ls = np.arange(l_max + 1, dtype=float)
+    k = k_nodes[:, None]
     eta = -1.0 / k
-    g = ls[:, None] * (ls[:, None] + 1.0) / r[None, :] ** 2 - 2.0 / r[None, :] - k * k
-    t = (h * h / 12.0) * g
-    u = np.zeros_like(g)
+    logc = _coulomb_amplitude_log(ls, eta)
+    start = _start_indices(k_nodes, logc, h, n_r)
+    rho = k * r[np.stack([start - 1, start])]
+    n_terms = max(60, int(1.5 * float(rho[1].max())) + 20)
+    seed_values = _coulomb_series_start(ls, eta, rho, logc, n_terms)
+    seeds = {}
+    for (a, li), j0 in np.ndenumerate(start):
+        seeds.setdefault(j0 - 1, []).append((a, li, seed_values[0, a, li]))
+        seeds.setdefault(j0, []).append((a, li, seed_values[1, a, li]))
+    last_start = int(start.max())
+
     # Numerov for u'' = g u:  (1 - t_{n+1}) u_{n+1} = 2 (1 + 5 t_n) u_n
     #                         - (1 - t_{n-1}) u_{n-1},  t = h^2 g / 12
-    one_p = 1.0 - t
-    coef_m = 2.0 * (1.0 + 5.0 * t)
-    # Numerov needs h^2 g << 1; the centrifugal term forces a start radius
-    # proportional to l, where the series (exact) seeds the two start nodes.
-    # Three constraints pick the start index per l:
-    #  * at least 2l grid steps in, so h^2 g / 12 stays < ~1/48;
-    #  * where the prefactor C_l rho^{l+1} is representable (log > -250) --
-    #    it can underflow at small rho for large l while the wave is O(1)
-    #    within the physical range;
-    #  * for l >= 20, at ~0.4 of the classical turning point l/k: stepping
-    #    through the deep barrier accumulates a relative amplitude error
-    #    ~3e-5 per unit l, while the skipped inner tail is suppressed by
-    #    exp(-0.65 l) and contributes nothing.
-    start = np.maximum(1, (2 * np.arange(l_max + 1)).astype(int))
-    for li in range(l_max + 1):
-        logc = _coulomb_amplitude_log(li, eta)
-        rho_min = math.exp((-250.0 - logc) / (li + 1.0))
-        j_pref = int(math.ceil(rho_min / (k * h)))
-        j_turn = int(0.4 * li / (k * h)) if li >= 20 else 0
-        start[li] = min(max(start[li], j_pref, j_turn), len(r) - 2)
-    for li, j0 in enumerate(start):
-        lv = np.array([float(li)])
-        rho0 = k * r[j0]
-        n_terms = max(60, int(1.5 * rho0) + 20)
-        u[li, j0 - 1] = _coulomb_series_start(lv, eta, k * r[j0 - 1], n_terms)[0]
-        u[li, j0] = _coulomb_series_start(lv, eta, k * r[j0], n_terms)[0]
-    for i in range(1, len(r) - 1):
-        nxt = (coef_m[:, i] * u[:, i] - one_p[:, i - 1] * u[:, i - 1]) / one_p[:, i + 1]
-        active = start <= i
-        u[active, i + 1] = nxt[active]
-    return u
+    c12 = h * h / 12.0
+    k2 = k * k
+    cent = ls * (ls + 1.0) / r[:, None] ** 2 - 2.0 / r[:, None]
+    buf = np.zeros((_CHUNK, len(k_nodes), l_max + 1))
+    overlaps = np.zeros((len(k_nodes), l_max + 1))
+    for j in (0, 1):
+        for a, li, v in seeds.get(j, ()):
+            buf[j, a, li] = v
+    u_prev, u_cur = buf[0], buf[1]
+    t_cur = c12 * (cent[1] - k2)
+    one_p_prev, one_p_cur = 1.0 - c12 * (cent[0] - k2), 1.0 - t_cur
+    for i in range(1, n_r - 1):
+        j = i + 1
+        t_next = c12 * (cent[j] - k2)
+        one_p_next = 1.0 - t_next
+        u_next = buf[j % _CHUNK]
+        np.divide(2.0 * (1.0 + 5.0 * t_cur) * u_cur - one_p_prev * u_prev, one_p_next,
+                  out=u_next)
+        if i < last_start:
+            np.copyto(u_next, 0.0, where=start > i)
+            for a, li, v in seeds.get(j, ()):
+                u_next[a, li] = v
+        if j % _CHUNK == _CHUNK - 1:
+            overlaps += np.einsum("jkl,jl->kl", buf, weight[j + 1 - _CHUNK:j + 1])
+        u_prev, u_cur = u_cur, u_next
+        t_cur, one_p_prev, one_p_cur = t_next, one_p_cur, one_p_next
+    n_tail = n_r % _CHUNK
+    if n_tail:
+        overlaps += np.einsum("jkl,jl->kl", buf[:n_tail], weight[n_r - n_tail:])
+    return overlaps
+
+
+def _simpson_weights(n: int, h: float) -> np.ndarray:
+    """Composite Simpson weights on n uniform nodes, as scipy's ``simpson``.
+
+    Odd n: 1-4-2-...-4-1 times h/3.  Even n: that rule on the first n - 1
+    nodes plus scipy's (Cartwright) correction for the last interval.
+    """
+    m = n if n % 2 else n - 1
+    w = np.zeros(n)
+    w[:m:2] = 2.0
+    w[1:m:2] = 4.0
+    w[0] = w[m - 1] = 1.0
+    w *= h / 3.0
+    if n % 2 == 0:
+        w[-3:] += (-h / 12.0, 2.0 * h / 3.0, 5.0 * h / 12.0)
+    return w
 
 
 def _k_nodes(s: float, nodes_per_panel: int = 10):
@@ -248,13 +308,10 @@ def continuum_ionization_oracle(s: float, r_max: float = 30.0) -> float:
 
     jl = sp.spherical_jn(np.arange(l_max + 1)[:, None], s * r[None, :])
     weight = jl * (2.0 * np.exp(-r) * r)[None, :]   # j_l(sr) R_10(r) r
+    weight = np.ascontiguousarray((weight * _simpson_weights(n_r, h)).T)
 
-    w_total = 0.0
-    amp_sq = np.zeros(l_max + 1)
-    for k, wk in zip(k_nodes, k_weights):
-        f = _coulomb_waves(k, l_max, r)
-        integrals = simpson(f * weight, x=r, axis=1)
-        amp_sq += wk * integrals * integrals
+    integrals = _coulomb_overlaps(k_nodes, l_max, r, weight)
+    amp_sq = (k_weights[:, None] * integrals * integrals).sum(axis=0)
     w_total = float(np.sum((2.0 * np.arange(l_max + 1) + 1.0) * amp_sq) * (2.0 / math.pi))
     if not np.isfinite(w_total):
         raise RuntimeError(f"continuum oracle failed to converge at s={s}")

@@ -1,6 +1,7 @@
 """Command-line front end: configs, CSV output, exit codes, determinism."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -8,6 +9,7 @@ import pytest
 
 from molstrip.cli import (
     EXIT_CONFIG_ERROR,
+    EXIT_NO_CONVERGENCE,
     ConfigError,
     load_config,
     main,
@@ -63,11 +65,30 @@ class TestConfigLoading:
             ({"units": "barn"}, "units"),
             ({"theta_grid": [9.0]}, "theta_grid"),
             ({"threads": 0}, "threads"),
+            ({"table": {"s_max": 10}}, "table.s_max"),
+            ({"table": {"s_max": "20"}}, "table.s_max"),
+            ({"table": {"s_max": float("inf")}}, "table.s_max"),
+            ({"table": {"n_points": 100}}, "table.n_points"),
+            ({"table": {"n_points": 400.5}}, "table.n_points"),
+            ({"table": {"n_max": 5}}, "table.n_max"),
+            ({"table": {"n_max": True}}, "table.n_max"),
+            ({"table": {"smax": 20.0}}, "table.smax"),
+            ({"table": [20.0, 400, 20]}, "table"),
+            ({"tolerence": 1e-3}, "tolerence"),
         ],
     )
     def test_invalid_fields_are_named(self, config_path, overrides, field):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=re.escape(field)):
             load_config(config_path(overrides))
+
+    def test_table_defaults_and_types(self, config_path):
+        cfg = load_config(config_path({"table": {"s_max": 25}}))
+        assert cfg.table_params == {"s_max": 25.0, "n_points": 400, "n_max": 20}
+        assert isinstance(cfg.table_params["s_max"], float)
+
+    def test_reserved_and_execution_fields_accepted(self, config_path):
+        cfg = load_config(config_path({"seed": 7, "threads": 2, "output": None}))
+        assert (cfg.seed, cfg.threads, cfg.output) == (7, 2, None)
 
     def test_missing_required_field(self, config_path, tmp_path):
         path = tmp_path / "incomplete.json"
@@ -104,6 +125,24 @@ class TestExitCodes:
         code = run_cli(["scan-theta", "--config", config_path({"projectile": "Xe99+"})])
         assert code == EXIT_CONFIG_ERROR
         assert "projectile" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "overrides,field",
+        [({"table": {"s_max": 10}}, "table.s_max"), ({"tolerence": 1e-3}, "tolerence")],
+    )
+    def test_table_config_error(self, config_path, capsys, overrides, field):
+        assert run_cli(["table", "--config", config_path(overrides)]) == EXIT_CONFIG_ERROR
+        assert field in capsys.readouterr().err
+
+    def test_unreached_outer_cutoff(self, config_path, tmp_path, capsys):
+        atoms = tmp_path / "soft.csv"
+        atoms.write_text("Z,A1,A2,A3,alpha1,alpha2,alpha3\n50,0.3,0.3,0.4,0.01,0.011,0.012\n")
+        cfg = config_path({
+            "hfs_table": str(atoms),
+            "target": {"atoms": [{"Z": 50, "position": [0.0, 0.0, 0.0]}]},
+        })
+        assert run_cli(["scan-theta", "--config", cfg]) == EXIT_NO_CONVERGENCE
+        assert "outer cutoff not reached" in capsys.readouterr().err
 
     def test_flag_overrides_are_validated(self, config_path, capsys):
         code = run_cli(["table", "--config", config_path(), "--tolerance", "0.9"])

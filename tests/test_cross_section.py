@@ -21,7 +21,7 @@ from molstrip.cross_section import (
 )
 from molstrip.form_factor import ProjectileSpec
 from molstrip.kinematics import velocity_from_energy
-from molstrip.quadrature import integrate_b_plane
+from molstrip.quadrature import QuadratureError, integrate_b_plane
 
 N2_BOND_LENGTH = 2.07
 
@@ -151,6 +151,16 @@ class TestFixedOrientation:
         _, loss_slow, _ = integrate_channels(slow, 0.0, rel_tol=1e-3)
         _, loss_fast, _ = integrate_channels(fast, 0.0, rel_tol=1e-3)
         assert loss_fast < loss_slow
+
+    def test_unreached_outer_cutoff_fails_loudly(self, make_system, ionization_table):
+        # Screening this soft leaves a nearly bare Z = 50 Coulomb kick, so the
+        # loss probability 150 a.u. out is still ~1e-7 of its peak, ten times
+        # CUTOFF_FRACTION.
+        soft = HfsAtom(Z=50.0, A=(0.3, 0.3, 0.4), alpha=(0.01, 0.011, 0.012))
+        single = MoleculeGeometry(atoms=(soft,), positions=((0.0, 0.0, 0.0),))
+        system = make_system(1, 10.0, geometry=single)
+        with pytest.raises(QuadratureError, match=r"outer cutoff not reached: at r = 150"):
+            cross_section_fixed(system, 0.0, rel_tol=1e-3)
 
 
 class TestDeltaScan:

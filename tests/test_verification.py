@@ -1,13 +1,16 @@
 """Independent oracles: Monte-Carlo integration, continuum route, Bessel refs."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import special as sp
+from scipy.integrate import simpson
 
 from molstrip.form_factor import elastic_form_factor, ionization_probability
 from molstrip.verification import (
+    _simpson_weights,
     bessel_reference,
     bessel_reference_i,
     closure_defect,
@@ -67,6 +70,37 @@ class TestContinuumOracle:
 
     def test_closure_at_unit_kick(self):
         assert abs(closure_defect(1.0)) <= 1e-3
+
+    @pytest.mark.parametrize(
+        "s,expected",
+        [
+            (0.01, 2.8346738497282108e-05),
+            (0.3, 0.02963684808509152),
+            (1.0, 0.44645079952595196),
+            (3.0, 0.988377950268629),
+        ],
+    )
+    def test_pinned_values(self, s, expected):
+        # Values of the one-k-at-a-time Numerov implementation; batching the
+        # sweep over k only reorders floating-point sums.
+        assert continuum_ionization_oracle(s) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [3, 4, 7, 8, 6004, 6745])
+    def test_simpson_weights_match_scipy(self, n):
+        h = 0.0044
+        y = np.cos(0.37 * np.arange(n)) + 1.5
+        assert _simpson_weights(n, h) @ y == pytest.approx(simpson(y, dx=h), rel=1e-13)
+
+    def test_peak_memory_bound(self):
+        # The sweep accumulates the radial integrals in chunks; a full
+        # (n_k, l, n_r) wave array would take about 174 MB at s = 1.
+        tracemalloc.start()
+        try:
+            continuum_ionization_oracle(1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
 
     @pytest.mark.slow
     def test_saturates_at_large_kick(self):

@@ -130,12 +130,7 @@ def _channel_field(projections, atoms, proj, v, table):
     return integrand
 
 
-def _single_electron_p(projections, atoms, proj, v, table, points):
-    q = total_kick_magnitude(projections, atoms, v, points)
-    return table(q / proj.Z_eff)
-
-
-def _outer_cutoff(projections, atoms, proj, v, table) -> float:
+def _outer_cutoff(projections, field_fn) -> float:
     """Radius beyond which the integrand is below CUTOFF_FRACTION of its peak.
 
     Raises QuadratureError when the integrand is still above that fraction at
@@ -149,7 +144,7 @@ def _outer_cutoff(projections, atoms, proj, v, table) -> float:
 
     t = np.concatenate([np.geomspace(1e-4, 1.0, 40), np.linspace(1.1, 150.0, 600)])
     pts = u[None, :] * (outer + t)[:, None]
-    p = _single_electron_p(projections, atoms, proj, v, table, pts)
+    p = field_fn(pts)[:, -1]      # the per-electron loss probability
     peak = float(p.max())
     if peak <= 0.0:
         return outer + 1.0
@@ -199,7 +194,7 @@ def integrate_channels(
     if use_symmetry:
         projections, symmetry = _canonical_frame(geom, projections)
     field_fn = _channel_field(projections, geom.atoms, proj, system.velocity, system.table)
-    b_max = _outer_cutoff(projections, geom.atoms, proj, system.velocity, system.table)
+    b_max = _outer_cutoff(projections, field_fn)
     values, errors = integrate_b_plane(
         field_fn,
         half_width=b_max,

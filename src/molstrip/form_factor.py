@@ -10,16 +10,16 @@ bound-state survival sum,
 
     W_ion(s) = 1 - sum_{nlm, n <= n_max} |<nlm| exp(-i s z) |1s>|^2 - tail,
 
-with the bound-bound integrals done by partial-wave expansion of the plane
-wave (spherical Bessel j_l) and composite Gauss-Legendre radial quadrature,
-and a C/n^3 Rydberg tail fitted to the last three shells.  An interpolation
-table makes W_ion cheap inside the impact-parameter quadrature hot loop.
+where each shell's sum over l and m has an exact closed form (Bethe 1930,
+Ann. Phys. 397:325; tabulated by Inokuti 1971, Rev. Mod. Phys. 43:297), and
+the shells above n_max add a C/n^3 Rydberg tail fitted to the last three.  An
+interpolation table makes W_ion cheap inside the impact-parameter quadrature
+hot loop.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
@@ -36,13 +36,6 @@ __all__ = [
     "ionization_probability",
     "build_ionization_table",
 ]
-
-# Radial quadrature: unit-width Gauss-Legendre panels out to R_MAX.  The
-# integrands carry exp(-r (1 + 1/n)) from the 1s factor, so R_MAX = 60 leaves
-# tails below 1e-26; 24 nodes per panel resolve j_l oscillations up to s ~ 40.
-R_MAX = 60.0
-PANEL_WIDTH = 1.0
-NODES_PER_PANEL = 24
 
 DEFAULT_N_MAX = 20
 
@@ -90,91 +83,28 @@ def elastic_form_factor(q: float, z_eff: float) -> float:
     return (1.0 + 0.25 * s * s) ** -2
 
 
-def _radial_grid() -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(NODES_PER_PANEL)
-    edges = np.arange(0.0, R_MAX + 0.5 * PANEL_WIDTH, PANEL_WIDTH)
-    r = np.concatenate([
-        0.5 * (b - a) * x + 0.5 * (a + b) for a, b in zip(edges[:-1], edges[1:])
-    ])
-    wt = np.concatenate([
-        0.5 * (b - a) * w for a, b in zip(edges[:-1], edges[1:])
-    ])
-    return r, wt
-
-
-def _hydrogen_radial(n: int, l: int, r: np.ndarray) -> np.ndarray:
-    """Bound hydrogen radial function R_nl (Z = 1), normalized on r^2 dr."""
-    rho = 2.0 * r / n
-    norm = math.sqrt(
-        (2.0 / n) ** 3 * math.factorial(n - l - 1) / (2.0 * n * math.factorial(n + l))
-    )
-    return norm * np.exp(-r / n) * rho**l * sp.eval_genlaguerre(n - l - 1, 2 * l + 1, rho)
-
-
-@lru_cache(maxsize=4)
-def _bound_kernels(n_max: int):
-    """Precompute w(r) R_nl(r) R_10(r) r^2 for every shell up to n_max.
-
-    Returns (r, kernels) where kernels[l] is an array of rows, one per n with
-    n > l, ordered by increasing n.
-    """
-    r, wt = _radial_grid()
-    r10 = _hydrogen_radial(1, 0, r)
-    base = wt * r10 * r * r
-    kernels = []
-    for l in range(n_max):
-        rows = [base * _hydrogen_radial(n, l, r) for n in range(l + 1, n_max + 1)]
-        kernels.append(np.array(rows))
-    return r, kernels
-
-
-def _spherical_jn_orders(n_max: int, x: np.ndarray) -> np.ndarray:
-    """j_l(x) for l = 0..n_max-1 at once; shape (n_max, len(x)).
-
-    Bitwise equal to ``sp.spherical_jn(l, x)``: scipy's real-argument routine
-    starts from j_0 = sin(x)/x and j_1 = (j_0 - cos(x))/x and steps up with
-    j_{l+1} = (2l+1) j_l / x - j_{l-1} in this operation order, except where
-    l >= x (l > 0) or x = 0, which it routes through J_{l+1/2}; those entries
-    are taken from scipy directly.  Entries with l < x only ever depend on
-    lower orders that are also below x, so the shared recurrence reproduces
-    each of them exactly while costing O(n_max) per point instead of O(l)
-    per element.
-    """
-    out = np.empty((n_max, x.size))
-    # Entries that overflow or divide by zero are among those replaced below.
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        jm1 = np.sin(x) / x
-        out[0] = jm1
-        if n_max > 1:
-            j = (jm1 - np.cos(x)) / x
-            out[1] = j
-            for l in range(1, n_max - 1):
-                jm1, j = j, (2 * l + 1) * j / x - jm1
-                out[l + 1] = j
-    ells = np.arange(n_max)[:, None]
-    direct = ((ells >= x[None, :]) & (ells > 0)) | (x[None, :] == 0.0)
-    li, xi = np.nonzero(direct)
-    out[li, xi] = sp.spherical_jn(li, x[xi])
-    return out
-
-
 def _shell_probabilities(s_values: np.ndarray, n_max: int) -> np.ndarray:
-    """P(1s -> shell n) for each s; shape (len(s), n_max), shells n = 1..n_max."""
-    s_values = np.atleast_1d(np.asarray(s_values, dtype=float))
-    # Subnormal kicks underflow inside spherical_jn; they are exactly the
-    # identity operator for every practical purpose.
-    s_values = np.where(s_values < 1e-100, 0.0, s_values)
-    r, kernels = _bound_kernels(n_max)
-    out = np.zeros((s_values.size, n_max))
-    for i, s in enumerate(s_values):
-        # j_l(s r) for all l from one recurrence, bitwise equal to scipy's
-        # spherical_jn (see _spherical_jn_orders); at s = 0 only l = 0
-        # survives.  One s at a time keeps memory at (n_max, len(r)).
-        jl = _spherical_jn_orders(n_max, s * r)
-        for l in range(n_max):
-            amps = kernels[l] @ jl[l]          # one entry per n = l+1..n_max
-            out[i, l:] += (2 * l + 1) * amps * amps
-    return out
+    """P(1s -> shell n) for each s; shape (len(s), n_max), shells n = 1..n_max.
+
+    Bethe's closed form summed over l and m: with
+    k2 = s^2, a = (n-1)^2 + n^2 k2 and b = (n+1)^2 + n^2 k2,
+
+        P_n = 2^8 n^7 k2 ((n^2 - 1)/3 + n^2 k2) a^(n-3) / b^(n+3),   n >= 2,
+
+    and the elastic term P_1 = (1 + k2/4)^-4.
+    """
+    n = np.arange(2.0, n_max + 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        k2 = np.atleast_1d(np.asarray(s_values, dtype=float))[:, None] ** 2
+        nk2 = n * n * k2
+        a = (n - 1.0) ** 2 + nk2
+        b = (n + 1.0) ** 2 + nk2
+        # Each ratio is at most 1, so only b^4 can overflow, and 0 is then right.
+        inelastic = (2.0**8 * n**7 * (k2 / b) * (((n * n - 1.0) / 3.0 + nk2) / b)
+                     * (a / b) ** (n - 3.0) / b**4)
+    # Where n^2 s^2 overflows, P_n ~ 256 / (n^3 s^8) is far below the least double.
+    inelastic[np.isinf(b)] = 0.0
+    return np.concatenate([(1.0 + 0.25 * k2) ** -4, inelastic], axis=1)
 
 
 def _rydberg_tail(shell_probs: np.ndarray, n_max: int) -> np.ndarray:
@@ -195,15 +125,15 @@ def _survival_batch(s_values: np.ndarray, n_max: int) -> np.ndarray:
 def bound_survival_probability(s: float, n_max: int = DEFAULT_N_MAX) -> float:
     """Probability that a kicked 1s electron lands in any bound state.
 
-    Sums shells n <= n_max exactly (partial-wave radial quadrature) and adds
-    the C/n^3 Rydberg tail when n_max >= 4.
+    Sums shells n <= n_max exactly, from Bethe's closed form for
+    sum_{lm} |<nlm| exp(-i s z) |1s>|^2 (Bethe 1930, Ann. Phys. 397:325;
+    Inokuti 1971, Rev. Mod. Phys. 43:297), and adds the C/n^3 Rydberg tail
+    when n_max >= 4.
     """
     if s < 0:
         raise ValueError(f"s must be non-negative, got {s}")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    if s == 0.0:
-        return 1.0    # identity operator: the electron stays in the ground state
     return float(_survival_batch(np.array([s]), n_max)[0])
 
 
@@ -211,8 +141,6 @@ def ionization_probability(s: float, n_max: int = DEFAULT_N_MAX) -> float:
     """W_ion(s) = 1 - P_bound(s), clipped to [0, 1]."""
     if s < 0:
         raise ValueError(f"s must be non-negative, got {s}")
-    if s == 0.0:
-        return 0.0    # no kick, no ionization
     return float(np.clip(1.0 - _survival_batch(np.array([s]), n_max), 0.0, 1.0)[0])
 
 
@@ -278,8 +206,7 @@ def build_ionization_table(
         raise ValueError(f"n_max must be >= 10, got {n_max}")
     s_grid = np.linspace(0.0, s_max, n_points)
     w = np.clip(1.0 - _survival_batch(s_grid, n_max), 0.0, 1.0)
-    w[0] = 0.0
-    # Iron out sub-1e-8 quadrature wiggles so the monotone invariant is exact.
+    # Rounding in the shell sum must not break the monotone invariant.
     w = np.maximum.accumulate(w)
     return IonizationTable(s_grid=s_grid, w_values=w, n_max=n_max)
 

@@ -191,9 +191,10 @@ def _coulomb_overlaps(k_nodes, l_max, r, weight):
     attractive hydrogen continuum problem; outward propagation of the
     regular solution is stable.  All k nodes and partial waves step together
     as one (n_k, l_max+1) array; each element is seeded from the series at
-    its own start index and stays zero before it.  ``weight`` is
-    (n_r, l_max+1) with the quadrature weights folded in; the sums are
-    accumulated every _CHUNK nodes, so no (n_k, l, n_r) array is formed.
+    its own start index and stays zero before it, since the recurrence maps
+    two zero steps to zero.  ``weight`` is (n_r, l_max+1) with the
+    quadrature weights folded in; the sums are accumulated every _CHUNK
+    nodes, so no (n_k, l, n_r) array is formed.
     """
     n_r = len(r)
     h = r[1] - r[0]
@@ -209,7 +210,6 @@ def _coulomb_overlaps(k_nodes, l_max, r, weight):
     for (a, li), j0 in np.ndenumerate(start):
         seeds.setdefault(j0 - 1, []).append((a, li, seed_values[0, a, li]))
         seeds.setdefault(j0, []).append((a, li, seed_values[1, a, li]))
-    last_start = int(start.max())
 
     # Numerov for u'' = g u:  (1 - t_{n+1}) u_{n+1} = 2 (1 + 5 t_n) u_n
     #                         - (1 - t_{n-1}) u_{n-1},  t = h^2 g / 12
@@ -231,10 +231,8 @@ def _coulomb_overlaps(k_nodes, l_max, r, weight):
         u_next = buf[j % _CHUNK]
         np.divide(2.0 * (1.0 + 5.0 * t_cur) * u_cur - one_p_prev * u_prev, one_p_next,
                   out=u_next)
-        if i < last_start:
-            np.copyto(u_next, 0.0, where=start > i)
-            for a, li, v in seeds.get(j, ()):
-                u_next[a, li] = v
+        for a, li, v in seeds.get(j, ()):
+            u_next[a, li] = v
         if j % _CHUNK == _CHUNK - 1:
             overlaps += np.einsum("jkl,jl->kl", buf, weight[j + 1 - _CHUNK:j + 1])
         u_prev, u_cur = u_cur, u_next

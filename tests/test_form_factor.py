@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 from scipy import special as sp
 
 from molstrip.form_factor import (
-    DEFAULT_N_MAX,
     IonizationTable,
     ProjectileSpec,
-    _radial_grid,
-    _spherical_jn_orders,
+    _shell_probabilities,
     bound_survival_probability,
     build_ionization_table,
     elastic_form_factor,
@@ -64,28 +63,52 @@ class TestElasticFormFactor:
             elastic_form_factor(1.0, 0.0)
 
 
-class TestSphericalBesselOrders:
+class TestShellProbabilities:
     @staticmethod
-    def _scipy(n_max, x):
-        return sp.spherical_jn(np.arange(n_max)[:, None], x[None, :])
+    def _partial_wave_route(n, s):
+        """sum_l (2l+1) |int R_nl j_l(s r) R_10 r^2 dr|^2 by adaptive quadrature."""
+        ells = np.arange(n)
+        norm = np.sqrt((2.0 / n) ** 3 * sp.factorial(n - ells - 1)
+                       / (2.0 * n * sp.factorial(n + ells)))
 
-    @pytest.mark.parametrize("n_max", [10, DEFAULT_N_MAX])
-    def test_bitwise_equal_on_default_table_grid(self, n_max):
-        # Every x = s r the default table build uses: x = 0, x <= l and x > l.
-        r, _ = _radial_grid()
-        for s in np.linspace(0.0, 20.0, 400):
-            x = s * r
-            assert np.array_equal(_spherical_jn_orders(n_max, x), self._scipy(n_max, x)), s
+        def amplitudes(r):
+            rho = 2.0 * r / n
+            r_nl = norm * np.exp(-r / n) * rho**ells * sp.eval_genlaguerre(
+                n - ells - 1, 2 * ells + 1, rho)
+            return r_nl * sp.spherical_jn(ells, s * r) * 2.0 * np.exp(-r) * r * r
 
-    @pytest.mark.parametrize("n_max", [1, 2, 10, 20, 30])
-    def test_bitwise_equal_at_order_boundaries_and_tail(self, n_max):
-        ells = np.arange(1, n_max, dtype=float)
-        edges = np.concatenate([ells, np.nextafter(ells, 0.0), np.nextafter(ells, np.inf)])
-        x = np.concatenate([[0.0, 1e-300, 1e-100], edges,
-                            np.linspace(0.0, 2400.0, 200_001)])
-        got = _spherical_jn_orders(n_max, x)
-        assert got.shape == (n_max, x.size)
-        assert np.array_equal(got, self._scipy(n_max, x))
+        # exp(-r (1 + 1/n)) r^(n+1) is below 1e-15 of its peak well before r = 80.
+        amps, _ = integrate.quad_vec(amplitudes, 0.0, 80.0, epsabs=0.0, epsrel=1e-12,
+                                     limit=2000)
+        return float(np.sum((2 * ells + 1) * amps * amps))
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 10])
+    def test_closed_form_matches_partial_waves(self, n):
+        for s in (0.1, 1.0, 5.0, 20.0):
+            closed = _shell_probabilities(np.array([s]), n)[0, n - 1]
+            assert closed == pytest.approx(self._partial_wave_route(n, s), rel=1e-10), s
+
+    def test_default_table_matches_partial_wave_build(self):
+        # W_ion of the default table as the partial-wave radial quadrature
+        # (24-node Gauss-Legendre panels to r = 60) built it.
+        expected = {
+            1: 0.0007155779697947118, 2: 0.0029041301153196475,
+            10: 0.09801275662108466, 40: 0.9155999170966576,
+            100: 0.9995584469957798, 200: 0.9999973976943194,
+            300: 0.9999998898625524, 399: 0.999999988423434,
+        }
+        w = build_ionization_table().w_values
+        for i, value in expected.items():
+            assert abs(w[i] - value) <= 5e-15, i
+
+    @pytest.mark.parametrize("s", [80.0, 100.0, 150.0, 200.0])
+    def test_large_kick_survival_is_elastic(self, s):
+        assert abs(bound_survival_probability(s) - (1.0 + 0.25 * s * s) ** -4) <= 1e-12
+
+    @pytest.mark.parametrize("s", [1e100, 1e200, 1e308])
+    def test_huge_kick_is_finite(self, s):
+        assert bound_survival_probability(s) == 0.0
+        assert ionization_probability(s) == 1.0
 
 
 class TestBoundSurvival:

@@ -21,14 +21,12 @@ from .atomic_data import (
 )
 from .cross_section import (
     AU_TO_CM2,
-    ChannelProbabilities,
     CollisionSystem,
     CrossSectionResult,
     OrientationScan,
     cross_section_fixed,
     cross_section_theta,
     delta_scan,
-    loss_probabilities,
     orientation_average,
 )
 from .form_factor import (
@@ -51,7 +49,6 @@ from .transfer import (
 __all__ = [
     "__version__",
     "AU_TO_CM2",
-    "ChannelProbabilities",
     "CollisionParams",
     "CollisionSystem",
     "CrossSectionResult",
@@ -76,7 +73,6 @@ __all__ = [
     "eikonal_phase_single",
     "ionization_probability",
     "load_hfs_table",
-    "loss_probabilities",
     "momentum_transfer_single",
     "orientation_average",
     "screening_function",

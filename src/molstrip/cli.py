@@ -45,7 +45,7 @@ class ConfigError(ValueError):
 
 CONFIG_FIELDS = frozenset({
     "projectile", "target", "energies_mev_u", "theta_grid", "tolerance", "table",
-    "units", "seed", "threads", "output", "hfs_table",
+    "units", "seed", "output", "hfs_table",
 })
 
 # W_ion table parameters: (type, default, minimum), as build_ionization_table
@@ -69,7 +69,6 @@ class RunConfig:
     )
     units: str = "au"
     seed: int = 0
-    threads: int = 1
     output: str | None = None
     raw: dict = field(default_factory=dict)
 
@@ -204,10 +203,6 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
 
     table_params = _parse_table(_get(merged, "table", {}))
 
-    threads = int(_get(merged, "threads", 1))
-    if threads < 1:
-        raise ConfigError(f"threads must be >= 1, got {threads}")
-
     return RunConfig(
         projectile=_parse_projectile(_get(merged, "projectile", required=True)),
         geometry=_parse_target(_get(merged, "target", required=True), hfs),
@@ -217,7 +212,6 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
         table_params=table_params,
         units=units,
         seed=int(_get(merged, "seed", 0)),
-        threads=threads,
         output=merged.get("output"),
         raw=merged,
     )
@@ -237,9 +231,9 @@ def _fmt(x: float) -> str:
 
 
 def _header_lines(config: RunConfig, command: str) -> list[str]:
-    # Threads and output path are execution details that do not affect the
-    # numbers; excluding them keeps the file byte-identical across them.
-    echo_cfg = {k: v for k, v in config.raw.items() if k not in ("threads", "output")}
+    # The output path does not affect the numbers; leaving it out keeps the
+    # file byte-identical wherever it is written.
+    echo_cfg = {k: v for k, v in config.raw.items() if k != "output"}
     echo = json.dumps(echo_cfg, sort_keys=True, separators=(",", ":"))
     return [
         f"# molstrip {__version__} {command}",
@@ -249,12 +243,12 @@ def _header_lines(config: RunConfig, command: str) -> list[str]:
 
 
 def _energy_lines(config: RunConfig, system: CollisionSystem) -> list[str]:
-    warnings = validate_regime(system.params, system.projectile, system.geometry)
+    checks = validate_regime(system.params, system.projectile, system.geometry)
     lines = [
         f"# energy_mev_u = {_fmt(system.params.energy_mev_u)}",
         f"# velocity_au = {_fmt(system.params.velocity_au)}",
     ]
-    lines += [f"# warning: {w}" for w in warnings]
+    lines += [f"# warning: {c.message}" for c in checks if not c.passed]
     return lines
 
 
@@ -264,9 +258,7 @@ def cmd_scan_theta(config: RunConfig, out) -> None:
     lines.append("theta_rad,channel_m,sigma_au,sigma_cm2,quad_error_au,delta")
     for system in systems:
         lines += _energy_lines(config, system)
-        scan = delta_scan(
-            system, config.theta_grid, rel_tol=config.tolerance, threads=config.threads
-        )
+        scan = delta_scan(system, config.theta_grid, rel_tol=config.tolerance)
         for i, theta in enumerate(scan.theta_grid):
             for m in range(1, system.projectile.N_P + 1):
                 sigma = scan.sigma_au[i, m - 1]
@@ -289,9 +281,7 @@ def cmd_average(config: RunConfig, out) -> None:
     for system in systems:
         lines += _energy_lines(config, system)
         perp = cross_section_theta(system, math.pi / 2, rel_tol=config.tolerance)
-        avg = orientation_average(
-            system, rel_tol=config.tolerance, check_phi=False, threads=config.threads
-        )
+        avg = orientation_average(system, rel_tol=config.tolerance, check_phi=False)
         for r_avg, r_perp in zip(avg, perp):
             rel = r_avg.sigma_au / r_perp.sigma_au - 1.0
             row = [str(r_avg.m), _fmt(r_avg.sigma_au), _fmt(r_perp.sigma_au), _fmt(rel)]
@@ -312,8 +302,6 @@ def cmd_table(config: RunConfig, out) -> None:
 
 def cmd_validate(config: RunConfig, out) -> None:
     # Regime checks need only the kinematics: no W_ion table is built.
-    from .kinematics import AMU_ME, ATOM_SIZE_AU, MIN_KL, MIN_NET_CHARGE, SUDDEN_RATIO_MAX
-
     out.write(f"molstrip {__version__} validate\n")
     for energy in config.energies:
         params = velocity_from_energy(energy)
@@ -321,20 +309,13 @@ def cmd_validate(config: RunConfig, out) -> None:
             f"\nenergy {_fmt(params.energy_mev_u)} MeV/u: "
             f"v = {_fmt(params.velocity_au)} a.u., gamma = {_fmt(params.gamma)}\n"
         )
-        warnings = {w.name: w for w in validate_regime(params, config.projectile, config.geometry)}
-        tau_c = ATOM_SIZE_AU / (params.gamma * params.velocity_au)
-        net = config.projectile.net_charge
-        kl = params.gamma * AMU_ME * params.velocity_au * max(config.geometry.extent, ATOM_SIZE_AU)
-        checks = [
-            ("sudden collision (tau_c/tau_e)", tau_c, f"< {SUDDEN_RATIO_MAX:g}", "sudden"),
-            ("projectile net charge", net, f">= {MIN_NET_CHARGE:g}", "charge"),
-            ("eikonal product k*L", kl, f">= {MIN_KL:g}", "eikonal"),
-        ]
-        for label, ratio, requirement, name in checks:
-            status = "WARN" if name in warnings else "pass"
-            out.write(f"  [{status}] {label} = {_fmt(ratio)} (want {requirement})\n")
-            if name in warnings:
-                out.write(f"         {warnings[name].message}\n")
+        for check in validate_regime(params, config.projectile, config.geometry):
+            status = "pass" if check.passed else "WARN"
+            out.write(
+                f"  [{status}] {check.label} = {_fmt(check.value)} (want {check.requirement})\n"
+            )
+            if not check.passed:
+                out.write(f"         {check.message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -354,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output path (default: config 'output' or stdout)")
         p.add_argument("--units", choices=["au", "cm2"], default=None)
         p.add_argument("--tolerance", type=float, default=None)
-        p.add_argument("--threads", type=int, default=None)
         p.add_argument("--seed", type=int, default=None)
     return parser
 
@@ -365,7 +345,6 @@ def main(argv=None) -> int:
         config = load_config(args.config, overrides={
             "units": args.units,
             "tolerance": args.tolerance,
-            "threads": args.threads,
             "seed": args.seed,
         })
     except ConfigError as exc:

@@ -18,7 +18,6 @@ symmetry.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,11 +30,9 @@ from .transfer import total_kick_magnitude
 
 __all__ = [
     "AU_TO_CM2",
-    "ChannelProbabilities",
     "CrossSectionResult",
     "OrientationScan",
     "CollisionSystem",
-    "loss_probabilities",
     "cross_section_fixed",
     "cross_section_theta",
     "delta_scan",
@@ -46,14 +43,6 @@ AU_TO_CM2 = 2.8002852e-17      # a_0^2 in cm^2
 
 # Outer cutoff: drop the domain where p falls below this fraction of its peak.
 CUTOFF_FRACTION = 1e-8
-
-
-@dataclass(frozen=True)
-class ChannelProbabilities:
-    """Binomial loss-channel probabilities at one impact parameter."""
-
-    p_ion: float
-    channel: tuple[float, ...]    # P_m for m = 0..N_P
 
 
 @dataclass(frozen=True)
@@ -79,8 +68,6 @@ class OrientationScan:
     delta: np.ndarray             # (n_theta, N_P)
     sigma_perp: np.ndarray        # (N_P,)
     sigma_perp_error: np.ndarray  # (N_P,)
-    sigma_avg: np.ndarray | None = None
-    sigma_avg_error: np.ndarray | None = None
 
 
 @dataclass
@@ -103,19 +90,6 @@ def _binomial_channels(p: np.ndarray, n: int) -> np.ndarray:
     cols = [math.comb(n, m) * p**m * (1.0 - p) ** (n - m) for m in range(1, n + 1)]
     cols.append(p)
     return np.stack(cols, axis=1)
-
-
-def loss_probabilities(
-    b, projections, atoms, proj: ProjectileSpec, v: float, table: IonizationTable
-) -> ChannelProbabilities:
-    """Channel probabilities at a single impact parameter."""
-    q = total_kick_magnitude(projections, atoms, v, np.asarray(b, dtype=float)[None, :])[0]
-    p = float(table(q / proj.Z_eff))
-    n = proj.N_P
-    channel = tuple(
-        math.comb(n, m) * p**m * (1.0 - p) ** (n - m) for m in range(n + 1)
-    )
-    return ChannelProbabilities(p_ion=p, channel=channel)
 
 
 def _channel_field(projections, atoms, proj, v, table):
@@ -253,27 +227,11 @@ def cross_section_theta(
     return cross_section_fixed(system, theta, 0.0, rel_tol)
 
 
-def _scan_thetas(system, thetas, rel_tol, check_phi, threads):
-    if check_phi and not system._phi_checked:
-        # trigger the one-time check serially before parallel work
-        cross_section_theta(system, float(thetas[0]), rel_tol, check_phi=True)
-
-    def work(th):
-        return cross_section_theta(system, float(th), rel_tol, check_phi=False)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(work, thetas))
-    return [work(th) for th in thetas]
-
-
 def delta_scan(
     system: CollisionSystem,
     theta_grid,
     rel_tol: float = 1e-3,
     check_phi: bool = True,
-    threads: int = 1,
-    include_average: bool = False,
 ) -> OrientationScan:
     """sigma(theta) and delta(theta) over a grid in [0, pi/2].
 
@@ -294,7 +252,7 @@ def delta_scan(
 
     at_perp = np.isclose(theta_grid, math.pi / 2)
     todo = theta_grid[~at_perp]
-    computed = _scan_thetas(system, todo, rel_tol, check_phi, threads)
+    computed = [cross_section_theta(system, float(th), rel_tol, check_phi) for th in todo]
 
     n_p = system.projectile.N_P
     sigma = np.empty((theta_grid.size, n_p))
@@ -307,7 +265,7 @@ def delta_scan(
     delta = sigma / sigma_perp[None, :] - 1.0
     delta[at_perp] = 0.0
 
-    scan = OrientationScan(
+    return OrientationScan(
         theta_grid=theta_grid,
         sigma_au=sigma,
         quad_error=err,
@@ -315,14 +273,6 @@ def delta_scan(
         sigma_perp=sigma_perp,
         sigma_perp_error=sigma_perp_err,
     )
-    if include_average:
-        avg = orientation_average(system, rel_tol=rel_tol, check_phi=False, threads=threads)
-        scan = OrientationScan(
-            **{**scan.__dict__,
-               "sigma_avg": np.array([r.sigma_au for r in avg]),
-               "sigma_avg_error": np.array([r.quad_error for r in avg])},
-        )
-    return scan
 
 
 def orientation_average(
@@ -330,7 +280,6 @@ def orientation_average(
     rel_tol: float = 1e-4,
     n_nodes: int = 20,
     check_phi: bool = True,
-    threads: int = 1,
 ) -> list[CrossSectionResult]:
     """Chaotic-orientation average: integral of sigma(theta) (1/2) sin(theta).
 
@@ -344,7 +293,7 @@ def orientation_average(
     c = 0.5 * (x + 1.0)
     w = 0.5 * w
     thetas = np.arccos(c)
-    results = _scan_thetas(system, thetas, rel_tol, check_phi, threads)
+    results = [cross_section_theta(system, float(th), rel_tol, check_phi) for th in thetas]
     sigma = np.array([[r.sigma_au for r in res] for res in results])
     err = np.array([[r.quad_error for r in res] for res in results])
     avg = w @ sigma

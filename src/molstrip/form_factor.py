@@ -19,10 +19,7 @@ hot loop.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
-from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 from scipy import special as sp
@@ -179,20 +176,6 @@ class IonizationTable:
         out = np.clip(out, 0.0, 1.0)
         return float(out[0]) if scalar else out
 
-    def save_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["s", "w_ion"])
-            for s, w in zip(self.s_grid, self.w_values):
-                writer.writerow([f"{s:.9g}", f"{w:.9g}"])
-
-    @classmethod
-    def load_csv(cls, path, n_max: int = DEFAULT_N_MAX) -> "IonizationTable":
-        rows = list(csv.DictReader(Path(path).open()))
-        s = np.array([float(r["s"]) for r in rows])
-        w = np.array([float(r["w_ion"]) for r in rows])
-        return cls(s_grid=s, w_values=w, n_max=n_max)
-
 
 def build_ionization_table(
     s_max: float = 20.0, n_points: int = 400, n_max: int = DEFAULT_N_MAX
@@ -209,11 +192,3 @@ def build_ionization_table(
     # Rounding in the shell sum must not break the monotone invariant.
     w = np.maximum.accumulate(w)
     return IonizationTable(s_grid=s_grid, w_values=w, n_max=n_max)
-
-
-@lru_cache(maxsize=4)
-def default_ionization_table(
-    s_max: float = 20.0, n_points: int = 400, n_max: int = DEFAULT_N_MAX
-) -> IonizationTable:
-    """Process-wide cached table for the default parameters."""
-    return build_ionization_table(s_max=s_max, n_points=n_points, n_max=n_max)

@@ -1,8 +1,7 @@
 """Relativistic beam kinematics and validity-regime diagnostics.
 
 Energies are given per nucleon (MeV/u) and converted to the projectile speed
-in atomic units.  The regime checks are heuristics with configurable
-thresholds: they warn, never fail.
+in atomic units.  The regime checks are heuristics: they warn, never fail.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from dataclasses import dataclass
 
 from .atomic_data import MoleculeGeometry
 
-__all__ = ["CollisionParams", "RegimeWarning", "velocity_from_energy", "validate_regime"]
+__all__ = ["CollisionParams", "RegimeCheck", "velocity_from_energy", "validate_regime"]
 
 C_AU = 137.035999            # speed of light, atomic units
 AMU_MEV = 931.494            # m_u c^2 in MeV
@@ -37,11 +36,15 @@ class CollisionParams:
 
 
 @dataclass(frozen=True)
-class RegimeWarning:
+class RegimeCheck:
+    """One regime diagnostic: the quantity, what it must satisfy, and the verdict."""
+
     name: str
-    ratio: float
-    threshold: float
-    message: str
+    label: str
+    value: float
+    requirement: str
+    passed: bool
+    message: str    # why the approximation is in doubt; empty when passed
 
     def __str__(self) -> str:
         return self.message
@@ -61,58 +64,42 @@ def velocity_from_energy(energy_mev_u: float) -> CollisionParams:
     )
 
 
-def validate_regime(
-    params: CollisionParams,
-    proj,
-    geom: MoleculeGeometry,
-    *,
-    sudden_ratio_max: float = SUDDEN_RATIO_MAX,
-    min_net_charge: float = MIN_NET_CHARGE,
-    min_kl: float = MIN_KL,
-) -> list[RegimeWarning]:
-    """Check the sudden, high-charge, and eikonal heuristics.
+def validate_regime(params: CollisionParams, proj, geom: MoleculeGeometry) -> list[RegimeCheck]:
+    """Check the sudden, high-charge, and eikonal heuristics, in that order.
 
     Sudden condition: the per-atom collision time (atom size over gamma*v)
     must be short against the projectile-electron period (~1 a.u. for the
     outer-shell estimate).  The molecular extent enters only the eikonal
     check k*L, where k is the projectile momentum per nucleon.
     """
-    warnings: list[RegimeWarning] = []
-
     tau_c = ATOM_SIZE_AU / (params.gamma * params.velocity_au)
-    if tau_c >= sudden_ratio_max * TAU_E_TARGET:
-        warnings.append(RegimeWarning(
-            name="sudden",
-            ratio=tau_c / TAU_E_TARGET,
-            threshold=sudden_ratio_max,
-            message=(
-                f"sudden-approximation ratio tau_c/tau_e = {tau_c:.3g} >= "
-                f"{sudden_ratio_max:g}: collision may not be sudden"
-            ),
-        ))
-
     net_charge = proj.Z_nucleus - proj.N_P
-    if net_charge < min_net_charge:
-        warnings.append(RegimeWarning(
-            name="charge",
-            ratio=float(net_charge),
-            threshold=float(min_net_charge),
-            message=(
-                f"projectile net charge {net_charge:g} < {min_net_charge:g}: "
+    kl = params.gamma * AMU_ME * params.velocity_au * max(geom.extent, ATOM_SIZE_AU)
+    sudden = tau_c < SUDDEN_RATIO_MAX * TAU_E_TARGET
+    charge = net_charge >= MIN_NET_CHARGE
+    eikonal = kl >= MIN_KL
+    return [
+        RegimeCheck(
+            "sudden", "sudden collision (tau_c/tau_e)", tau_c / TAU_E_TARGET,
+            f"< {SUDDEN_RATIO_MAX:g}", sudden,
+            "" if sudden else (
+                f"sudden-approximation ratio tau_c/tau_e = {tau_c:.3g} >= "
+                f"{SUDDEN_RATIO_MAX:g}: collision may not be sudden"
+            ),
+        ),
+        RegimeCheck(
+            "charge", "projectile net charge", float(net_charge),
+            f">= {MIN_NET_CHARGE:g}", charge,
+            "" if charge else (
+                f"projectile net charge {net_charge:g} < {MIN_NET_CHARGE:g}: "
                 "high-charge expansion may be inaccurate"
             ),
-        ))
-
-    k = params.gamma * AMU_ME * params.velocity_au
-    length = max(geom.extent, ATOM_SIZE_AU)
-    kl = k * length
-    if kl < min_kl:
-        warnings.append(RegimeWarning(
-            name="eikonal",
-            ratio=kl,
-            threshold=min_kl,
-            message=f"eikonal product k*L = {kl:.3g} < {min_kl:g}: straight-line "
-                    "approximation questionable",
-        ))
-
-    return warnings
+        ),
+        RegimeCheck(
+            "eikonal", "eikonal product k*L", kl, f">= {MIN_KL:g}", eikonal,
+            "" if eikonal else (
+                f"eikonal product k*L = {kl:.3g} < {MIN_KL:g}: straight-line "
+                "approximation questionable"
+            ),
+        ),
+    ]

@@ -4,7 +4,7 @@ import pytest
 
 from molstrip.atomic_data import HfsAtom, MoleculeGeometry, builtin_hfs_table
 from molstrip.cross_section import CollisionSystem
-from molstrip.form_factor import ProjectileSpec, default_ionization_table
+from molstrip.form_factor import ProjectileSpec, build_ionization_table
 from molstrip.kinematics import velocity_from_energy
 
 N2_BOND_LENGTH = 2.07
@@ -33,7 +33,7 @@ def n2_geometry(nitrogen):
 
 @pytest.fixture(scope="session")
 def ionization_table():
-    return default_ionization_table()
+    return build_ionization_table()
 
 
 @pytest.fixture(scope="session")

@@ -75,6 +75,7 @@ class TestConfigLoading:
             ({"table": {"smax": 20.0}}, "table.smax"),
             ({"table": [20.0, 400, 20]}, "table"),
             ({"tolerence": 1e-3}, "tolerence"),
+            ({"threads": 1}, "threads"),
         ],
     )
     def test_invalid_fields_are_named(self, config_path, overrides, field):
@@ -87,8 +88,8 @@ class TestConfigLoading:
         assert isinstance(cfg.table_params["s_max"], float)
 
     def test_reserved_and_execution_fields_accepted(self, config_path):
-        cfg = load_config(config_path({"seed": 7, "threads": 2, "output": None}))
-        assert (cfg.seed, cfg.threads, cfg.output) == (7, 2, None)
+        cfg = load_config(config_path({"seed": 7, "output": None}))
+        assert (cfg.seed, cfg.output) == (7, None)
 
     def test_missing_required_field(self, config_path, tmp_path):
         path = tmp_path / "incomplete.json"
@@ -148,6 +149,12 @@ class TestExitCodes:
         code = run_cli(["table", "--config", config_path(), "--tolerance", "0.9"])
         assert code == EXIT_CONFIG_ERROR
         capsys.readouterr()
+
+    def test_threads_flag_is_rejected(self, config_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["scan-theta", "--config", config_path(), "--threads", "2"])
+        assert exc.value.code == EXIT_CONFIG_ERROR
+        assert "--threads" in capsys.readouterr().err
 
 
 class TestScanTheta:
@@ -215,13 +222,12 @@ class TestValidate:
 
 
 class TestDeterminism:
-    def test_byte_identical_reruns_and_thread_counts(self, config_path, tmp_path):
+    def test_byte_identical_reruns(self, config_path, tmp_path):
         cfg = config_path()
         outs = []
-        for name, threads in [("a.csv", "1"), ("b.csv", "1"), ("c.csv", "4")]:
+        for name in ("a.csv", "b.csv", "c.csv"):
             out = tmp_path / name
-            assert run_cli(["scan-theta", "--config", cfg, "--out", str(out),
-                            "--threads", threads]) == 0
+            assert run_cli(["scan-theta", "--config", cfg, "--out", str(out)]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1] == outs[2]
 

@@ -12,11 +12,11 @@ from molstrip.cross_section import (
     AU_TO_CM2,
     CollisionSystem,
     CrossSectionResult,
+    _channel_field,
     cross_section_fixed,
     cross_section_theta,
     delta_scan,
     integrate_channels,
-    loss_probabilities,
     orientation_average,
 )
 from molstrip.form_factor import ProjectileSpec
@@ -39,44 +39,38 @@ class ConstantTable:
         return np.full(s.shape, self.value)
 
 
+def channel_columns(b, atoms, proj, table):
+    """The quadrature integrand at one impact parameter: P_1..P_N_P, then p."""
+    field_fn = _channel_field([(1.0, 0.0), (-1.0, 0.0)], atoms, proj, 20.0, table)
+    return field_fn(np.array([b], dtype=float))[0]
+
+
 class TestLossProbabilities:
     def test_binomial_example(self, n2_geometry):
-        proj = ProjectileSpec(26.0, 2)
-        probs = loss_probabilities(
-            (0.5, 0.5), [(1.0, 0.0), (-1.0, 0.0)], n2_geometry.atoms,
-            proj, 20.0, ConstantTable(0.5),
-        )
-        assert probs.p_ion == pytest.approx(0.5)
-        assert probs.channel[1] == pytest.approx(0.5)   # P_1 = 2 p (1-p)
-        assert probs.channel[2] == pytest.approx(0.25)  # P_2 = p^2
+        cols = channel_columns((0.5, 0.5), n2_geometry.atoms, ProjectileSpec(26.0, 2),
+                               ConstantTable(0.5))
+        assert cols[-1] == pytest.approx(0.5)
+        assert cols[0] == pytest.approx(0.5)   # P_1 = 2 p (1-p)
+        assert cols[1] == pytest.approx(0.25)  # P_2 = p^2
 
     def test_far_impact_parameter_is_elastic(self, n2_geometry, ionization_table):
-        proj = ProjectileSpec(26.0, 2)
-        probs = loss_probabilities(
-            (80.0, 0.0), [(1.0, 0.0), (-1.0, 0.0)], n2_geometry.atoms,
-            proj, 20.0, ionization_table,
-        )
-        assert probs.p_ion < 1e-10
-        assert probs.channel[0] == pytest.approx(1.0, abs=1e-9)
+        cols = channel_columns((80.0, 0.0), n2_geometry.atoms, ProjectileSpec(26.0, 2),
+                               ionization_table)
+        assert cols[-1] < 1e-10
+        assert 1.0 - cols[:-1].sum() == pytest.approx(1.0, abs=1e-9)   # P_0
 
     def test_single_electron_channel_equals_p(self, n2_geometry, ionization_table):
-        proj = ProjectileSpec(26.0, 1)
-        probs = loss_probabilities(
-            (1.5, 0.3), [(1.0, 0.0), (-1.0, 0.0)], n2_geometry.atoms,
-            proj, 20.0, ionization_table,
-        )
-        assert probs.channel[1] == pytest.approx(probs.p_ion, rel=1e-12)
+        cols = channel_columns((1.5, 0.3), n2_geometry.atoms, ProjectileSpec(26.0, 1),
+                               ionization_table)
+        assert cols[0] == pytest.approx(cols[-1], rel=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(st.floats(min_value=0.0, max_value=1.0), st.integers(min_value=1, max_value=3))
     def test_channels_normalized(self, n2_geometry, p, n_p):
-        proj = ProjectileSpec(26.0, n_p)
-        probs = loss_probabilities(
-            (0.7, 0.1), [(1.0, 0.0), (-1.0, 0.0)], n2_geometry.atoms,
-            proj, 20.0, ConstantTable(p),
-        )
-        assert sum(probs.channel) == pytest.approx(1.0, abs=1e-12)
-        assert all(0.0 <= c <= 1.0 for c in probs.channel)
+        cols = channel_columns((0.7, 0.1), n2_geometry.atoms, ProjectileSpec(26.0, n_p),
+                               ConstantTable(p))
+        assert cols[:-1].sum() + (1.0 - p) ** n_p == pytest.approx(1.0, abs=1e-12)
+        assert np.all((0.0 <= cols) & (cols <= 1.0))
 
 
 class TestCrossSectionResult:
@@ -187,14 +181,6 @@ class TestDeltaScan:
         with pytest.raises(ValueError, match="degenerate"):
             delta_scan(system, [0.0, math.pi / 2], check_phi=False)
 
-    def test_threaded_scan_matches_serial(self, make_system):
-        system = make_system(1, 10.0)
-        grid = np.linspace(0.0, math.pi / 2, 5)
-        serial = delta_scan(system, grid, rel_tol=1e-3, check_phi=False, threads=1)
-        threaded = delta_scan(system, grid, rel_tol=1e-3, check_phi=False, threads=4)
-        assert np.array_equal(serial.sigma_au, threaded.sigma_au)
-        assert np.array_equal(serial.delta, threaded.delta)
-
 
 class TestPhiInvarianceProperty:
     def test_five_random_azimuth_pairs(self, make_system):
@@ -220,11 +206,11 @@ class TestOrientationAverage:
     def test_average_respects_mean_value_bound(self, make_system):
         system = make_system(1, 10.0)
         grid = np.linspace(0.0, math.pi / 2, 7)
-        scan = delta_scan(system, grid, rel_tol=1e-3, check_phi=False,
-                          include_average=True)
+        scan = delta_scan(system, grid, rel_tol=1e-3, check_phi=False)
+        avg = orientation_average(system, rel_tol=1e-3, check_phi=False)[0]
         lo = scan.sigma_au[:, 0].min() - 3.0 * scan.quad_error[:, 0].max()
         hi = scan.sigma_au[:, 0].max() + 3.0 * scan.quad_error[:, 0].max()
-        assert lo <= scan.sigma_avg[0] <= hi
+        assert lo <= avg.sigma_au <= hi
 
 
 class TestErrorHonesty:

@@ -8,7 +8,6 @@ from scipy import integrate
 from scipy import special as sp
 
 from molstrip.form_factor import (
-    IonizationTable,
     ProjectileSpec,
     _shell_probabilities,
     bound_survival_probability,
@@ -199,14 +198,6 @@ class TestIonizationTable:
         s = ionization_table.s_max + 5.0
         expected = 1.0 - (1.0 + 0.25 * s * s) ** -4
         assert ionization_table(s) == pytest.approx(expected, rel=1e-12)
-
-    def test_csv_roundtrip(self, ionization_table, tmp_path):
-        path = tmp_path / "w_ion.csv"
-        ionization_table.save_csv(path)
-        loaded = IonizationTable.load_csv(path, n_max=ionization_table.n_max)
-        # save_csv writes 9 significant digits -> up to ~5e-9 relative rounding.
-        assert np.allclose(loaded.s_grid, ionization_table.s_grid, rtol=1e-8)
-        assert np.allclose(loaded.w_values, ionization_table.w_values, rtol=1e-8, atol=1e-9)
 
     @settings(max_examples=50, deadline=None)
     @given(

@@ -81,6 +81,27 @@ def _get(cfg: dict, key: str, default=None, required=False):
     return default
 
 
+def _check_keys(spec: dict, known, prefix: str) -> None:
+    for key in spec:
+        if key not in known:
+            raise ConfigError(f"{prefix}{key}: unknown field (known: {sorted(known)})")
+
+
+def _number(name: str, value, kind: type = float, minimum: float = -math.inf):
+    """`value` as `kind`, finite and >= minimum; a float field also takes an int.
+
+    Anything else (a string, a bool, a non-integral number for an int field)
+    is a ConfigError naming the field, never a silent conversion.
+    """
+    allowed = (int, float) if kind is float else int
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        raise ConfigError(f"{name}: expected {kind.__name__}, got {value!r}")
+    if not (math.isfinite(value) and value >= minimum):
+        bound = f" and >= {minimum:g}" if minimum > -math.inf else ""
+        raise ConfigError(f"{name} must be finite{bound}, got {value!r}")
+    return kind(value)
+
+
 def _parse_projectile(spec) -> ProjectileSpec:
     if isinstance(spec, str):
         if spec not in PROJECTILE_PRESETS:
@@ -91,15 +112,19 @@ def _parse_projectile(spec) -> ProjectileSpec:
         return ProjectileSpec(z, n_p)
     if not isinstance(spec, dict):
         raise ConfigError("projectile: expected a preset name or an object")
+    _check_keys(spec, ("Z", "N_P", "Z_eff"), "projectile.")
     try:
+        z_eff = spec.get("Z_eff")
         return ProjectileSpec(
-            Z_nucleus=float(spec["Z"]),
-            N_P=int(spec["N_P"]),
-            z_eff=float(spec["Z_eff"]) if spec.get("Z_eff") is not None else None,
+            Z_nucleus=_number("projectile.Z", spec["Z"]),
+            N_P=_number("projectile.N_P", spec["N_P"], int),
+            z_eff=None if z_eff is None else _number("projectile.Z_eff", z_eff),
         )
+    except ConfigError:
+        raise
     except KeyError as exc:
         raise ConfigError(f"projectile: missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"projectile: {exc}") from exc
 
 
@@ -112,21 +137,27 @@ def _parse_target(spec, hfs: dict[int, HfsAtom]) -> MoleculeGeometry:
         raise ConfigError("target: expected a preset name or an object")
 
     def atom_for(z) -> HfsAtom:
-        z = int(z)
+        z = _number("target.Z", z, int)
         if z not in hfs:
             raise ConfigError(f"target: no HFS coefficients for Z={z} in the atom table")
         return hfs[z]
 
     try:
         if "diatomic" in spec:
+            _check_keys(spec, ("diatomic",), "target.")
             d = spec["diatomic"]
+            _check_keys(d, ("Z", "bond_length"), "target.diatomic.")
             atom = atom_for(d["Z"])
-            return MoleculeGeometry.diatomic(atom, atom, float(d["bond_length"]))
-        atoms = spec["atoms"]
-        return MoleculeGeometry(
-            atoms=tuple(atom_for(a["Z"]) for a in atoms),
-            positions=tuple(tuple(float(x) for x in a["position"]) for a in atoms),
-        )
+            bond = _number("target.diatomic.bond_length", d["bond_length"])
+            return MoleculeGeometry.diatomic(atom, atom, bond)
+        _check_keys(spec, ("atoms",), "target.")
+        atoms, positions = [], []
+        for i, a in enumerate(spec["atoms"]):
+            _check_keys(a, ("Z", "position"), f"target.atoms[{i}].")
+            atoms.append(atom_for(a["Z"]))
+            positions.append(tuple(_number(f"target.atoms[{i}].position", x)
+                                   for x in a["position"]))
+        return MoleculeGeometry(atoms=tuple(atoms), positions=tuple(positions))
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -137,12 +168,13 @@ def _parse_theta_grid(spec) -> np.ndarray:
     if spec is None:
         spec = {"points": 31}
     if isinstance(spec, dict):
-        n = int(_get(spec, "points", 31))
-        if n < 1:
-            raise ConfigError(f"theta_grid.points must be >= 1, got {n}")
+        _check_keys(spec, ("points",), "theta_grid.")
+        n = _number("theta_grid.points", _get(spec, "points", 31), int, 1)
         return np.linspace(0.0, math.pi / 2, n)
-    grid = np.asarray(spec, dtype=float)
-    if grid.size == 0 or np.any(grid < 0) or np.any(grid > math.pi / 2 + 1e-12):
+    if not isinstance(spec, list) or not spec:
+        raise ConfigError("theta_grid: expected {\"points\": n} or a nonempty list of angles")
+    grid = np.array([_number("theta_grid", t, float, 0.0) for t in spec])
+    if np.any(grid > math.pi / 2 + 1e-12):
         raise ConfigError("theta_grid: explicit angles must be a nonempty list in [0, pi/2]")
     return grid
 
@@ -150,19 +182,15 @@ def _parse_theta_grid(spec) -> np.ndarray:
 def _parse_table(spec) -> dict:
     if not isinstance(spec, dict):
         raise ConfigError("table: expected an object")
-    for key in spec:
-        if key not in TABLE_FIELDS:
-            raise ConfigError(f"table.{key}: unknown field (known: {sorted(TABLE_FIELDS)})")
-    params = {}
-    for key, (kind, default, minimum) in TABLE_FIELDS.items():
-        value = spec.get(key, default)
-        allowed = (int, float) if kind is float else int
-        if isinstance(value, bool) or not isinstance(value, allowed):
-            raise ConfigError(f"table.{key}: expected {kind.__name__}, got {value!r}")
-        if not (math.isfinite(value) and value >= minimum):
-            raise ConfigError(f"table.{key} must be finite and >= {minimum:g}, got {value!r}")
-        params[key] = kind(value)
-    return params
+    _check_keys(spec, TABLE_FIELDS, "table.")
+    return {key: _number(f"table.{key}", spec.get(key, default), kind, minimum)
+            for key, (kind, default, minimum) in TABLE_FIELDS.items()}
+
+
+def _path(name: str, value) -> str | None:
+    if value is not None and not isinstance(value, str):
+        raise ConfigError(f"{name}: expected a path string, got {value!r}")
+    return value
 
 
 def load_config(path, overrides: dict | None = None) -> RunConfig:
@@ -175,13 +203,11 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config: expected a JSON object")
-    for key in raw:
-        if key not in CONFIG_FIELDS:
-            raise ConfigError(f"{key}: unknown config field (known: {sorted(CONFIG_FIELDS)})")
+    _check_keys(raw, CONFIG_FIELDS, "")
     overrides = overrides or {}
     merged = {**raw, **{k: v for k, v in overrides.items() if v is not None}}
 
-    hfs_path = merged.get("hfs_table")
+    hfs_path = _path("hfs_table", merged.get("hfs_table"))
     try:
         hfs = load_hfs_table(hfs_path) if hfs_path else builtin_hfs_table()
     except HfsTableError as exc:
@@ -190,10 +216,11 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
     energies = _get(merged, "energies_mev_u", required=True)
     if not isinstance(energies, (list, tuple)) or not energies:
         raise ConfigError("energies_mev_u: expected a nonempty list")
-    if any(not (float(e) > 0) for e in energies):
+    energies = [_number("energies_mev_u", e) for e in energies]
+    if any(not (e > 0) for e in energies):
         raise ConfigError("energies_mev_u: all energies must be positive")
 
-    tolerance = float(_get(merged, "tolerance", 1e-3))
+    tolerance = _number("tolerance", _get(merged, "tolerance", 1e-3))
     if not 1e-6 <= tolerance <= 1e-1:
         raise ConfigError(f"tolerance must lie in [1e-6, 1e-1], got {tolerance:g}")
 
@@ -206,13 +233,13 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
     return RunConfig(
         projectile=_parse_projectile(_get(merged, "projectile", required=True)),
         geometry=_parse_target(_get(merged, "target", required=True), hfs),
-        energies=[float(e) for e in energies],
+        energies=energies,
         theta_grid=_parse_theta_grid(merged.get("theta_grid")),
         tolerance=tolerance,
         table_params=table_params,
         units=units,
-        seed=int(_get(merged, "seed", 0)),
-        output=merged.get("output"),
+        seed=_number("seed", _get(merged, "seed", 0), int),
+        output=_path("output", merged.get("output")),
         raw=merged,
     )
 

@@ -4,6 +4,7 @@ import json
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +26,8 @@ BASE_CONFIG = {
     "units": "au",
     "seed": 0,
 }
+
+SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
 
 
 @pytest.fixture
@@ -76,6 +79,20 @@ class TestConfigLoading:
             ({"table": [20.0, 400, 20]}, "table"),
             ({"tolerence": 1e-3}, "tolerence"),
             ({"threads": 1}, "threads"),
+            ({"theta_grid": {"pts": 5}}, "theta_grid.pts"),
+            ({"theta_grid": {"points": 2.7}}, "theta_grid.points"),
+            ({"theta_grid": {"points": "x"}}, "theta_grid.points"),
+            ({"theta_grid": [float("nan")]}, "theta_grid"),
+            ({"tolerance": "abc"}, "tolerance"),
+            ({"seed": "x"}, "seed"),
+            ({"seed": 1.9}, "seed"),
+            ({"energies_mev_u": ["a"]}, "energies_mev_u"),
+            ({"energies_mev_u": [float("inf")]}, "energies_mev_u"),
+            ({"projectile": {"Z": 26, "N_P": 2, "Zeff": 3}}, "projectile.Zeff"),
+            ({"projectile": {"Z": 26, "N_P": 2.5}}, "projectile.N_P"),
+            ({"target": {"diatomic": {"Z": 7, "bond_length": 2.0, "L": 1}}},
+             "target.diatomic.L"),
+            ({"output": 5}, "output"),
         ],
     )
     def test_invalid_fields_are_named(self, config_path, overrides, field):
@@ -219,6 +236,18 @@ class TestValidate:
         cfg = config_path({"projectile": {"Z": 7, "N_P": 3}})
         assert run_cli(["validate", "--config", cfg]) == 0
         assert "[WARN]" in capsys.readouterr().out
+
+
+class TestShippedConfigs:
+    def test_configs_are_shipped(self):
+        assert SHIPPED_CONFIGS
+
+    @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.name)
+    def test_loads_and_validates_cleanly(self, path, capsys):
+        assert load_config(path).energies == [10.0, 100.0, 1000.0]
+        assert run_cli(["validate", "--config", str(path)]) == 0
+        report = capsys.readouterr().out
+        assert report.count("[pass]") == 9 and "[WARN]" not in report
 
 
 class TestDeterminism:

@@ -145,8 +145,8 @@ def ionization_probability(s: float, n_max: int = DEFAULT_N_MAX) -> float:
 class IonizationTable:
     """Monotone-cubic interpolation of W_ion on a scaled-kick grid.
 
-    Beyond s_max the elastic term alone survives, so the table returns
-    1 - (1 + s^2/4)^-4 there.
+    Beyond s_max the table evaluates the closed-form shell sum directly, so it
+    joins the grid continuously and stays right at any kick.
     """
 
     s_grid: np.ndarray
@@ -172,7 +172,7 @@ class IonizationTable:
         out[inside] = self._interp(s[inside])
         big = ~inside
         if np.any(big):
-            out[big] = 1.0 - (1.0 + 0.25 * s[big] ** 2) ** -4
+            out[big] = 1.0 - _survival_batch(s[big], self.n_max)
         out = np.clip(out, 0.0, 1.0)
         return float(out[0]) if scalar else out
 

@@ -194,10 +194,12 @@ class TestIonizationTable:
         hi = np.maximum(vals[idx], vals[idx + 1]) + 1e-12
         assert np.all(w_mid >= lo) and np.all(w_mid <= hi)
 
-    def test_beyond_grid_uses_elastic_complement(self, ionization_table):
-        s = ionization_table.s_max + 5.0
-        expected = 1.0 - (1.0 + 0.25 * s * s) ** -4
-        assert ionization_table(s) == pytest.approx(expected, rel=1e-12)
+    def test_beyond_grid_matches_closed_form(self, ionization_table):
+        s_max = ionization_table.s_max
+        above = np.nextafter(s_max, np.inf)
+        assert abs(ionization_table(above) - ionization_table(s_max)) <= 1e-15
+        for s in (25.0, 80.0):
+            assert abs(ionization_table(s) - ionization_probability(s)) <= 1e-15
 
     @settings(max_examples=50, deadline=None)
     @given(

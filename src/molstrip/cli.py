@@ -96,7 +96,9 @@ def _number(name: str, value, kind: type = float, minimum: float = -math.inf):
     allowed = (int, float) if kind is float else int
     if isinstance(value, bool) or not isinstance(value, allowed):
         raise ConfigError(f"{name}: expected {kind.__name__}, got {value!r}")
-    if not (math.isfinite(value) and value >= minimum):
+    # abs() rather than math.isfinite, which overflows on a JSON integer past 1e308.
+    finite = kind is int or abs(value) <= sys.float_info.max
+    if not (finite and value >= minimum):
         bound = f" and >= {minimum:g}" if minimum > -math.inf else ""
         raise ConfigError(f"{name} must be finite{bound}, got {value!r}")
     return kind(value)
@@ -175,7 +177,7 @@ def _parse_theta_grid(spec) -> np.ndarray:
         raise ConfigError("theta_grid: expected {\"points\": n} or a nonempty list of angles")
     grid = np.array([_number("theta_grid", t, float, 0.0) for t in spec])
     if np.any(grid > math.pi / 2 + 1e-12):
-        raise ConfigError("theta_grid: explicit angles must be a nonempty list in [0, pi/2]")
+        raise ConfigError("theta_grid: explicit angles must lie in [0, pi/2]")
     return grid
 
 

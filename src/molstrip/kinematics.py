@@ -46,9 +46,6 @@ class RegimeCheck:
     passed: bool
     message: str    # why the approximation is in doubt; empty when passed
 
-    def __str__(self) -> str:
-        return self.message
-
 
 def velocity_from_energy(energy_mev_u: float) -> CollisionParams:
     """Relativistic conversion MeV/u -> speed in a.u."""
@@ -73,7 +70,7 @@ def validate_regime(params: CollisionParams, proj, geom: MoleculeGeometry) -> li
     check k*L, where k is the projectile momentum per nucleon.
     """
     tau_c = ATOM_SIZE_AU / (params.gamma * params.velocity_au)
-    net_charge = proj.Z_nucleus - proj.N_P
+    net_charge = proj.net_charge
     kl = params.gamma * AMU_ME * params.velocity_au * max(geom.extent, ATOM_SIZE_AU)
     sudden = tau_c < SUDDEN_RATIO_MAX * TAU_E_TARGET
     charge = net_charge >= MIN_NET_CHARGE

@@ -88,6 +88,7 @@ class TestConfigLoading:
             ({"seed": 1.9}, "seed"),
             ({"energies_mev_u": ["a"]}, "energies_mev_u"),
             ({"energies_mev_u": [float("inf")]}, "energies_mev_u"),
+            ({"energies_mev_u": [10**400]}, "energies_mev_u"),
             ({"projectile": {"Z": 26, "N_P": 2, "Zeff": 3}}, "projectile.Zeff"),
             ({"projectile": {"Z": 26, "N_P": 2.5}}, "projectile.N_P"),
             ({"target": {"diatomic": {"Z": 7, "bond_length": 2.0, "L": 1}}},

@@ -97,4 +97,4 @@ class TestValidateRegime:
     def test_warnings_never_raise(self, n2_geometry):
         proj = ProjectileSpec(Z_nucleus=6.0, N_P=1)
         result = failed_checks(1e-6, proj, n2_geometry)
-        assert result and all(str(w) for w in result)
+        assert result and all(w.message for w in result)

@@ -25,9 +25,9 @@ from .cross_section import (
     CrossSectionResult,
     OrientationScan,
     cross_section_fixed,
-    cross_section_theta,
     delta_scan,
     orientation_average,
+    phi_invariance_check,
 )
 from .form_factor import (
     IonizationTable,
@@ -67,7 +67,6 @@ __all__ = [
     "builtin_hfs_table",
     "charge_density",
     "cross_section_fixed",
-    "cross_section_theta",
     "delta_scan",
     "elastic_form_factor",
     "eikonal_phase_single",
@@ -75,6 +74,7 @@ __all__ = [
     "load_hfs_table",
     "momentum_transfer_single",
     "orientation_average",
+    "phi_invariance_check",
     "screening_function",
     "total_momentum_transfer",
     "transverse_positions",

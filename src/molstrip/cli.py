@@ -5,7 +5,7 @@ digits), and echo the config into the output header so every file is
 self-describing and byte-reproducible for a fixed config and seed.
 
 Exit codes: 0 success (regime warnings allowed), 2 config error,
-3 numerical non-convergence.
+3 numerical non-convergence or a failed azimuthal-invariance check.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import __version__
+from . import __version__, cross_section
 from .atomic_data import HfsAtom, HfsTableError, MoleculeGeometry, builtin_hfs_table, load_hfs_table
-from .cross_section import AU_TO_CM2, CollisionSystem, cross_section_theta, delta_scan, orientation_average
+from .cross_section import AU_TO_CM2, CollisionSystem, delta_scan, orientation_average
 from .form_factor import ProjectileSpec, build_ionization_table
 from .kinematics import validate_regime, velocity_from_energy
 from .quadrature import QuadratureError
@@ -309,8 +309,8 @@ def cmd_average(config: RunConfig, out) -> None:
     lines.append(columns)
     for system in systems:
         lines += _energy_lines(config, system)
-        perp = cross_section_theta(system, math.pi / 2, rel_tol=config.tolerance)
-        avg = orientation_average(system, rel_tol=config.tolerance, check_phi=False)
+        perp = cross_section.cross_section_fixed(system, math.pi / 2, rel_tol=config.tolerance)
+        avg = orientation_average(system, rel_tol=config.tolerance)
         for r_avg, r_perp in zip(avg, perp):
             rel = r_avg.sigma_au / r_perp.sigma_au - 1.0
             row = [str(r_avg.m), _fmt(r_avg.sigma_au), _fmt(r_perp.sigma_au), _fmt(rel)]
@@ -329,22 +329,32 @@ def cmd_table(config: RunConfig, out) -> None:
     out.write("\n".join(lines) + "\n")
 
 
-def cmd_validate(config: RunConfig, out) -> None:
-    # Regime checks need only the kinematics: no W_ion table is built.
+def cmd_validate(config: RunConfig, out) -> int:
+    # A failed azimuthal-invariance check means the phi = 0 scans are wrong for
+    # this target, so it exits 3 where a regime check only warns.
+    _, systems = _build_systems(config)
     out.write(f"molstrip {__version__} validate\n")
-    for energy in config.energies:
-        params = velocity_from_energy(energy)
+    failed = []
+    for system in systems:
+        params = system.params
         out.write(
             f"\nenergy {_fmt(params.energy_mev_u)} MeV/u: "
             f"v = {_fmt(params.velocity_au)} a.u., gamma = {_fmt(params.gamma)}\n"
         )
-        for check in validate_regime(params, config.projectile, config.geometry):
-            status = "pass" if check.passed else "WARN"
+        regime = validate_regime(params, config.projectile, config.geometry)
+        phi_check = cross_section.phi_invariance_check(system, math.pi / 2, config.tolerance)
+        for check in regime + [phi_check]:
+            status = "pass" if check.passed else "WARN" if check in regime else "FAIL"
             out.write(
                 f"  [{status}] {check.label} = {_fmt(check.value)} (want {check.requirement})\n"
             )
             if not check.passed:
                 out.write(f"         {check.message}\n")
+        if not phi_check.passed:
+            failed.append(_fmt(params.energy_mev_u))
+    if failed:
+        print(f"azimuthal invariance check failed at {', '.join(failed)} MeV/u", file=sys.stderr)
+    return EXIT_NO_CONVERGENCE if failed else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -391,16 +401,14 @@ def main(argv=None) -> int:
     try:
         if out_path:
             with open(out_path, "w") as fh:
-                command(config, fh)
-        else:
-            command(config, sys.stdout)
+                return command(config, fh) or 0
+        return command(config, sys.stdout) or 0
     except QuadratureError as exc:
         print(f"numerical non-convergence: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    return 0
 
 
 if __name__ == "__main__":

@@ -8,7 +8,8 @@ p = W_ion(|Q|/Z_eff) the loss channels are binomial,
 
 and sigma^{m+}(theta, phi) = integral P_m(b) d^2b.  The azimuthal average is
 taken by symmetry (the full b-plane integral is invariant under rotations
-about the beam), which is asserted numerically once per system.  delta(theta)
+about the beam): scans evaluate phi = 0 only, and phi_invariance_check, run
+by ``molstrip validate``, tests the symmetry numerically.  delta(theta)
 compares each orientation against the perpendicular one, and the chaotic
 average integrates sigma(theta) with the isotropic weight, i.e. by
 Gauss-Legendre in cos(theta) over [0, 1] using the theta -> pi - theta
@@ -18,13 +19,14 @@ symmetry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 
 import numpy as np
 
 from .atomic_data import MoleculeGeometry, Orientation, transverse_positions
 from .form_factor import IonizationTable, ProjectileSpec
-from .kinematics import CollisionParams
+from .kinematics import CollisionParams, RegimeCheck
 from .quadrature import QuadratureError, integrate_b_plane
 from .transfer import total_kick_magnitude
 
@@ -34,9 +36,9 @@ __all__ = [
     "OrientationScan",
     "CollisionSystem",
     "cross_section_fixed",
-    "cross_section_theta",
     "delta_scan",
     "orientation_average",
+    "phi_invariance_check",
 ]
 
 AU_TO_CM2 = 2.8002852e-17      # a_0^2 in cm^2
@@ -67,10 +69,9 @@ class OrientationScan:
     quad_error: np.ndarray        # (n_theta, N_P)
     delta: np.ndarray             # (n_theta, N_P)
     sigma_perp: np.ndarray        # (N_P,)
-    sigma_perp_error: np.ndarray  # (N_P,)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CollisionSystem:
     """A projectile-molecule-energy combination plus the W_ion table."""
 
@@ -78,7 +79,6 @@ class CollisionSystem:
     projectile: ProjectileSpec
     params: CollisionParams
     table: IonizationTable
-    _phi_checked: bool = field(default=False, repr=False)
 
     @property
     def velocity(self) -> float:
@@ -149,18 +149,17 @@ def _canonical_frame(geometry: MoleculeGeometry, projections: np.ndarray):
     return canonical, "quadrant"
 
 
-def integrate_channels(
+def cross_section_fixed(
     system: CollisionSystem,
     theta: float,
     phi: float = 0.0,
     rel_tol: float = 1e-3,
     use_symmetry: bool = True,
-):
-    """Integrate all loss channels plus the expected-loss integral.
+) -> list[CrossSectionResult]:
+    """sigma^{m+}(theta, phi) for every channel m = 1..N_P.
 
-    Returns (results, expected_loss, expected_loss_error) where results is a
-    list of CrossSectionResult for m = 1..N_P and expected_loss is
-    integral p(b) d^2b (the sum rule gives sum_m m sigma^{m+} = N_P * that).
+    The integrand also carries the per-electron p as a last column, so the
+    refinement resolves integral p(b) d^2b too; only the channels are returned.
     """
     geom, proj = system.geometry, system.projectile
     projections = transverse_positions(geom, Orientation(theta, phi))
@@ -177,61 +176,41 @@ def integrate_channels(
         x_splits=np.asarray(projections)[:, 0],
         y_splits=np.asarray(projections)[:, 1],
     )
-    results = [
+    return [
         CrossSectionResult(m=m, sigma_au=float(values[m - 1]), quad_error=float(errors[m - 1]))
         for m in range(1, proj.N_P + 1)
     ]
-    return results, float(values[-1]), float(errors[-1])
 
 
-def cross_section_fixed(
-    system: CollisionSystem,
-    theta: float,
-    phi: float = 0.0,
-    rel_tol: float = 1e-3,
-    use_symmetry: bool = True,
-) -> list[CrossSectionResult]:
-    """sigma^{m+}(theta, phi) for every channel m = 1..N_P."""
-    results, _, _ = integrate_channels(system, theta, phi, rel_tol, use_symmetry)
-    return results
+def phi_invariance_check(system: CollisionSystem, theta: float, rel_tol: float) -> RegimeCheck:
+    """Check numerically that sigma does not depend on the azimuth phi.
 
-
-def _assert_phi_invariance(system: CollisionSystem, theta: float, rel_tol: float) -> None:
+    The scans evaluate phi = 0 only and take it as the azimuthal average.  This
+    integrates two azimuths over the full b-plane, without the symmetric fast
+    path; the value is the largest channel gap over its allowance
+    3 (err_a + err_b) + 1e-12 |sigma|, and it must not exceed 1.
+    """
     tol = max(rel_tol, 1e-3)
     a = cross_section_fixed(system, theta, 0.7, rel_tol=tol, use_symmetry=False)
     b = cross_section_fixed(system, theta, 2.3, rel_tol=tol, use_symmetry=False)
+    ratio = 0.0
     for ra, rb in zip(a, b):
         allowance = 3.0 * (ra.quad_error + rb.quad_error) + 1e-12 * abs(ra.sigma_au)
-        if abs(ra.sigma_au - rb.sigma_au) > allowance:
-            raise AssertionError(
-                f"azimuthal invariance violated for channel {ra.m}: "
-                f"{ra.sigma_au:.6g} vs {rb.sigma_au:.6g}"
-            )
-
-
-def cross_section_theta(
-    system: CollisionSystem,
-    theta: float,
-    rel_tol: float = 1e-3,
-    check_phi: bool = True,
-) -> list[CrossSectionResult]:
-    """phi-averaged sigma(theta); evaluated at phi = 0 by rotational symmetry.
-
-    The first call on a system verifies the symmetry numerically (two
-    azimuths integrated without the symmetric fast path) before relying on it.
-    """
-    if check_phi and not system._phi_checked:
-        check_theta = theta if math.sin(theta) > 0.1 else 0.6
-        _assert_phi_invariance(system, check_theta, rel_tol)
-        system._phi_checked = True
-    return cross_section_fixed(system, theta, 0.0, rel_tol)
+        ratio = max(ratio, abs(ra.sigma_au - rb.sigma_au) / max(allowance, sys.float_info.min))
+    passed = ratio <= 1.0
+    return RegimeCheck(
+        "azimuth", "azimuthal invariance (max gap/allowance)", ratio, "<= 1", passed,
+        "" if passed else (
+            f"sigma at phi = 0.7 and 2.3 (theta = {theta:.6g}) differ by {ratio:.3g} times "
+            "the allowance: the phi = 0 shortcut does not hold"
+        ),
+    )
 
 
 def delta_scan(
     system: CollisionSystem,
     theta_grid,
     rel_tol: float = 1e-3,
-    check_phi: bool = True,
 ) -> OrientationScan:
     """sigma(theta) and delta(theta) over a grid in [0, pi/2].
 
@@ -244,24 +223,16 @@ def delta_scan(
     if np.any(theta_grid < 0) or np.any(theta_grid > math.pi / 2 + 1e-12):
         raise ValueError("theta grid must lie within [0, pi/2]")
 
-    perp = cross_section_theta(system, math.pi / 2, rel_tol, check_phi=check_phi)
+    perp = cross_section_fixed(system, math.pi / 2, rel_tol=rel_tol)
     sigma_perp = np.array([r.sigma_au for r in perp])
-    sigma_perp_err = np.array([r.quad_error for r in perp])
     if np.any(sigma_perp <= 0):
         raise ValueError("perpendicular cross section vanishes; degenerate system")
 
     at_perp = np.isclose(theta_grid, math.pi / 2)
-    todo = theta_grid[~at_perp]
-    computed = [cross_section_theta(system, float(th), rel_tol, check_phi) for th in todo]
-
-    n_p = system.projectile.N_P
-    sigma = np.empty((theta_grid.size, n_p))
-    err = np.empty_like(sigma)
-    it = iter(computed)
-    for i, is_perp in enumerate(at_perp):
-        results = perp if is_perp else next(it)
-        sigma[i] = [r.sigma_au for r in results]
-        err[i] = [r.quad_error for r in results]
+    results = [perp if is_perp else cross_section_fixed(system, float(th), rel_tol=rel_tol)
+               for th, is_perp in zip(theta_grid, at_perp)]
+    sigma = np.array([[r.sigma_au for r in res] for res in results])
+    err = np.array([[r.quad_error for r in res] for res in results])
     delta = sigma / sigma_perp[None, :] - 1.0
     delta[at_perp] = 0.0
 
@@ -271,7 +242,6 @@ def delta_scan(
         quad_error=err,
         delta=delta,
         sigma_perp=sigma_perp,
-        sigma_perp_error=sigma_perp_err,
     )
 
 
@@ -279,7 +249,6 @@ def orientation_average(
     system: CollisionSystem,
     rel_tol: float = 1e-4,
     n_nodes: int = 20,
-    check_phi: bool = True,
 ) -> list[CrossSectionResult]:
     """Chaotic-orientation average: integral of sigma(theta) (1/2) sin(theta).
 
@@ -293,7 +262,7 @@ def orientation_average(
     c = 0.5 * (x + 1.0)
     w = 0.5 * w
     thetas = np.arccos(c)
-    results = [cross_section_theta(system, float(th), rel_tol, check_phi) for th in thetas]
+    results = [cross_section_fixed(system, float(th), rel_tol=rel_tol) for th in thetas]
     sigma = np.array([[r.sigma_au for r in res] for res in results])
     err = np.array([[r.quad_error for r in res] for res in results])
     avg = w @ sigma

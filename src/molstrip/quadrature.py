@@ -32,6 +32,8 @@ _LOW_ORDER = 4
 _HIGH_ORDER = 8
 _BATCH = 256          # ceiling on the cells one sweep splits (80 evals each)
 _INITIAL_DIVISIONS = 8
+_MIN_CELL_SIZE = 1e-6  # cells narrower than this are never split
+_ABS_TOL = 1e-30       # floor on the per-component tolerance
 
 
 class QuadratureError(RuntimeError):
@@ -63,21 +65,20 @@ _N_LO = len(_WTS_LO)
 def _eval_cells(integrand, rects: np.ndarray):
     """Evaluate low and high rules on a (k, 4) array of [x0, y0, dx, dy] cells.
 
-    Returns (high, err) with shape (k, m).
+    Returns (high, err, scalar): (k, m) arrays, and whether the integrand
+    returned a 1-D array (m = 1).
     """
     k = len(rects)
     origin = rects[:, None, 0:2]
     size = rects[:, None, 2:4]
     pts = (origin + size * _PTS_ALL[None, :, :]).reshape(-1, 2)
     vals = np.asarray(integrand(pts), dtype=float)
-    if vals.ndim == 1:
-        vals = vals[:, None]
-    m = vals.shape[1]
-    vals = vals.reshape(k, len(_PTS_ALL), m)
+    scalar = vals.ndim == 1
+    vals = vals.reshape(k, len(_PTS_ALL), -1)
     area = (rects[:, 2] * rects[:, 3])[:, None]
     low = np.einsum("kpm,p->km", vals[:, :_N_LO], _WTS_LO) * area
     high = np.einsum("kpm,p->km", vals[:, _N_LO:], _WTS_HI) * area
-    return high, np.abs(high - low)
+    return high, np.abs(high - low), scalar
 
 
 def _excess_cover(sorted_err: np.ndarray, excess: np.ndarray) -> int:
@@ -106,8 +107,6 @@ def integrate_b_plane(
     x_splits=(),
     y_splits=(),
     max_cells: int = 400_000,
-    min_cell_size: float = 1e-6,
-    abs_tol: float = 1e-30,
 ):
     """Integrate a vector-valued integrand over the b-plane square.
 
@@ -133,8 +132,7 @@ def integrate_b_plane(
         for x0, x1 in zip(xe[:-1], xe[1:])
         for y0, y1 in zip(ye[:-1], ye[1:])
     ])
-    high, err = _eval_cells(integrand, rects)
-    scalar = np.asarray(integrand(np.zeros((1, 2)) + [[lo + 1e-3, lo + 1e-3]])).ndim == 1
+    high, err, scalar = _eval_cells(integrand, rects)
 
     rect_list = [rects]
     high_list = [high]
@@ -149,11 +147,11 @@ def integrate_b_plane(
 
         totals = high.sum(axis=0)
         tot_err = err.sum(axis=0)
-        scale = np.maximum(np.abs(totals) * rel_tol, abs_tol)
+        scale = np.maximum(np.abs(totals) * rel_tol, _ABS_TOL)
         if np.all(tot_err <= scale):
             break
 
-        refinable = np.minimum(rects[:, 2], rects[:, 3]) > min_cell_size
+        refinable = np.minimum(rects[:, 2], rects[:, 3]) > _MIN_CELL_SIZE
         score = (err / scale[None, :]).max(axis=1)
         score[~refinable] = -1.0
         order = np.argsort(-score, kind="stable")
@@ -163,7 +161,7 @@ def integrate_b_plane(
             (max_cells - n_cells) // 3,
         )
         if n_refine <= 0:
-            achieved = float(np.max(tot_err / np.maximum(np.abs(totals), abs_tol)))
+            achieved = float(np.max(tot_err / np.maximum(np.abs(totals), _ABS_TOL)))
             raise QuadratureError(
                 f"b-plane quadrature did not reach rel_tol={rel_tol:g} "
                 f"(achieved {achieved:.3g} with {n_cells} cells)",
@@ -183,7 +181,7 @@ def integrate_b_plane(
             children[ci::4, 1] = parents[:, 1] + oy * hy
             children[ci::4, 2] = hx
             children[ci::4, 3] = hy
-        child_high, child_err = _eval_cells(integrand, children)
+        child_high, child_err, _ = _eval_cells(integrand, children)
 
         rect_list = [rects[keep], children]
         high_list = [high[keep], child_high]

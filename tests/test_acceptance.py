@@ -15,9 +15,7 @@ from molstrip.cli import main as cli_main
 from molstrip.cross_section import (
     _channel_field,
     cross_section_fixed,
-    cross_section_theta,
     delta_scan,
-    integrate_channels,
     orientation_average,
 )
 from molstrip.form_factor import elastic_form_factor, ionization_probability
@@ -43,7 +41,7 @@ def test_criterion_1_multiplicity_effect_band(make_system, capsys):
     failures = []
     grid = np.linspace(0.0, math.pi / 2, 13)
     for energy in ENERGIES:
-        scan = delta_scan(make_system(1, energy), grid, rel_tol=1e-3, check_phi=False)
+        scan = delta_scan(make_system(1, energy), grid, rel_tol=1e-3)
         delta = scan.delta[:, 0]
         if not 0.3 <= delta[0] <= 1.2:
             failures.append(f"E={energy}: delta(0)={delta[0]:.3f} outside [0.3, 1.2]")
@@ -63,7 +61,7 @@ def test_criterion_2_channel_ordering(make_system, capsys):
     for n_electrons in (2, 3):
         for energy in ENERGIES:
             scan = delta_scan(make_system(n_electrons, energy), grid,
-                              rel_tol=1e-3, check_phi=False)
+                              rel_tol=1e-3)
             delta0 = scan.delta[0]
             if not np.all(np.diff(delta0) > 0):
                 failures.append(
@@ -77,8 +75,8 @@ def test_criterion_3_chaotic_average(make_system, capsys):
     failures = []
     for energy in ENERGIES:
         system = make_system(1, energy)
-        perp = cross_section_theta(system, math.pi / 2, rel_tol=1e-4, check_phi=False)[0]
-        avg = orientation_average(system, rel_tol=1e-4, check_phi=False)[0]
+        perp = cross_section_fixed(system, math.pi / 2, rel_tol=1e-4)[0]
+        avg = orientation_average(system, rel_tol=1e-4)[0]
         rel = abs(avg.sigma_au - perp.sigma_au) / perp.sigma_au
         if rel >= 0.005:
             failures.append(f"E={energy}: |avg - perp|/perp = {rel:.4f} >= 0.005")
@@ -156,12 +154,12 @@ def test_criterion_5_structural_invariants(nitrogen, make_system, ionization_tab
     from molstrip.atomic_data import MoleculeGeometry
     from molstrip.cross_section import CollisionSystem
     theta = 0.5
-    tilted = cross_section_theta(system, theta, rel_tol=1e-3, check_phi=False)[0]
+    tilted = cross_section_fixed(system, theta, rel_tol=1e-3)[0]
     shrunk = CollisionSystem(
         MoleculeGeometry.diatomic(nitrogen, nitrogen, 2.07 * math.sin(theta)),
         system.projectile, system.params, ionization_table,
     )
-    flat = cross_section_theta(shrunk, math.pi / 2, rel_tol=1e-3, check_phi=False)[0]
+    flat = cross_section_fixed(shrunk, math.pi / 2, rel_tol=1e-3)[0]
     if abs(tilted.sigma_au - flat.sigma_au) > 3.0 * (tilted.quad_error + flat.quad_error):
         failures.append("transverse-separation law violated")
 
@@ -173,12 +171,16 @@ def test_criterion_5_structural_invariants(nitrogen, make_system, ionization_tab
     if abs(cols[:-1].sum() + (1.0 - cols[-1]) ** 3 - 1.0) > 1e-12:
         failures.append("binomial channels not normalized")
 
-    # Expected-loss sum rule.
+    # Expected-loss sum rule; integral p d^2b is sigma^{1+} of one electron
+    # with the same Z_eff, for which P_1 = p.
     tri = make_system(3, 10.0)
-    results, expected_loss, loss_err = integrate_channels(tri, 0.4, rel_tol=1e-3)
+    results = cross_section_fixed(tri, 0.4, rel_tol=1e-3)
+    single = CollisionSystem(tri.geometry, ProjectileSpec(26.0, 1, z_eff=tri.projectile.Z_eff),
+                             tri.params, tri.table)
+    loss = cross_section_fixed(single, 0.4, rel_tol=1e-3)[0]
     weighted = sum(r.m * r.sigma_au for r in results)
     weighted_err = sum(r.m * r.quad_error for r in results)
-    if abs(weighted - 3.0 * expected_loss) > 3.0 * (weighted_err + 3.0 * loss_err) + 1e-12:
+    if abs(weighted - 3.0 * loss.sigma_au) > 3.0 * (weighted_err + 3.0 * loss.quad_error) + 1e-12:
         failures.append("expected-loss sum rule violated")
 
     # W_ion range, zero point, small-s sum-rule bound, scaling law.

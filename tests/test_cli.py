@@ -248,7 +248,7 @@ class TestShippedConfigs:
         assert load_config(path).energies == [10.0, 100.0, 1000.0]
         assert run_cli(["validate", "--config", str(path)]) == 0
         report = capsys.readouterr().out
-        assert report.count("[pass]") == 9 and "[WARN]" not in report
+        assert report.count("[pass]") == 12 and "[WARN]" not in report
 
 
 class TestDeterminism:

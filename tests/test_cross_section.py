@@ -1,6 +1,7 @@
 """Integration engine: channel probabilities, sigma(theta), delta, averages."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,9 +15,7 @@ from molstrip.cross_section import (
     CrossSectionResult,
     _channel_field,
     cross_section_fixed,
-    cross_section_theta,
     delta_scan,
-    integrate_channels,
     orientation_average,
 )
 from molstrip.form_factor import ProjectileSpec
@@ -92,7 +91,7 @@ class TestFixedOrientation:
         # theta = 0 stacks the two projections; an atom with doubled nuclear
         # charge (same screening shape) produces exactly twice the kick.
         system = make_system(1, 10.0)
-        parallel = cross_section_theta(system, 0.0, rel_tol=1e-3, check_phi=False)[0]
+        parallel = cross_section_fixed(system, 0.0, rel_tol=1e-3)[0]
 
         doubled = HfsAtom(Z=2.0 * nitrogen.Z, A=nitrogen.A, alpha=nitrogen.alpha)
         single = MoleculeGeometry(atoms=(doubled,), positions=((0.0, 0.0, 0.0),))
@@ -111,29 +110,32 @@ class TestFixedOrientation:
     def test_transverse_separation_law(self, nitrogen, make_system, ionization_table):
         theta = 0.5
         system = make_system(1, 10.0)
-        tilted = cross_section_theta(system, theta, rel_tol=1e-3, check_phi=False)[0]
+        tilted = cross_section_fixed(system, theta, rel_tol=1e-3)[0]
 
         shrunk_geom = MoleculeGeometry.diatomic(
             nitrogen, nitrogen, N2_BOND_LENGTH * math.sin(theta)
         )
         shrunk = CollisionSystem(shrunk_geom, system.projectile, system.params,
                                  ionization_table)
-        perp = cross_section_theta(shrunk, math.pi / 2, rel_tol=1e-3, check_phi=False)[0]
+        perp = cross_section_fixed(shrunk, math.pi / 2, rel_tol=1e-3)[0]
         assert abs(tilted.sigma_au - perp.sigma_au) <= (
             3.0 * (tilted.quad_error + perp.quad_error)
         )
 
     def test_expected_loss_sum_rule(self, make_system):
+        # integral p d^2b is sigma^{1+} of one electron with the same Z_eff (P_1 = p).
         system = make_system(3, 10.0)
-        results, expected_loss, loss_err = integrate_channels(system, 0.4, rel_tol=1e-3)
+        results = cross_section_fixed(system, 0.4, rel_tol=1e-3)
+        single = replace(system, projectile=ProjectileSpec(26.0, 1, z_eff=system.projectile.Z_eff))
+        loss = cross_section_fixed(single, 0.4, rel_tol=1e-3)[0]
         weighted = sum(r.m * r.sigma_au for r in results)
         weighted_err = sum(r.m * r.quad_error for r in results)
-        target = system.projectile.N_P * expected_loss
-        assert abs(weighted - target) <= 3.0 * (weighted_err + 3.0 * loss_err) + 1e-12
+        target = system.projectile.N_P * loss.sigma_au
+        assert abs(weighted - target) <= 3.0 * (weighted_err + 3.0 * loss.quad_error) + 1e-12
 
     def test_channels_positive_and_ordered(self, make_system):
         system = make_system(3, 10.0)
-        results = cross_section_theta(system, 0.4, rel_tol=1e-3, check_phi=False)
+        results = cross_section_fixed(system, 0.4, rel_tol=1e-3)
         sigmas = [r.sigma_au for r in results]
         assert all(s > 0 for s in sigmas)
         assert sigmas[0] > sigmas[1] > sigmas[2]
@@ -142,8 +144,8 @@ class TestFixedOrientation:
         single = MoleculeGeometry(atoms=(nitrogen,), positions=((0.0, 0.0, 0.0),))
         slow = make_system(1, 10.0, geometry=single)
         fast = make_system(1, 100.0, geometry=single)
-        _, loss_slow, _ = integrate_channels(slow, 0.0, rel_tol=1e-3)
-        _, loss_fast, _ = integrate_channels(fast, 0.0, rel_tol=1e-3)
+        loss_slow = cross_section_fixed(slow, 0.0, rel_tol=1e-3)[0].sigma_au   # N_P = 1: P_1 = p
+        loss_fast = cross_section_fixed(fast, 0.0, rel_tol=1e-3)[0].sigma_au
         assert loss_fast < loss_slow
 
     def test_unreached_outer_cutoff_fails_loudly(self, make_system, ionization_table):
@@ -160,18 +162,18 @@ class TestFixedOrientation:
 class TestDeltaScan:
     def test_delta_zero_at_perpendicular(self, make_system):
         system = make_system(1, 10.0)
-        scan = delta_scan(system, [0.3, math.pi / 2], rel_tol=1e-3, check_phi=False)
+        scan = delta_scan(system, [0.3, math.pi / 2], rel_tol=1e-3)
         assert scan.delta[-1, 0] == 0.0
         assert scan.sigma_au[-1, 0] == pytest.approx(scan.sigma_perp[0], rel=1e-14)
 
     def test_grid_validation(self, make_system):
         system = make_system(1, 10.0)
         with pytest.raises(ValueError):
-            delta_scan(system, [], check_phi=False)
+            delta_scan(system, [])
         with pytest.raises(ValueError):
-            delta_scan(system, [-0.1], check_phi=False)
+            delta_scan(system, [-0.1])
         with pytest.raises(ValueError):
-            delta_scan(system, [2.0], check_phi=False)
+            delta_scan(system, [2.0])
 
     def test_degenerate_system_rejected(self, n2_geometry):
         system = CollisionSystem(
@@ -179,7 +181,7 @@ class TestDeltaScan:
             ConstantTable(0.0),
         )
         with pytest.raises(ValueError, match="degenerate"):
-            delta_scan(system, [0.0, math.pi / 2], check_phi=False)
+            delta_scan(system, [0.0, math.pi / 2])
 
 
 class TestPhiInvarianceProperty:
@@ -200,14 +202,14 @@ class TestOrientationAverage:
         single = MoleculeGeometry(atoms=(nitrogen,), positions=((0.0, 0.0, 0.0),))
         system = make_system(1, 10.0, geometry=single)
         fixed = cross_section_fixed(system, 0.9, rel_tol=1e-3)[0]
-        avg = orientation_average(system, rel_tol=1e-3, n_nodes=4, check_phi=False)[0]
+        avg = orientation_average(system, rel_tol=1e-3, n_nodes=4)[0]
         assert abs(avg.sigma_au - fixed.sigma_au) <= 3.0 * (avg.quad_error + fixed.quad_error)
 
     def test_average_respects_mean_value_bound(self, make_system):
         system = make_system(1, 10.0)
         grid = np.linspace(0.0, math.pi / 2, 7)
-        scan = delta_scan(system, grid, rel_tol=1e-3, check_phi=False)
-        avg = orientation_average(system, rel_tol=1e-3, check_phi=False)[0]
+        scan = delta_scan(system, grid, rel_tol=1e-3)
+        avg = orientation_average(system, rel_tol=1e-3)[0]
         lo = scan.sigma_au[:, 0].min() - 3.0 * scan.quad_error[:, 0].max()
         hi = scan.sigma_au[:, 0].max() + 3.0 * scan.quad_error[:, 0].max()
         assert lo <= avg.sigma_au <= hi

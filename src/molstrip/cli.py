@@ -303,7 +303,8 @@ def cmd_scan_theta(config: RunConfig, out) -> None:
 def cmd_average(config: RunConfig, out) -> None:
     _, systems = _build_systems(config)
     lines = _header_lines(config, "average")
-    columns = "channel_m,sigma_avg_au,sigma_perp_au,relative_correction"
+    columns = ("channel_m,sigma_avg_au,sigma_perp_au,relative_correction,"
+               "relative_correction_error")
     if config.units == "cm2":
         columns += ",sigma_avg_cm2,sigma_perp_cm2"
     lines.append(columns)
@@ -312,8 +313,11 @@ def cmd_average(config: RunConfig, out) -> None:
         perp = cross_section.cross_section_fixed(system, math.pi / 2, rel_tol=config.tolerance)
         avg = orientation_average(system, rel_tol=config.tolerance)
         for r_avg, r_perp in zip(avg, perp):
-            rel = r_avg.sigma_au / r_perp.sigma_au - 1.0
-            row = [str(r_avg.m), _fmt(r_avg.sigma_au), _fmt(r_perp.sigma_au), _fmt(rel)]
+            ratio = r_avg.sigma_au / r_perp.sigma_au
+            # First-order error of ratio - 1 from both quadrature errors.
+            rel_err = (r_avg.quad_error + ratio * r_perp.quad_error) / r_perp.sigma_au
+            row = [str(r_avg.m), _fmt(r_avg.sigma_au), _fmt(r_perp.sigma_au),
+                   _fmt(ratio - 1.0), _fmt(rel_err)]
             if config.units == "cm2":
                 row += [_fmt(r_avg.sigma_cm2), _fmt(r_perp.sigma_cm2)]
             lines.append(",".join(row))

@@ -4,6 +4,7 @@ import json
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -209,10 +210,11 @@ class TestAverage:
         assert run_cli(["average", "--config", config_path(), "--units", "cm2",
                         "--out", str(out)]) == 0
         text = out.read_text()
-        assert "channel_m,sigma_avg_au,sigma_perp_au,relative_correction" in text
-        assert "sigma_avg_cm2" in text
-        row = data_rows(text)[0].split(",")
-        assert float(row[4]) == pytest.approx(float(row[1]) * 2.8002852e-17, rel=1e-8)
+        assert ("channel_m,sigma_avg_au,sigma_perp_au,relative_correction,"
+                "relative_correction_error,sigma_avg_cm2,sigma_perp_cm2") in text
+        rows = [r.split(",") for r in data_rows(text)]
+        assert float(rows[0][5]) == pytest.approx(float(rows[0][1]) * 2.8002852e-17, rel=1e-8)
+        assert all(len(row) == 7 and float(row[4]) >= 0.0 for row in rows)
 
 
 class TestTable:
@@ -237,6 +239,28 @@ class TestValidate:
         cfg = config_path({"projectile": {"Z": 7, "N_P": 3}})
         assert run_cli(["validate", "--config", cfg]) == 0
         assert "[WARN]" in capsys.readouterr().out
+
+    def test_every_energy_checks_azimuthal_invariance(self, config_path, capsys):
+        cfg = config_path({"energies_mev_u": [10.0, 100.0, 1000.0]})
+        assert run_cli(["validate", "--config", cfg]) == 0
+        report = capsys.readouterr().out
+        assert [b.count("azimuthal invariance") for b in report.split("\nenergy ")[1:]] == [1] * 3
+        assert report.count("[pass] azimuthal invariance") == 3
+
+    def test_phi_dependent_sigma_exits_3(self, config_path, capsys, monkeypatch):
+        from molstrip import cross_section
+
+        honest = cross_section.cross_section_fixed
+
+        def skewed(system, theta, phi=0.0, rel_tol=1e-3, use_symmetry=True):
+            results = honest(system, theta, phi, rel_tol, use_symmetry)
+            return [replace(r, sigma_au=r.sigma_au * (1.0 + 0.1 * phi)) for r in results]
+
+        monkeypatch.setattr(cross_section, "cross_section_fixed", skewed)
+        assert run_cli(["validate", "--config", config_path()]) == EXIT_NO_CONVERGENCE
+        captured = capsys.readouterr()
+        assert "[FAIL] azimuthal invariance" in captured.out
+        assert "azimuthal invariance check failed at 10 MeV/u" in captured.err
 
 
 class TestShippedConfigs:

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -92,6 +93,35 @@ class TestKickMagnitude:
                 acc += al * a * sp.k1(al * rc)
             expected = 2.0 * atom.Z / 7.5 * acc
             assert np.array_equal(kick_magnitude(atom, 7.5, r), expected), atom.Z
+
+
+class TestHydrogenRow:
+    """The shipped H fit: A1 = -184.39 and A2 = 185.39 cancel in the K1 sum."""
+
+    B = np.geomspace(1e-4, 40.0, 200)
+    V = 10.0
+
+    def test_cancellation_loses_no_precision(self, hfs_table):
+        hydrogen = hfs_table[1]
+        with mp.workdps(40):
+            exact = [
+                2 * mp.mpf(hydrogen.Z) / self.V * mp.fsum(
+                    mp.mpf(al) * mp.mpf(a) * mp.besselk(1, mp.mpf(al) * mp.mpf(b))
+                    for a, al in zip(hydrogen.A, hydrogen.alpha)
+                )
+                for b in self.B
+            ]
+            ref = np.array([float(x) for x in exact])
+        rel = np.abs(kick_magnitude(hydrogen, self.V, self.B) / ref - 1.0)
+        assert rel.max() <= 1e-12     # 1.1e-13 measured
+
+    def test_matches_exact_hydrogen_screening(self, hfs_table):
+        # H(1s) screening gives q(b) = (4/v) [K1(2b) + b K0(2b)] exactly; the fit's
+        # two close exponents stand in for the b K0 term.
+        b = self.B[self.B <= 10.0]
+        exact = 4.0 / self.V * (sp.k1(2.0 * b) + b * sp.k0(2.0 * b))
+        rel = np.abs(kick_magnitude(hfs_table[1], self.V, b) / exact - 1.0)
+        assert rel.max() <= 2e-3      # 1.3e-3 measured
 
 
 class TestTotalKick:

@@ -87,14 +87,17 @@ class MoleculeGeometry:
 
     def __post_init__(self):
         if len(self.atoms) < 1:
-            raise ValueError("a molecule needs at least one atom")
+            raise ValueError("atoms: a molecule needs at least one atom")
         if len(self.atoms) != len(self.positions):
-            raise ValueError("one position per atom is required")
+            raise ValueError("atoms: one position per atom is required")
+        for i, p in enumerate(self.positions):
+            if len(p) != 3:
+                raise ValueError(f"atoms[{i}].position: expected 3 coordinates, got {len(p)}")
         pos = np.asarray(self.positions, dtype=float)
         for i in range(len(pos)):
             for j in range(i + 1, len(pos)):
                 if np.linalg.norm(pos[i] - pos[j]) <= 0.0:
-                    raise ValueError(f"atoms {i} and {j} coincide")
+                    raise ValueError(f"atoms[{i}] and atoms[{j}] coincide")
 
     @classmethod
     def diatomic(cls, atom_a: HfsAtom, atom_b: HfsAtom, bond_length: float) -> "MoleculeGeometry":

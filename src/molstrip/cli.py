@@ -2,7 +2,7 @@
 
 All commands read a JSON config, write `#`-commented CSV (9 significant
 digits), and echo the config into the output header so every file is
-self-describing and byte-reproducible for a fixed config and seed.
+self-describing and byte-reproducible for a fixed config.
 
 Exit codes: 0 success (regime warnings allowed), 2 config error,
 3 numerical non-convergence or a failed azimuthal-invariance check.
@@ -14,7 +14,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,9 +43,11 @@ class ConfigError(ValueError):
     """Invalid run configuration; the message names the offending field."""
 
 
+# `seed` is reserved: checked to be an integer and read by no command; it stays
+# accepted because the benchmark's generated configs write it.
 CONFIG_FIELDS = frozenset({
     "projectile", "target", "energies_mev_u", "theta_grid", "tolerance", "table",
-    "units", "seed", "output", "hfs_table",
+    "seed", "output", "hfs_table",
 })
 
 # W_ion table parameters: (type, default, minimum), as build_ionization_table
@@ -63,14 +65,10 @@ class RunConfig:
     geometry: MoleculeGeometry
     energies: list[float]
     theta_grid: np.ndarray
-    tolerance: float = 1e-3
-    table_params: dict = field(
-        default_factory=lambda: {key: spec[1] for key, spec in TABLE_FIELDS.items()}
-    )
-    units: str = "au"
-    seed: int = 0
-    output: str | None = None
-    raw: dict = field(default_factory=dict)
+    tolerance: float
+    table_params: dict
+    output: str | None
+    raw: dict
 
 
 def _get(cfg: dict, key: str, default=None, required=False):
@@ -159,7 +157,10 @@ def _parse_target(spec, hfs: dict[int, HfsAtom]) -> MoleculeGeometry:
             atoms.append(atom_for(a["Z"]))
             positions.append(tuple(_number(f"target.atoms[{i}].position", x)
                                    for x in a["position"]))
-        return MoleculeGeometry(atoms=tuple(atoms), positions=tuple(positions))
+        try:
+            return MoleculeGeometry(atoms=tuple(atoms), positions=tuple(positions))
+        except ValueError as exc:
+            raise ConfigError(f"target.{exc}") from exc
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -226,11 +227,7 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
     if not 1e-6 <= tolerance <= 1e-1:
         raise ConfigError(f"tolerance must lie in [1e-6, 1e-1], got {tolerance:g}")
 
-    units = _get(merged, "units", "au")
-    if units not in ("au", "cm2"):
-        raise ConfigError(f"units must be 'au' or 'cm2', got {units!r}")
-
-    table_params = _parse_table(_get(merged, "table", {}))
+    _number("seed", _get(merged, "seed", 0), int)
 
     return RunConfig(
         projectile=_parse_projectile(_get(merged, "projectile", required=True)),
@@ -238,21 +235,16 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
         energies=energies,
         theta_grid=_parse_theta_grid(merged.get("theta_grid")),
         tolerance=tolerance,
-        table_params=table_params,
-        units=units,
-        seed=_number("seed", _get(merged, "seed", 0), int),
+        table_params=_parse_table(_get(merged, "table", {})),
         output=_path("output", merged.get("output")),
         raw=merged,
     )
 
 
-def _build_systems(config: RunConfig):
+def _build_systems(config: RunConfig) -> list[CollisionSystem]:
     table = build_ionization_table(**config.table_params)
-    systems = []
-    for energy in config.energies:
-        params = velocity_from_energy(energy)
-        systems.append(CollisionSystem(config.geometry, config.projectile, params, table))
-    return table, systems
+    return [CollisionSystem(config.geometry, config.projectile, velocity_from_energy(e), table)
+            for e in config.energies]
 
 
 def _fmt(x: float) -> str:
@@ -264,14 +256,10 @@ def _header_lines(config: RunConfig, command: str) -> list[str]:
     # file byte-identical wherever it is written.
     echo_cfg = {k: v for k, v in config.raw.items() if k != "output"}
     echo = json.dumps(echo_cfg, sort_keys=True, separators=(",", ":"))
-    return [
-        f"# molstrip {__version__} {command}",
-        f"# config = {echo}",
-        f"# seed = {config.seed}",
-    ]
+    return [f"# molstrip {__version__} {command}", f"# config = {echo}"]
 
 
-def _energy_lines(config: RunConfig, system: CollisionSystem) -> list[str]:
+def _energy_lines(system: CollisionSystem) -> list[str]:
     checks = validate_regime(system.params, system.projectile, system.geometry)
     lines = [
         f"# energy_mev_u = {_fmt(system.params.energy_mev_u)}",
@@ -282,11 +270,11 @@ def _energy_lines(config: RunConfig, system: CollisionSystem) -> list[str]:
 
 
 def cmd_scan_theta(config: RunConfig, out) -> None:
-    _, systems = _build_systems(config)
+    systems = _build_systems(config)
     lines = _header_lines(config, "scan-theta")
     lines.append("theta_rad,channel_m,sigma_au,sigma_cm2,quad_error_au,delta")
     for system in systems:
-        lines += _energy_lines(config, system)
+        lines += _energy_lines(system)
         scan = delta_scan(system, config.theta_grid, rel_tol=config.tolerance)
         for i, theta in enumerate(scan.theta_grid):
             for m in range(1, system.projectile.N_P + 1):
@@ -301,31 +289,27 @@ def cmd_scan_theta(config: RunConfig, out) -> None:
 
 
 def cmd_average(config: RunConfig, out) -> None:
-    _, systems = _build_systems(config)
+    systems = _build_systems(config)
     lines = _header_lines(config, "average")
-    columns = ("channel_m,sigma_avg_au,sigma_perp_au,relative_correction,"
-               "relative_correction_error")
-    if config.units == "cm2":
-        columns += ",sigma_avg_cm2,sigma_perp_cm2"
-    lines.append(columns)
+    lines.append("channel_m,sigma_avg_au,sigma_perp_au,relative_correction,"
+                 "relative_correction_error,sigma_avg_cm2,sigma_perp_cm2")
     for system in systems:
-        lines += _energy_lines(config, system)
+        lines += _energy_lines(system)
         perp = cross_section.cross_section_fixed(system, math.pi / 2, rel_tol=config.tolerance)
         avg = orientation_average(system, rel_tol=config.tolerance)
         for r_avg, r_perp in zip(avg, perp):
             ratio = r_avg.sigma_au / r_perp.sigma_au
             # First-order error of ratio - 1 from both quadrature errors.
             rel_err = (r_avg.quad_error + ratio * r_perp.quad_error) / r_perp.sigma_au
-            row = [str(r_avg.m), _fmt(r_avg.sigma_au), _fmt(r_perp.sigma_au),
-                   _fmt(ratio - 1.0), _fmt(rel_err)]
-            if config.units == "cm2":
-                row += [_fmt(r_avg.sigma_cm2), _fmt(r_perp.sigma_cm2)]
-            lines.append(",".join(row))
+            lines.append(",".join([
+                str(r_avg.m), _fmt(r_avg.sigma_au), _fmt(r_perp.sigma_au),
+                _fmt(ratio - 1.0), _fmt(rel_err), _fmt(r_avg.sigma_cm2), _fmt(r_perp.sigma_cm2),
+            ]))
     out.write("\n".join(lines) + "\n")
 
 
 def cmd_table(config: RunConfig, out) -> None:
-    table, _ = _build_systems(config)
+    table = build_ionization_table(**config.table_params)
     lines = _header_lines(config, "table")
     lines.append("s,w_ion")
     for s, w in zip(table.s_grid, table.w_values):
@@ -336,7 +320,7 @@ def cmd_table(config: RunConfig, out) -> None:
 def cmd_validate(config: RunConfig, out) -> int:
     # A failed azimuthal-invariance check means the phi = 0 scans are wrong for
     # this target, so it exits 3 where a regime check only warns.
-    _, systems = _build_systems(config)
+    systems = _build_systems(config)
     out.write(f"molstrip {__version__} validate\n")
     failed = []
     for system in systems:
@@ -376,20 +360,14 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--out", default=None, help="output path (default: config 'output' or stdout)")
-        p.add_argument("--units", choices=["au", "cm2"], default=None)
         p.add_argument("--tolerance", type=float, default=None)
-        p.add_argument("--seed", type=int, default=None)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = load_config(args.config, overrides={
-            "units": args.units,
-            "tolerance": args.tolerance,
-            "seed": args.seed,
-        })
+        config = load_config(args.config, overrides={"tolerance": args.tolerance})
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
@@ -410,9 +388,6 @@ def main(argv=None) -> int:
     except QuadratureError as exc:
         print(f"numerical non-convergence: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
 
 
 if __name__ == "__main__":

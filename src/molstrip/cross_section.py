@@ -46,6 +46,9 @@ AU_TO_CM2 = 2.8002852e-17      # a_0^2 in cm^2
 # Outer cutoff: drop the domain where p falls below this fraction of its peak.
 CUTOFF_FRACTION = 1e-8
 
+# Gauss-Legendre nodes in cos(theta) for the chaotic-orientation average.
+AVERAGE_NODES = 20
+
 
 @dataclass(frozen=True)
 class CrossSectionResult:
@@ -136,17 +139,15 @@ def _outer_cutoff(projections, field_fn) -> float:
 def _canonical_frame(geometry: MoleculeGeometry, projections: np.ndarray):
     """For a homonuclear diatomic, rotate projections onto the x axis.
 
-    Returns (projections, symmetry) where symmetry is 'quadrant' when the
-    integrand is mirror-symmetric in both axes.
+    Returns (projections, quadrant), quadrant being whether the integrand is
+    mirror-symmetric in both axes.
     """
     if not geometry.is_homonuclear_diatomic:
-        return projections, None
-    u = projections[0]
-    d = float(np.hypot(*u))
+        return projections, False
+    d = float(np.hypot(*projections[0]))
     if d == 0.0:
-        return np.zeros_like(projections), "quadrant"
-    canonical = np.array([[d, 0.0], [-d, 0.0]])
-    return canonical, "quadrant"
+        return np.zeros_like(projections), True
+    return np.array([[d, 0.0], [-d, 0.0]]), True
 
 
 def cross_section_fixed(
@@ -163,16 +164,16 @@ def cross_section_fixed(
     """
     geom, proj = system.geometry, system.projectile
     projections = transverse_positions(geom, Orientation(theta, phi))
-    symmetry = None
+    quadrant = False
     if use_symmetry:
-        projections, symmetry = _canonical_frame(geom, projections)
+        projections, quadrant = _canonical_frame(geom, projections)
     field_fn = _channel_field(projections, geom.atoms, proj, system.velocity, system.table)
     b_max = _outer_cutoff(projections, field_fn)
     values, errors = integrate_b_plane(
         field_fn,
         half_width=b_max,
         rel_tol=rel_tol,
-        symmetry=symmetry,
+        quadrant=quadrant,
         x_splits=np.asarray(projections)[:, 0],
         y_splits=np.asarray(projections)[:, 1],
     )
@@ -245,20 +246,17 @@ def delta_scan(
     )
 
 
-def orientation_average(
-    system: CollisionSystem,
-    rel_tol: float = 1e-4,
-    n_nodes: int = 20,
-) -> list[CrossSectionResult]:
+def orientation_average(system: CollisionSystem, rel_tol: float = 1e-4) -> list[CrossSectionResult]:
     """Chaotic-orientation average: integral of sigma(theta) (1/2) sin(theta).
 
     Substituting c = cos(theta) and folding theta -> pi - theta reduces this
-    to the plain mean of sigma over c in [0, 1], done by Gauss-Legendre.
+    to the plain mean of sigma over c in [0, 1], done by AVERAGE_NODES-point
+    Gauss-Legendre.
     The reported error is the isotropic-weight sum of the per-node
     quadrature errors (the Gauss-Legendre truncation is spectrally small:
     sigma is analytic in c through its dependence on L^2 (1 - c^2)).
     """
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    x, w = np.polynomial.legendre.leggauss(AVERAGE_NODES)
     c = 0.5 * (x + 1.0)
     w = 0.5 * w
     thetas = np.arccos(c)

@@ -2,7 +2,7 @@
 
 Cells are rectangles evaluated with nested tensor Gauss-Legendre rules (4x4
 against 8x8); the difference serves as the local error estimate and cells are
-split until every component of the (possibly vector-valued) integrand meets
+split until every component of the vector-valued integrand meets
 the requested relative tolerance.
 
 Each sweep splits only the cells the tolerance needs (excess cover): with the
@@ -60,25 +60,23 @@ _PTS_LO, _WTS_LO = _tensor_rule(_LOW_ORDER)
 _PTS_HI, _WTS_HI = _tensor_rule(_HIGH_ORDER)
 _PTS_ALL = np.vstack([_PTS_LO, _PTS_HI])
 _N_LO = len(_WTS_LO)
+_CHILD_OFFSETS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 
 
 def _eval_cells(integrand, rects: np.ndarray):
     """Evaluate low and high rules on a (k, 4) array of [x0, y0, dx, dy] cells.
 
-    Returns (high, err, scalar): (k, m) arrays, and whether the integrand
-    returned a 1-D array (m = 1).
+    Returns (high, err), both (k, m).
     """
     k = len(rects)
     origin = rects[:, None, 0:2]
     size = rects[:, None, 2:4]
     pts = (origin + size * _PTS_ALL[None, :, :]).reshape(-1, 2)
-    vals = np.asarray(integrand(pts), dtype=float)
-    scalar = vals.ndim == 1
-    vals = vals.reshape(k, len(_PTS_ALL), -1)
+    vals = np.asarray(integrand(pts), dtype=float).reshape(k, len(_PTS_ALL), -1)
     area = (rects[:, 2] * rects[:, 3])[:, None]
     low = np.einsum("kpm,p->km", vals[:, :_N_LO], _WTS_LO) * area
     high = np.einsum("kpm,p->km", vals[:, _N_LO:], _WTS_HI) * area
-    return high, np.abs(high - low), scalar
+    return high, np.abs(high - low)
 
 
 def _excess_cover(sorted_err: np.ndarray, excess: np.ndarray) -> int:
@@ -103,27 +101,22 @@ def integrate_b_plane(
     *,
     half_width: float,
     rel_tol: float = 1e-3,
-    symmetry: str | None = None,
+    quadrant: bool = False,
     x_splits=(),
     y_splits=(),
     max_cells: int = 400_000,
 ):
-    """Integrate a vector-valued integrand over the b-plane square.
+    """Integrate an (n, 2) -> (n, m) integrand over the b-plane square.
 
-    The domain is [-W, W]^2, or [0, W]^2 times 4 when ``symmetry='quadrant'``.
+    The domain is [-W, W]^2, or [0, W]^2 times 4 when ``quadrant`` is set.
     ``x_splits``/``y_splits`` seed initial cell edges (atom projections land
     on cell corners, keeping singular points off quadrature nodes).  Returns
-    (values, errors); scalars if the integrand returns a 1-D array.
+    (values, errors), each of length m.
     """
     if half_width <= 0:
         raise ValueError(f"half_width must be positive, got {half_width}")
-    if symmetry not in (None, "quadrant"):
-        raise ValueError(f"unknown symmetry {symmetry!r}")
 
-    if symmetry == "quadrant":
-        lo, multiplier = 0.0, 4.0
-    else:
-        lo, multiplier = -half_width, 1.0
+    lo, multiplier = (0.0, 4.0) if quadrant else (-half_width, 1.0)
     xe = _initial_edges(lo, half_width, x_splits)
     ye = _initial_edges(lo, half_width, y_splits)
 
@@ -132,19 +125,10 @@ def integrate_b_plane(
         for x0, x1 in zip(xe[:-1], xe[1:])
         for y0, y1 in zip(ye[:-1], ye[1:])
     ])
-    high, err, scalar = _eval_cells(integrand, rects)
-
-    rect_list = [rects]
-    high_list = [high]
-    err_list = [err]
+    high, err = _eval_cells(integrand, rects)
     n_cells = len(rects)
 
     while True:
-        rects = np.concatenate(rect_list)
-        high = np.concatenate(high_list)
-        err = np.concatenate(err_list)
-        rect_list, high_list, err_list = [rects], [high], [err]
-
         totals = high.sum(axis=0)
         tot_err = err.sum(axis=0)
         scale = np.maximum(np.abs(totals) * rel_tol, _ABS_TOL)
@@ -172,24 +156,17 @@ def integrate_b_plane(
         keep = np.ones(len(rects), dtype=bool)
         keep[worst] = False
 
-        parents = rects[worst]
-        hx = 0.5 * parents[:, 2]
-        hy = 0.5 * parents[:, 3]
-        children = np.empty((len(parents) * 4, 4))
-        for ci, (ox, oy) in enumerate([(0, 0), (1, 0), (0, 1), (1, 1)]):
-            children[ci::4, 0] = parents[:, 0] + ox * hx
-            children[ci::4, 1] = parents[:, 1] + oy * hy
-            children[ci::4, 2] = hx
-            children[ci::4, 3] = hy
-        child_high, child_err, _ = _eval_cells(integrand, children)
+        # Four children per parent, parent-major, in _CHILD_OFFSETS order.
+        half = 0.5 * rects[worst, None, 2:4]
+        children = np.concatenate(
+            [rects[worst, None, 0:2] + _CHILD_OFFSETS * half,
+             np.broadcast_to(half, (n_refine, 4, 2))], axis=2,
+        ).reshape(-1, 4)
+        child_high, child_err = _eval_cells(integrand, children)
 
-        rect_list = [rects[keep], children]
-        high_list = [high[keep], child_high]
-        err_list = [err[keep], child_err]
-        n_cells += 3 * len(parents)
+        rects = np.concatenate([rects[keep], children])
+        high = np.concatenate([high[keep], child_high])
+        err = np.concatenate([err[keep], child_err])
+        n_cells += 3 * n_refine
 
-    values = multiplier * totals
-    errors = multiplier * tot_err
-    if scalar:
-        return float(values[0]), float(errors[0])
-    return values, errors
+    return multiplier * totals, multiplier * tot_err

@@ -28,7 +28,6 @@ from scipy import special as sp
 
 from .atomic_data import Orientation, transverse_positions
 from .cross_section import CollisionSystem, _binomial_channels, _canonical_frame
-from .form_factor import bound_survival_probability
 from .transfer import total_kick_magnitude
 
 __all__ = [
@@ -182,6 +181,8 @@ def _coulomb_series_start(ls, eta, rho, logc, n_terms):
 
 
 _CHUNK = 64   # radial nodes per accumulation of the overlap integrals
+_K_NODES_PER_PANEL = 10   # Gauss-Legendre nodes per ejected-momentum panel
+_ORACLE_R_MAX = 30.0      # radial cutoff of the overlap integrals (a.u.)
 
 
 def _coulomb_overlaps(k_nodes, l_max, r, weight):
@@ -260,7 +261,7 @@ def _simpson_weights(n: int, h: float) -> np.ndarray:
     return w
 
 
-def _k_nodes(s: float, nodes_per_panel: int = 10):
+def _k_nodes(s: float):
     """Gauss-Legendre panels covering the ejected-electron momentum range.
 
     Fine panels near k = 0 (soft electrons) and around k = s (the
@@ -279,7 +280,7 @@ def _k_nodes(s: float, nodes_per_panel: int = 10):
         np.linspace(peak_lo, s + 8.0, 12),
     ])
     edges = np.unique(edges[edges >= 0.0])
-    x, w = np.polynomial.legendre.leggauss(nodes_per_panel)
+    x, w = np.polynomial.legendre.leggauss(_K_NODES_PER_PANEL)
     ks, ws = [], []
     for a, b in zip(edges[:-1], edges[1:]):
         ks.append(0.5 * (b - a) * x + 0.5 * (a + b))
@@ -287,7 +288,7 @@ def _k_nodes(s: float, nodes_per_panel: int = 10):
     return np.concatenate(ks), np.concatenate(ws)
 
 
-def continuum_ionization_oracle(s: float, r_max: float = 30.0) -> float:
+def continuum_ionization_oracle(s: float) -> float:
     """W_ion(s) from the direct continuum route.
 
     W = sum_l (2l+1) integral dk |I_l(k)|^2 with
@@ -301,7 +302,7 @@ def continuum_ionization_oracle(s: float, r_max: float = 30.0) -> float:
     l_max = int(12 + 6.0 * s)
 
     h = min(0.04 / max(k_max, 1.0), 0.008)
-    n_r = int(r_max / h) + 1
+    n_r = int(_ORACLE_R_MAX / h) + 1
     r = h * np.arange(1, n_r + 1)
 
     jl = sp.spherical_jn(np.arange(l_max + 1)[:, None], s * r[None, :])
@@ -314,11 +315,6 @@ def continuum_ionization_oracle(s: float, r_max: float = 30.0) -> float:
     if not np.isfinite(w_total):
         raise RuntimeError(f"continuum oracle failed to converge at s={s}")
     return w_total
-
-
-def closure_defect(s: float, n_max: int = 20) -> float:
-    """1 - (bound sum + continuum integral); tests unitarity/normalization."""
-    return 1.0 - bound_survival_probability(s, n_max) - continuum_ionization_oracle(s)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from molstrip.cli import (
     load_config,
     main,
 )
+from molstrip.cross_section import AU_TO_CM2
 
 BASE_CONFIG = {
     "projectile": "Fe25+",
@@ -24,7 +25,6 @@ BASE_CONFIG = {
     "theta_grid": {"points": 3},
     "tolerance": 1e-2,
     "table": {"s_max": 20.0, "n_points": 200, "n_max": 10},
-    "units": "au",
     "seed": 0,
 }
 
@@ -95,6 +95,11 @@ class TestConfigLoading:
             ({"target": {"diatomic": {"Z": 7, "bond_length": 2.0, "L": 1}}},
              "target.diatomic.L"),
             ({"output": 5}, "output"),
+            ({"target": {"atoms": [{"Z": 7, "position": [0.0, 0.0, 1.0]},
+                                   {"Z": 7, "position": [0.0, 1.0]}]}},
+             "target.atoms[1].position"),
+            ({"target": {"atoms": [{"Z": 7, "position": [0.0, 0.0, 1.0, 0.0]}]}},
+             "target.atoms[0].position"),
         ],
     )
     def test_invalid_fields_are_named(self, config_path, overrides, field):
@@ -108,7 +113,8 @@ class TestConfigLoading:
 
     def test_reserved_and_execution_fields_accepted(self, config_path):
         cfg = load_config(config_path({"seed": 7, "output": None}))
-        assert (cfg.seed, cfg.output) == (7, None)
+        assert cfg.output is None
+        assert cfg.raw["seed"] == 7
 
     def test_missing_required_field(self, config_path, tmp_path):
         path = tmp_path / "incomplete.json"
@@ -148,7 +154,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "overrides,field",
-        [({"table": {"s_max": 10}}, "table.s_max"), ({"tolerence": 1e-3}, "tolerence")],
+        [({"table": {"s_max": 10}}, "table.s_max"), ({"tolerence": 1e-3}, "tolerence"),
+         ({"units": "cm2"}, "units")],
     )
     def test_table_config_error(self, config_path, capsys, overrides, field):
         assert run_cli(["table", "--config", config_path(overrides)]) == EXIT_CONFIG_ERROR
@@ -169,11 +176,13 @@ class TestExitCodes:
         assert code == EXIT_CONFIG_ERROR
         capsys.readouterr()
 
-    def test_threads_flag_is_rejected(self, config_path, capsys):
+    @pytest.mark.parametrize("flag,value", [("--threads", "2"), ("--units", "cm2"),
+                                            ("--seed", "0")])
+    def test_removed_flags_are_rejected(self, config_path, capsys, flag, value):
         with pytest.raises(SystemExit) as exc:
-            run_cli(["scan-theta", "--config", config_path(), "--threads", "2"])
+            run_cli(["scan-theta", "--config", config_path(), flag, value])
         assert exc.value.code == EXIT_CONFIG_ERROR
-        assert "--threads" in capsys.readouterr().err
+        assert flag in capsys.readouterr().err
 
 
 class TestScanTheta:
@@ -207,14 +216,16 @@ class TestScanTheta:
 class TestAverage:
     def test_output_schema_and_units(self, config_path, tmp_path):
         out = tmp_path / "avg.csv"
-        assert run_cli(["average", "--config", config_path(), "--units", "cm2",
-                        "--out", str(out)]) == 0
+        assert run_cli(["average", "--config", config_path(), "--out", str(out)]) == 0
         text = out.read_text()
         assert ("channel_m,sigma_avg_au,sigma_perp_au,relative_correction,"
                 "relative_correction_error,sigma_avg_cm2,sigma_perp_cm2") in text
         rows = [r.split(",") for r in data_rows(text)]
-        assert float(rows[0][5]) == pytest.approx(float(rows[0][1]) * 2.8002852e-17, rel=1e-8)
         assert all(len(row) == 7 and float(row[4]) >= 0.0 for row in rows)
+        for row in rows:
+            for au, cm2 in ((row[1], row[5]), (row[2], row[6])):
+                # Both columns are printed to 9 digits, so they agree to 1e-8.
+                assert float(cm2) == pytest.approx(float(au) * AU_TO_CM2, rel=1e-8)
 
 
 class TestTable:

@@ -78,6 +78,23 @@ def test_rebinding_targets_are_found():
     assert ("molstrip.form_factor", "IonizationTable.__call__") in names
 
 
+def _scan_config_keys():
+    """The keys of the config dict that ``Scan.setup`` writes."""
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
+    scan = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Scan")
+    setup = next(n for n in scan.body if isinstance(n, ast.FunctionDef) and n.name == "setup")
+    config = next(n.value for n in ast.walk(setup)
+                  if isinstance(n, ast.Assign) and isinstance(n.value, ast.Dict)
+                  and getattr(n.targets[0], "id", None) == "config")
+    return {key.value for key in config.keys}
+
+
+def test_cli_accepts_every_benchmark_config_key():
+    keys = _scan_config_keys()
+    assert {"seed", "table", "tolerance"} <= keys
+    assert keys <= cli.CONFIG_FIELDS
+
+
 @pytest.fixture
 def fixed_calls(monkeypatch):
     """Arguments of every cross_section_fixed call, defaults filled in."""

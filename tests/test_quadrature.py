@@ -9,37 +9,39 @@ from molstrip.quadrature import QuadratureError, integrate_b_plane
 
 
 def gaussian(pts):
-    return np.exp(-(pts[:, 0] ** 2 + pts[:, 1] ** 2))
+    return np.exp(-(pts[:, 0] ** 2 + pts[:, 1] ** 2))[:, None]
 
 
 class TestKnownIntegrals:
     def test_gaussian_integrates_to_pi(self):
-        value, error = integrate_b_plane(gaussian, half_width=8.0, rel_tol=1e-6)
+        values, errors = integrate_b_plane(gaussian, half_width=8.0, rel_tol=1e-6)
+        assert values.shape == errors.shape == (1,)
+        value, error = values[0], errors[0]
         assert value == pytest.approx(math.pi, rel=1e-6)
         assert abs(value - math.pi) <= 3.0 * error + 1e-9 * math.pi
 
     def test_disk_indicator_integrates_to_area(self):
         def disk(pts):
-            return (pts[:, 0] ** 2 + pts[:, 1] ** 2 <= 4.0).astype(float)
+            return (pts[:, 0] ** 2 + pts[:, 1] ** 2 <= 4.0).astype(float)[:, None]
 
-        value, _ = integrate_b_plane(disk, half_width=3.0, rel_tol=1e-3)
-        assert value == pytest.approx(4.0 * math.pi, rel=1e-3)
+        values, _ = integrate_b_plane(disk, half_width=3.0, rel_tol=1e-3)
+        assert values[0] == pytest.approx(4.0 * math.pi, rel=1e-3)
 
     def test_quadrant_symmetry_fast_path_agrees(self):
-        full, err_full = integrate_b_plane(gaussian, half_width=8.0, rel_tol=1e-6)
-        quad, err_quad = integrate_b_plane(
-            gaussian, half_width=8.0, rel_tol=1e-6, symmetry="quadrant"
+        (full,), (err_full,) = integrate_b_plane(gaussian, half_width=8.0, rel_tol=1e-6)
+        (quad,), (err_quad,) = integrate_b_plane(
+            gaussian, half_width=8.0, rel_tol=1e-6, quadrant=True
         )
         assert quad == pytest.approx(full, abs=3.0 * (err_full + err_quad) + 1e-9)
 
     def test_offset_peak_with_seeded_splits(self):
         def shifted(pts):
-            return np.exp(-((pts[:, 0] - 2.5) ** 2 + (pts[:, 1] + 1.0) ** 2))
+            return np.exp(-((pts[:, 0] - 2.5) ** 2 + (pts[:, 1] + 1.0) ** 2))[:, None]
 
-        value, _ = integrate_b_plane(
+        values, _ = integrate_b_plane(
             shifted, half_width=10.0, rel_tol=1e-5, x_splits=(2.5,), y_splits=(-1.0,)
         )
-        assert value == pytest.approx(math.pi, rel=1e-5)
+        assert values[0] == pytest.approx(math.pi, rel=1e-5)
 
 
 class TestVectorIntegrands:
@@ -53,22 +55,15 @@ class TestVectorIntegrands:
         assert values[0] == pytest.approx(math.pi, rel=1e-5)
         assert values[1] == pytest.approx(2.0 * math.pi, rel=1e-5)
 
-    def test_scalar_integrand_returns_floats(self):
-        value, error = integrate_b_plane(gaussian, half_width=6.0, rel_tol=1e-4)
-        assert isinstance(value, float)
-        assert isinstance(error, float)
-
 
 class TestFailureModes:
     def test_domain_validation(self):
         with pytest.raises(ValueError):
             integrate_b_plane(gaussian, half_width=0.0)
-        with pytest.raises(ValueError):
-            integrate_b_plane(gaussian, half_width=1.0, symmetry="octant")
 
     def test_nonconvergence_carries_best_estimate(self):
         def needle(pts):
-            return 1.0 / (1e-8 + pts[:, 0] ** 2 + pts[:, 1] ** 2)
+            return 1.0 / (1e-8 + pts[:, 0] ** 2 + pts[:, 1] ** 2)[:, None]
 
         with pytest.raises(QuadratureError) as excinfo:
             integrate_b_plane(needle, half_width=1.0, rel_tol=1e-10, max_cells=500)
@@ -79,7 +74,7 @@ class TestFailureModes:
 
     def test_nonconvergence_respects_max_cells(self):
         def needle(pts):
-            return 1.0 / (1e-8 + pts[:, 0] ** 2 + pts[:, 1] ** 2)
+            return 1.0 / (1e-8 + pts[:, 0] ** 2 + pts[:, 1] ** 2)[:, None]
 
         for max_cells in (500, 501, 502):
             with pytest.raises(QuadratureError) as excinfo:
@@ -91,4 +86,4 @@ class TestDeterminism:
     def test_repeated_runs_bit_identical(self):
         a = integrate_b_plane(gaussian, half_width=8.0, rel_tol=1e-6)
         b = integrate_b_plane(gaussian, half_width=8.0, rel_tol=1e-6)
-        assert a == b
+        assert np.array_equal(a, b)

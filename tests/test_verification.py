@@ -13,7 +13,6 @@ from molstrip.verification import (
     _simpson_weights,
     bessel_reference,
     bessel_reference_i,
-    closure_defect,
     continuum_ionization_oracle,
     mc_cross_section,
 )
@@ -67,9 +66,6 @@ class TestContinuumOracle:
         assert continuum_ionization_oracle(1.0) == pytest.approx(
             ionization_probability(1.0), abs=1e-3
         )
-
-    def test_closure_at_unit_kick(self):
-        assert abs(closure_defect(1.0)) <= 1e-3
 
     @pytest.mark.parametrize(
         "s,expected",

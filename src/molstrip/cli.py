@@ -136,27 +136,37 @@ def _parse_target(spec, hfs: dict[int, HfsAtom]) -> MoleculeGeometry:
     if not isinstance(spec, dict):
         raise ConfigError("target: expected a preset name or an object")
 
-    def atom_for(z) -> HfsAtom:
-        z = _number("target.Z", z, int)
+    def atom_for(name: str, entry: dict) -> HfsAtom:
+        z = _number(f"{name}.Z", entry.get("Z"), int)
         if z not in hfs:
-            raise ConfigError(f"target: no HFS coefficients for Z={z} in the atom table")
+            raise ConfigError(f"{name}.Z: no HFS coefficients for Z={z} in the atom table")
         return hfs[z]
 
     try:
         if "diatomic" in spec:
             _check_keys(spec, ("diatomic",), "target.")
             d = spec["diatomic"]
+            if not isinstance(d, dict):
+                raise ConfigError("target.diatomic: expected an object")
             _check_keys(d, ("Z", "bond_length"), "target.diatomic.")
-            atom = atom_for(d["Z"])
-            bond = _number("target.diatomic.bond_length", d["bond_length"])
+            atom = atom_for("target.diatomic", d)
+            bond = _number("target.diatomic.bond_length", d.get("bond_length"))
             return MoleculeGeometry.diatomic(atom, atom, bond)
         _check_keys(spec, ("atoms",), "target.")
+        entries = spec.get("atoms")
+        if not isinstance(entries, list):
+            raise ConfigError("target.atoms: expected a list of objects")
         atoms, positions = [], []
-        for i, a in enumerate(spec["atoms"]):
-            _check_keys(a, ("Z", "position"), f"target.atoms[{i}].")
-            atoms.append(atom_for(a["Z"]))
-            positions.append(tuple(_number(f"target.atoms[{i}].position", x)
-                                   for x in a["position"]))
+        for i, a in enumerate(entries):
+            name = f"target.atoms[{i}]"
+            if not isinstance(a, dict):
+                raise ConfigError(f"{name}: expected an object, got {a!r}")
+            _check_keys(a, ("Z", "position"), name + ".")
+            atoms.append(atom_for(name, a))
+            pos = a.get("position")
+            if not isinstance(pos, list) or len(pos) != 3:
+                raise ConfigError(f"{name}.position: expected 3 numbers, got {pos!r}")
+            positions.append(tuple(_number(f"{name}.position", x) for x in pos))
         try:
             return MoleculeGeometry(atoms=tuple(atoms), positions=tuple(positions))
         except ValueError as exc:

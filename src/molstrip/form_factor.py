@@ -14,16 +14,22 @@ where each shell's sum over l and m has an exact closed form (Bethe 1930,
 Ann. Phys. 397:325; tabulated by Inokuti 1971, Rev. Mod. Phys. 43:297), and
 the shells above n_max add a C/n^3 Rydberg tail fitted to the last three.  An
 interpolation table makes W_ion cheap inside the impact-parameter quadrature
-hot loop.
+hot loop.  The table is a monotone piecewise-cubic Hermite interpolant (PCHIP;
+Fritsch & Carlson 1980, SIAM J. Numer. Anal. 17:238) with the harmonic-mean
+slopes of Fritsch & Butland 1984 (SIAM J. Sci. Stat. Comput. 5:300), evaluated
+in numpy.  Its slopes, coefficients, interval choice and evaluation order
+follow scipy.interpolate.PchipInterpolator, so it returns the same bits as
+PchipInterpolator(s_grid, w_values, extrapolate=False) without importing
+scipy.interpolate at start-up.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy import special as sp
-from scipy.interpolate import PchipInterpolator
 
 __all__ = [
     "ProjectileSpec",
@@ -80,6 +86,24 @@ def elastic_form_factor(q: float, z_eff: float) -> float:
     return (1.0 + 0.25 * s * s) ** -2
 
 
+@lru_cache(maxsize=32)
+def _shell_constants(n_max: int) -> tuple:
+    """The s-independent factors of the shell sum for shells 2..n_max.
+
+    Returns n^2, (n-1)^2, (n+1)^2, 2^8 n^7, (n^2-1)/3 and n-3 for n = 2..n_max,
+    then the Rydberg-tail weights m^3 for the last three shells m and
+    zeta(3, n_max + 1).  Each is computed by the same operations as inline, so
+    cached and inline evaluation agree bitwise.
+    """
+    n = np.arange(2.0, n_max + 1.0)
+    consts = (n * n, (n - 1.0) ** 2, (n + 1.0) ** 2, 2.0**8 * n**7,
+              (n * n - 1.0) / 3.0, n - 3.0,
+              np.arange(n_max - 2.0, n_max + 1.0) ** 3)
+    for arr in consts:
+        arr.setflags(write=False)
+    return consts + (sp.zeta(3, n_max + 1),)
+
+
 def _shell_probabilities(s_values: np.ndarray, n_max: int) -> np.ndarray:
     """P(1s -> shell n) for each s; shape (len(s), n_max), shells n = 1..n_max.
 
@@ -90,33 +114,29 @@ def _shell_probabilities(s_values: np.ndarray, n_max: int) -> np.ndarray:
 
     and the elastic term P_1 = (1 + k2/4)^-4.
     """
-    n = np.arange(2.0, n_max + 1.0)
+    n2, a0, b0, c7, q0, e, _, _ = _shell_constants(n_max)
     with np.errstate(over="ignore", invalid="ignore"):
         k2 = np.atleast_1d(np.asarray(s_values, dtype=float))[:, None] ** 2
-        nk2 = n * n * k2
-        a = (n - 1.0) ** 2 + nk2
-        b = (n + 1.0) ** 2 + nk2
+        nk2 = n2 * k2
+        a = a0 + nk2
+        b = b0 + nk2
         # Each ratio is at most 1, so only b^4 can overflow, and 0 is then right.
-        inelastic = (2.0**8 * n**7 * (k2 / b) * (((n * n - 1.0) / 3.0 + nk2) / b)
-                     * (a / b) ** (n - 3.0) / b**4)
+        inelastic = c7 * (k2 / b) * ((q0 + nk2) / b) * (a / b) ** e / b**4
     # Where n^2 s^2 overflows, P_n ~ 256 / (n^3 s^8) is far below the least double.
     inelastic[np.isinf(b)] = 0.0
     return np.concatenate([(1.0 + 0.25 * k2) ** -4, inelastic], axis=1)
-
-
-def _rydberg_tail(shell_probs: np.ndarray, n_max: int) -> np.ndarray:
-    """Extrapolate sum_{n > n_max} P_n by fitting C / n^3 to the last 3 shells."""
-    ns = np.arange(n_max - 2, n_max + 1)
-    c = np.mean(shell_probs[:, ns - 1] * ns[None, :] ** 3, axis=1)
-    return c * sp.zeta(3, n_max + 1)
 
 
 def _survival_batch(s_values: np.ndarray, n_max: int) -> np.ndarray:
     probs = _shell_probabilities(s_values, n_max)
     total = probs.sum(axis=1)
     if n_max >= 4:
-        total = total + _rydberg_tail(probs, n_max)
-    return np.clip(total, 0.0, 1.0)
+        # Rydberg tail: fit C / n^3 to the last three shells (their mean, summed
+        # in np.mean's order), then sum C / n^3 over n > n_max.
+        *_, w, zeta = _shell_constants(n_max)
+        c = (probs[:, -3] * w[0] + probs[:, -2] * w[1] + probs[:, -1] * w[2]) / 3.0
+        total = total + c * zeta
+    return np.minimum(np.maximum(total, 0.0), 1.0)
 
 
 def bound_survival_probability(s: float, n_max: int = DEFAULT_N_MAX) -> float:
@@ -141,39 +161,104 @@ def ionization_probability(s: float, n_max: int = DEFAULT_N_MAX) -> float:
     return float(np.clip(1.0 - _survival_batch(np.array([s]), n_max), 0.0, 1.0)[0])
 
 
+def _end_slope(h0, h1, m0, m1):
+    """One-sided three-point end slope, limited so the end keeps its shape."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _pchip_coefficients(x: np.ndarray, y: np.ndarray) -> tuple:
+    """Cubic coefficients (c0, c1, c2, c3) of PCHIP on each interval of x.
+
+    On [x_i, x_i+1] the interpolant is c3 + c2 d + c1 d^2 + c0 d^3, d = s - x_i.
+    Node slopes are the weighted harmonic mean of the neighbouring secants, zero
+    where a secant is zero or the secants change sign (Fritsch & Butland 1984),
+    and the one-sided three-point estimate at both ends; the coefficients are
+    those of the cubic Hermite interpolant with those slopes.  Each step is the
+    arithmetic of scipy.interpolate.PchipInterpolator, so the results agree
+    bitwise.
+    """
+    h = np.diff(x)
+    m = np.diff(y) / h
+    d = np.zeros_like(y)
+    sign = np.sign(m)
+    flat = (sign[1:] != sign[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
+    w1 = 2 * h[1:] + h[:-1]
+    w2 = h[1:] + 2 * h[:-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+    d[1:-1][~flat] = 1.0 / whmean[~flat]
+    d[0] = _end_slope(h[0], h[1], m[0], m[1])
+    d[-1] = _end_slope(h[-1], h[-2], m[-1], m[-2])
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    return t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1].copy()
+
+
 @dataclass(frozen=True)
 class IonizationTable:
-    """Monotone-cubic interpolation of W_ion on a scaled-kick grid.
+    """Monotone-cubic (PCHIP) interpolation of W_ion on a uniform scaled-kick grid.
 
-    Beyond s_max the table evaluates the closed-form shell sum directly, so it
-    joins the grid continuously and stays right at any kick.
+    The coefficients are built once from (s_grid, w_values); a lookup finds each
+    interval by arithmetic on the uniform grid and evaluates the cubic in numpy.
+    It returns the same bits as scipy's PchipInterpolator(s_grid, w_values,
+    extrapolate=False), clipped to [0, 1].  Beyond s_max the table evaluates the
+    closed-form shell sum directly, so it joins the grid continuously and stays
+    right at any kick; s < 0 and nan give nan.
     """
 
     s_grid: np.ndarray
     w_values: np.ndarray
     n_max: int
-    _interp: PchipInterpolator = field(repr=False, compare=False, default=None)
+    _pchip: tuple = field(repr=False, compare=False, default=None)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "_interp", PchipInterpolator(self.s_grid, self.w_values, extrapolate=False)
-        )
+        x = self.s_grid
+        n = x.size
+        if (n < 3 or x[0] != 0.0
+                or not np.allclose(np.diff(x), x[-1] / (n - 1), rtol=1e-9, atol=0.0)):
+            raise ValueError("s_grid must be uniform from 0 with at least 3 points")
+        # Right ends of the intervals; the last interval is closed at s_max.
+        upper = np.append(x[1:-1], np.inf)
+        coeffs = _pchip_coefficients(x, self.w_values)
+        object.__setattr__(self, "_pchip", coeffs + (upper, (n - 1) / x[-1]))
 
     @property
     def s_max(self) -> float:
         return float(self.s_grid[-1])
 
+    def _interpolate(self, s: np.ndarray) -> np.ndarray:
+        """PCHIP at 0 <= s <= s_max, in scipy's interval choice and order."""
+        c0, c1, c2, c3, upper, scale = self._pchip
+        x = self.s_grid
+        # The arithmetic guess is off by at most one interval; step it so that
+        # x[i] <= s < x[i+1], as a binary search would.
+        i = (s * scale).astype(np.intp)
+        np.minimum(i, x.size - 2, out=i)
+        i -= s < x[i]
+        i += s >= upper[i]
+        d = s - x[i]
+        w = c3[i] + c2[i] * d
+        d2 = d * d
+        w += c1[i] * d2
+        w += c0[i] * (d2 * d)
+        return w
+
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
         scalar = s.ndim == 0
         s = np.atleast_1d(s)
-        out = np.empty_like(s)
-        inside = s <= self.s_max
-        out[inside] = self._interp(s[inside])
-        big = ~inside
-        if np.any(big):
+        s_max = self.s_max
+        out = np.full_like(s, np.nan)
+        inside = (s >= 0.0) & (s <= s_max)
+        out[inside] = self._interpolate(s[inside])
+        big = s > s_max
+        if big.any():
             out[big] = 1.0 - _survival_batch(s[big], self.n_max)
-        out = np.clip(out, 0.0, 1.0)
+        np.minimum(np.maximum(out, 0.0, out=out), 1.0, out=out)
         return float(out[0]) if scalar else out
 
 

@@ -100,6 +100,15 @@ class TestConfigLoading:
              "target.atoms[1].position"),
             ({"target": {"atoms": [{"Z": 7, "position": [0.0, 0.0, 1.0, 0.0]}]}},
              "target.atoms[0].position"),
+            ({"target": {"atoms": {"Z": 7}}}, "target.atoms: expected a list of objects"),
+            ({"target": {"atoms": [5]}}, "target.atoms[0]: expected an object"),
+            ({"target": {"atoms": [{"Z": 7, "position": 5}]}},
+             "target.atoms[0].position: expected 3 numbers"),
+            ({"target": {"atoms": [{"position": [0.0, 0.0, 1.0]}]}}, "target.atoms[0].Z"),
+            ({"target": {"atoms": [{"Z": 99, "position": [0.0, 0.0, 1.0]}]}},
+             "target.atoms[0].Z: no HFS coefficients"),
+            ({"target": {"diatomic": 5}}, "target.diatomic: expected an object"),
+            ({"target": {"diatomic": {"Z": 7}}}, "target.diatomic.bond_length"),
         ],
     )
     def test_invalid_fields_are_named(self, config_path, overrides, field):
@@ -305,3 +314,13 @@ class TestEntryPoint:
         )
         assert result.returncode == 0
         assert "s,w_ion" in result.stdout
+
+    def test_import_leaves_out_scipy_interpolate(self):
+        # scipy.interpolate (and the scipy.optimize it loads) cost about 0.3 s
+        # of start-up; the CLI needs only numpy and scipy.special.
+        code = ("import sys, molstrip.cli; "
+                "print(sorted(m for m in sys.modules if m.startswith("
+                "('scipy.interpolate', 'scipy.optimize'))))")
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"

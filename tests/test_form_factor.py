@@ -8,8 +8,10 @@ from scipy import integrate
 from scipy import special as sp
 
 from molstrip.form_factor import (
+    IonizationTable,
     ProjectileSpec,
     _shell_probabilities,
+    _survival_batch,
     bound_survival_probability,
     build_ionization_table,
     elastic_form_factor,
@@ -210,3 +212,93 @@ class TestIonizationTable:
         w_lo, w_hi = ionization_table(s), ionization_table(s + ds)
         assert 0.0 <= w_lo <= 1.0
         assert w_hi >= w_lo - 1e-9
+
+    def test_non_uniform_grid_rejected(self, ionization_table):
+        grid = ionization_table.s_grid.copy()
+        grid[5] += 1e-3
+        with pytest.raises(ValueError, match="uniform"):
+            IonizationTable(grid, ionization_table.w_values, ionization_table.n_max)
+        with pytest.raises(ValueError, match="at least 3 points"):
+            IonizationTable(grid[:2], ionization_table.w_values[:2], ionization_table.n_max)
+
+
+# The default table, a long fine grid, the coarsest grid allowed, and one between.
+TABLE_CONFIGS = [
+    {},
+    {"s_max": 40.0, "n_points": 1000, "n_max": 20},
+    {"s_max": 20.0, "n_points": 200, "n_max": 10},
+    {"s_max": 25.0, "n_points": 300, "n_max": 15},
+]
+
+
+class TestPchipMatchesScipy:
+    """The numpy PCHIP returns the bits of scipy's PchipInterpolator.
+
+    scipy.interpolate is the reference here only; the package never imports it.
+    """
+
+    @staticmethod
+    def reference(table):
+        from scipy.interpolate import PchipInterpolator
+
+        pchip = PchipInterpolator(table.s_grid, table.w_values, extrapolate=False)
+        return lambda s: np.clip(pchip(s), 0.0, 1.0)
+
+    @pytest.mark.parametrize("params", TABLE_CONFIGS)
+    def test_bitwise_equal_on_the_grid(self, params):
+        table = build_ionization_table(**params)
+        grid = table.s_grid
+        rng = np.random.default_rng(2024)
+        s = np.concatenate([
+            rng.uniform(0.0, table.s_max, 10**6),
+            grid,
+            np.nextafter(grid[1:], -np.inf),
+            np.nextafter(grid[:-1], np.inf),
+            rng.uniform(0.0, 1e-3, 10**4),
+        ])
+        assert np.array_equal(table(s), self.reference(table)(s))
+
+    def test_scalars_and_edges(self, ionization_table):
+        table, expected = ionization_table, self.reference(ionization_table)
+        s_max = table.s_max
+        for s in (0.0, 0.37, 1e-300, s_max):
+            value = table(s)
+            assert isinstance(value, float)
+            assert value == expected(s)
+        above = np.nextafter(s_max, np.inf)
+        assert table(above) == ionization_probability(above, table.n_max)
+        for s in (-1e-300, -1.0, -np.inf, np.nan):
+            assert np.isnan(table(s))
+        mixed = table(np.array([-1.0, np.nan, 0.5, s_max, 25.0]))
+        assert np.isnan(mixed[:2]).all()
+        assert mixed[2] == expected(0.5) and mixed[3] == expected(s_max)
+        assert mixed[4] == ionization_probability(25.0, table.n_max)
+
+
+def _survival_inline(s, n_max):
+    """P_bound from the shell sum written out in full, as a bitwise reference."""
+    n = np.arange(2.0, n_max + 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        k2 = s[:, None] ** 2
+        nk2 = n * n * k2
+        a = (n - 1.0) ** 2 + nk2
+        b = (n + 1.0) ** 2 + nk2
+        inelastic = (2.0**8 * n**7 * (k2 / b) * (((n * n - 1.0) / 3.0 + nk2) / b)
+                     * (a / b) ** (n - 3.0) / b**4)
+    inelastic[np.isinf(b)] = 0.0
+    probs = np.concatenate([(1.0 + 0.25 * k2) ** -4, inelastic], axis=1)
+    ns = np.arange(n_max - 2, n_max + 1)
+    tail = np.mean(probs[:, ns - 1] * ns[None, :] ** 3, axis=1) * sp.zeta(3, n_max + 1)
+    return np.clip(probs.sum(axis=1) + tail, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("n_max", [10, 20])
+def test_survival_batch_bitwise_equal_to_inline_sum(n_max):
+    # Past s_max, where the table calls it one batch at a time, and on the grid.
+    s = np.array([np.nextafter(20.0, np.inf), 25.0, 60.0, 1e154, 1e300])
+    grid = np.linspace(0.0, 40.0, 1001)
+    assert np.array_equal(_survival_batch(grid, n_max), _survival_inline(grid, n_max))
+    assert np.array_equal(_survival_batch(s, n_max), _survival_inline(s, n_max))
+    for v in s:
+        one = np.array([v])
+        assert _survival_batch(one, n_max)[0] == _survival_inline(one, n_max)[0]

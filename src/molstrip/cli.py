@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__, cross_section
 from .atomic_data import HfsAtom, HfsTableError, MoleculeGeometry, builtin_hfs_table, load_hfs_table
 from .cross_section import AU_TO_CM2, CollisionSystem, delta_scan, orientation_average
-from .form_factor import ProjectileSpec, build_ionization_table
+from .form_factor import TABLE_LIMITS, ProjectileSpec, build_ionization_table
 from .kinematics import validate_regime, velocity_from_energy
 from .quadrature import QuadratureError
 
@@ -49,14 +49,6 @@ CONFIG_FIELDS = frozenset({
     "projectile", "target", "energies_mev_u", "theta_grid", "tolerance", "table",
     "seed", "output", "hfs_table",
 })
-
-# W_ion table parameters: (type, default, minimum), as build_ionization_table
-# requires them.
-TABLE_FIELDS = {
-    "s_max": (float, 20.0, 20.0),
-    "n_points": (int, 400, 200),
-    "n_max": (int, 20, 10),
-}
 
 
 @dataclass
@@ -151,7 +143,10 @@ def _parse_target(spec, hfs: dict[int, HfsAtom]) -> MoleculeGeometry:
             _check_keys(d, ("Z", "bond_length"), "target.diatomic.")
             atom = atom_for("target.diatomic", d)
             bond = _number("target.diatomic.bond_length", d.get("bond_length"))
-            return MoleculeGeometry.diatomic(atom, atom, bond)
+            try:
+                return MoleculeGeometry.diatomic(atom, atom, bond)
+            except ValueError as exc:
+                raise ConfigError(f"target.diatomic.bond_length: {exc}") from exc
         _check_keys(spec, ("atoms",), "target.")
         entries = spec.get("atoms")
         if not isinstance(entries, list):
@@ -195,9 +190,9 @@ def _parse_theta_grid(spec) -> np.ndarray:
 def _parse_table(spec) -> dict:
     if not isinstance(spec, dict):
         raise ConfigError("table: expected an object")
-    _check_keys(spec, TABLE_FIELDS, "table.")
+    _check_keys(spec, TABLE_LIMITS, "table.")
     return {key: _number(f"table.{key}", spec.get(key, default), kind, minimum)
-            for key, (kind, default, minimum) in TABLE_FIELDS.items()}
+            for key, (kind, default, minimum) in TABLE_LIMITS.items()}
 
 
 def _path(name: str, value) -> str | None:

@@ -42,6 +42,13 @@ __all__ = [
 
 DEFAULT_N_MAX = 20
 
+# Parameters of build_ionization_table: name -> (type, default, minimum).
+TABLE_LIMITS = {
+    "s_max": (float, 20.0, 20.0),
+    "n_points": (int, 400, 200),
+    "n_max": (int, DEFAULT_N_MAX, 10),
+}
+
 
 @dataclass(frozen=True)
 class ProjectileSpec:
@@ -147,7 +154,7 @@ def bound_survival_probability(s: float, n_max: int = DEFAULT_N_MAX) -> float:
     Inokuti 1971, Rev. Mod. Phys. 43:297), and adds the C/n^3 Rydberg tail
     when n_max >= 4.
     """
-    if s < 0:
+    if not s >= 0:
         raise ValueError(f"s must be non-negative, got {s}")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
@@ -155,10 +162,8 @@ def bound_survival_probability(s: float, n_max: int = DEFAULT_N_MAX) -> float:
 
 
 def ionization_probability(s: float, n_max: int = DEFAULT_N_MAX) -> float:
-    """W_ion(s) = 1 - P_bound(s), clipped to [0, 1]."""
-    if s < 0:
-        raise ValueError(f"s must be non-negative, got {s}")
-    return float(np.clip(1.0 - _survival_batch(np.array([s]), n_max), 0.0, 1.0)[0])
+    """W_ion(s) = 1 - P_bound(s); P_bound is already clipped to [0, 1]."""
+    return 1.0 - bound_survival_probability(s, n_max)
 
 
 def _end_slope(h0, h1, m0, m1):
@@ -263,15 +268,15 @@ class IonizationTable:
 
 
 def build_ionization_table(
-    s_max: float = 20.0, n_points: int = 400, n_max: int = DEFAULT_N_MAX
+    s_max: float = TABLE_LIMITS["s_max"][1],
+    n_points: int = TABLE_LIMITS["n_points"][1],
+    n_max: int = TABLE_LIMITS["n_max"][1],
 ) -> IonizationTable:
     """Tabulate W_ion on a uniform grid [0, s_max] for hot-loop interpolation."""
-    if s_max < 20:
-        raise ValueError(f"s_max must be >= 20, got {s_max}")
-    if n_points < 200:
-        raise ValueError(f"n_points must be >= 200, got {n_points}")
-    if n_max < 10:
-        raise ValueError(f"n_max must be >= 10, got {n_max}")
+    for name, value in (("s_max", s_max), ("n_points", n_points), ("n_max", n_max)):
+        minimum = TABLE_LIMITS[name][2]
+        if value < minimum:
+            raise ValueError(f"{name} must be >= {minimum:g}, got {value}")
     s_grid = np.linspace(0.0, s_max, n_points)
     w = np.clip(1.0 - _survival_batch(s_grid, n_max), 0.0, 1.0)
     # Rounding in the shell sum must not break the monotone invariant.

@@ -20,9 +20,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as sp
 
 from .atomic_data import HfsAtom
+from .special_functions import bessel_k0, bessel_k1
 
 __all__ = [
     "MomentumTransfer",
@@ -58,7 +58,7 @@ def eikonal_phase_single(atom: HfsAtom, v: float, b: float) -> float:
     """Per-electron eikonal phase chi_m(b) of one screened atom (diagnostic)."""
     _check_positive(v, "velocity")
     _check_positive(b, "impact parameter")
-    acc = sum(a * sp.k0(al * b) for a, al in zip(atom.A, atom.alpha))
+    acc = sum(a * k for a, k in zip(atom.A, bessel_k0(np.multiply(atom.alpha, b))))
     return float(2.0 * atom.Z / v * acc)
 
 
@@ -68,9 +68,8 @@ def momentum_transfer_single(atom: HfsAtom, v: float, b) -> MomentumTransfer:
     bx, by = float(b[0]), float(b[1])
     r = math.hypot(bx, by)
     _check_positive(r, "impact parameter magnitude")
-    mag = 2.0 * atom.Z / v * sum(
-        al * a * sp.k1(al * r) for a, al in zip(atom.A, atom.alpha)
-    )
+    k1 = bessel_k1(np.multiply(atom.alpha, r))
+    mag = 2.0 * atom.Z / v * sum(al * a * k for a, al, k in zip(atom.A, atom.alpha, k1))
     return MomentumTransfer(vector=(mag * bx / r, mag * by / r))
 
 
@@ -92,7 +91,7 @@ def kick_magnitude(atom: HfsAtom, v: float, r: np.ndarray) -> np.ndarray:
     for a, al in zip(atom.A, atom.alpha):
         if a == 0.0:
             continue      # an unused term adds exactly +0.0; skip its K1 call
-        acc += al * a * sp.k1(al * r)
+        acc += al * a * bessel_k1(al * r)
     return 2.0 * atom.Z / v * acc
 
 

@@ -109,6 +109,10 @@ class TestConfigLoading:
              "target.atoms[0].Z: no HFS coefficients"),
             ({"target": {"diatomic": 5}}, "target.diatomic: expected an object"),
             ({"target": {"diatomic": {"Z": 7}}}, "target.diatomic.bond_length"),
+            ({"target": {"diatomic": {"Z": 7, "bond_length": 0}}},
+             "target.diatomic.bond_length: bond length must be positive"),
+            ({"target": {"diatomic": {"Z": 7, "bond_length": -1}}},
+             "target.diatomic.bond_length: bond length must be positive"),
         ],
     )
     def test_invalid_fields_are_named(self, config_path, overrides, field):

@@ -126,10 +126,14 @@ class TestBoundSurvival:
             assert bound_survival_probability(s, n_max=1) == pytest.approx(expected, abs=1e-8)
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            bound_survival_probability(-0.1)
-        with pytest.raises(ValueError):
-            bound_survival_probability(1.0, n_max=0)
+        # ionization_probability is 1 - bound_survival_probability: same checks.
+        for route in (bound_survival_probability, ionization_probability):
+            for s in (-0.1, float("nan")):
+                with pytest.raises(ValueError, match="s must be non-negative"):
+                    route(s)
+            for n_max in (0, -3):
+                with pytest.raises(ValueError, match="n_max"):
+                    route(1.0, n_max=n_max)
 
     @settings(max_examples=30, deadline=None)
     @given(st.floats(min_value=0.0, max_value=50.0))

@@ -1,11 +1,14 @@
 """McDonald functions K0/K1: accuracy, asymptotes, identities, domain."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special as sp
 
 from molstrip.special_functions import bessel_k0, bessel_k1
 from molstrip.verification import bessel_reference, bessel_reference_i
@@ -86,6 +89,82 @@ class TestDomain:
             bessel_k0(bad)
         with pytest.raises(ValueError):
             bessel_k1(bad)
+        # One bad element rejects a whole array.
+        for kernel in (bessel_k0, bessel_k1):
+            with pytest.raises(ValueError, match="positive finite"):
+                kernel(np.array([0.5, 2.0, bad, 3.0]))
+
+
+class TestArrays:
+    """An array in gives an array out, from the same scipy calls."""
+
+    def test_bitwise_equal_to_scipy(self):
+        x = np.array([1e-8, 1e-3, 0.5, 1.0, 7.25, 80.0, 700.0, 800.0])
+        assert np.array_equal(bessel_k0(x), sp.k0(x))
+        assert np.array_equal(bessel_k1(x), sp.k1(x))
+        assert bessel_k0(x)[-1] == bessel_k1(x)[-1] == 0.0
+        grid = x.reshape(2, 4)
+        assert np.array_equal(bessel_k1(grid), sp.k1(grid))
+
+    def test_scalar_gives_float(self):
+        for x in (2.0, 3, np.float64(0.25), np.array(1.5)):
+            assert type(bessel_k0(x)) is float
+            assert type(bessel_k1(x)) is float
+        assert bessel_k1(np.array(1.5)) == sp.k1(1.5)
+
+    def test_empty_gives_empty(self):
+        for kernel in (bessel_k0, bessel_k1):
+            out = kernel(np.array([]))
+            assert isinstance(out, np.ndarray) and out.shape == (0,)
+
+
+def _scipy_kernel_uses(tree):
+    """Lines that reach scipy.special's k0/k1/k0e/k1e in a parsed module."""
+    kernels = {"k0", "k1", "k0e", "k1e"}
+    aliases = set()      # local names bound to the scipy.special module
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "scipy":
+            aliases.update(a.asname or a.name for a in node.names if a.name == "special")
+        elif isinstance(node, ast.ImportFrom) and node.module == "scipy.special":
+            lines += [node.lineno for a in node.names if a.name in kernels]
+        elif isinstance(node, ast.Import):
+            aliases.update(a.asname for a in node.names if a.name == "scipy.special" and a.asname)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in kernels:
+            owner = node.value
+            if isinstance(owner, ast.Name) and owner.id in aliases:
+                lines.append(node.lineno)
+            elif (isinstance(owner, ast.Attribute) and owner.attr == "special"
+                  and isinstance(owner.value, ast.Name) and owner.value.id == "scipy"):
+                lines.append(node.lineno)
+    return lines
+
+
+class TestOneKernel:
+    """special_functions is the only production caller of scipy's K0/K1."""
+
+    SRC = Path(__file__).resolve().parents[1] / "src" / "molstrip"
+
+    def test_detector_sees_every_spelling(self):
+        code = ("from scipy import special as sp\nimport scipy.special as ss\n"
+                "from scipy.special import k1e\nimport scipy\n"
+                "sp.k0(1.0); ss.k1(1.0); scipy.special.k0e(1.0); sp.zeta(3, 2)\n")
+        assert sorted(_scipy_kernel_uses(ast.parse(code))) == [3, 5, 5, 5]
+
+    def test_only_special_functions_calls_scipy_k0_k1(self):
+        modules = sorted(self.SRC.glob("*.py"))
+        assert self.SRC / "transfer.py" in modules
+        offenders = {p.name: lines for p in modules if p.name != "special_functions.py"
+                     if (lines := _scipy_kernel_uses(ast.parse(p.read_text())))}
+        assert offenders == {}
+        assert _scipy_kernel_uses(ast.parse((self.SRC / "special_functions.py").read_text()))
+
+    def test_transfer_does_not_import_scipy(self):
+        tree = ast.parse((self.SRC / "transfer.py").read_text())
+        imported = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names]
+        imported += [n.module or "" for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
+        assert not [m for m in imported if m.split(".")[0] == "scipy"]
 
 
 @settings(max_examples=60, deadline=None)

@@ -25,6 +25,8 @@ class TestEikonalPhase:
             eikonal_phase_single(nitrogen, 10.0, 0.0)
         with pytest.raises(ValueError):
             eikonal_phase_single(nitrogen, 0.0, 1.0)
+        with pytest.raises(ValueError, match="bessel_k0"):
+            eikonal_phase_single(nitrogen, 10.0, math.inf)
 
     def test_positive_and_decreasing(self, nitrogen):
         grid = np.geomspace(1e-3, 30.0, 200)
@@ -93,6 +95,12 @@ class TestKickMagnitude:
                 acc += al * a * sp.k1(al * rc)
             expected = 2.0 * atom.Z / 7.5 * acc
             assert np.array_equal(kick_magnitude(atom, 7.5, r), expected), atom.Z
+
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_radius_rejected(self, nitrogen, bad):
+        with pytest.raises(ValueError, match="bessel_k1"):
+            kick_magnitude(nitrogen, 7.5, np.array([1.0, bad]))
 
 
 class TestHydrogenRow:

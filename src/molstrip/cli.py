@@ -24,6 +24,7 @@ from .cross_section import AU_TO_CM2, CollisionSystem, delta_scan, orientation_a
 from .form_factor import TABLE_LIMITS, ProjectileSpec, build_ionization_table
 from .kinematics import validate_regime, velocity_from_energy
 from .quadrature import QuadratureError
+from .transfer import kick_profile
 
 EXIT_CONFIG_ERROR = 2
 EXIT_NO_CONVERGENCE = 3
@@ -132,6 +133,10 @@ def _parse_target(spec, hfs: dict[int, HfsAtom]) -> MoleculeGeometry:
         z = _number(f"{name}.Z", entry.get("Z"), int)
         if z not in hfs:
             raise ConfigError(f"{name}.Z: no HFS coefficients for Z={z} in the atom table")
+        try:
+            kick_profile(hfs[z])      # cached: built once per distinct atom
+        except ValueError as exc:
+            raise ConfigError(f"hfs_table: {exc}") from exc
         return hfs[z]
 
     try:

@@ -184,6 +184,16 @@ class TestExitCodes:
         assert run_cli(["scan-theta", "--config", cfg]) == EXIT_NO_CONVERGENCE
         assert "outer cutoff not reached" in capsys.readouterr().err
 
+    def test_sign_changing_hfs_fit(self, config_path, tmp_path, capsys):
+        # Sum A = 1 and alpha > 0 pass the loader, but the kick changes sign.
+        atoms = tmp_path / "flip.csv"
+        atoms.write_text("Z,A1,A2,A3,alpha1,alpha2,alpha3\n7,-0.5,1.5,0.0,1.0,3.0,1.0\n")
+        cfg = config_path({"hfs_table": str(atoms)})
+        assert run_cli(["scan-theta", "--config", cfg]) == EXIT_CONFIG_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert re.search(r"hfs_table: .*Z=7 ", err)
+
     def test_flag_overrides_are_validated(self, config_path, capsys):
         code = run_cli(["table", "--config", config_path(), "--tolerance", "0.9"])
         assert code == EXIT_CONFIG_ERROR

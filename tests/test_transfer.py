@@ -1,6 +1,8 @@
 """Screened momentum-transfer field: kicks, phase, gradient relation."""
 
 import math
+import subprocess
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -9,10 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special as sp
 
+from molstrip import transfer
+from molstrip.atomic_data import HfsAtom, MoleculeGeometry
+from molstrip.cross_section import cross_section_fixed
 from molstrip.transfer import (
     MIN_IMPACT_RADIUS,
     eikonal_phase_single,
     kick_magnitude,
+    kick_profile,
     momentum_transfer_single,
     total_kick_magnitude,
     total_momentum_transfer,
@@ -192,6 +198,100 @@ class TestTotalKick:
         for i, b in enumerate(pts):
             slow = total_momentum_transfer(projections, atoms, 10.0, b).magnitude
             assert fast[i] == pytest.approx(slow, rel=1e-12)
+
+
+def _single_atom_kick(atom, v, points):
+    return total_kick_magnitude([(0.0, 0.0)], [atom], v, np.asarray(points, dtype=float))
+
+
+class TestKickProfile:
+    """total_kick_magnitude reads each atom's tabulated profile; kick_magnitude judges it."""
+
+    V = 7.5
+
+    def test_matches_direct_sum_for_every_shipped_atom(self, hfs_table):
+        r = np.geomspace(MIN_IMPACT_RADIUS, 200.0, 100_000)
+        for atom in hfs_table.values():
+            assert kick_profile(atom).r_hi == 200.0
+            q = _single_atom_kick(atom, self.V, np.column_stack([r, np.zeros_like(r)]))
+            rel = np.abs(q / kick_magnitude(atom, self.V, r) - 1.0)
+            assert rel.max() <= 5e-12, atom.Z              # 1.7e-12 measured
+            assert rel[r <= 10.0].max() <= 5e-13, atom.Z   # 2.5e-13 measured
+
+    def test_direct_sum_beyond_the_table(self, hfs_table):
+        # On the axes at r = 256 a power of two, so (|q| / r) * r is |q| exactly.
+        soft = HfsAtom(Z=3.0, A=(0.5, 0.5, 0.0), alpha=(0.2, 0.1, 1.0))
+        far = np.array([[256.0, 0.0], [0.0, -256.0], [-256.0, 0.0], [0.0, 512.0]])
+        points = np.concatenate([far, [[0.5, 0.25], [3.0, -2.0]]])
+        for atom in [*hfs_table.values(), soft]:
+            q = _single_atom_kick(atom, self.V, points)
+            r = np.hypot(far[:, 0], far[:, 1])
+            assert np.array_equal(q[:4], kick_magnitude(atom, self.V, r)), atom.Z
+            near = np.hypot(points[4:, 0], points[4:, 1])
+            assert q[4:] == pytest.approx(kick_magnitude(atom, self.V, near), rel=1e-12)
+        assert _single_atom_kick(soft, self.V, far).min() > 1e-50
+
+    def test_stiff_fit_ends_before_k1_underflows(self):
+        # alpha_min r = 1000 at r = 200: K1 is 0 there, so the table stops at 600 / 5.
+        stiff = HfsAtom(Z=2.0, A=(0.5, 0.5, 0.0), alpha=(8.0, 5.0, 1.0))
+        assert kick_profile(stiff).r_hi == pytest.approx(120.0)
+        r = np.geomspace(MIN_IMPACT_RADIUS, 140.0, 20_000)
+        q = _single_atom_kick(stiff, self.V, np.column_stack([r, np.zeros_like(r)]))
+        direct = kick_magnitude(stiff, self.V, r)
+        assert np.abs(q / direct - 1.0).max() <= 5e-12      # 2.5e-12 measured
+
+    def test_clamped_below_min_impact_radius(self, nitrogen):
+        # As the direct sum: |q_m| / r is held at its MIN_IMPACT_RADIUS value.
+        per_r = kick_magnitude(nitrogen, self.V, MIN_IMPACT_RADIUS) / MIN_IMPACT_RADIUS
+        r = np.array([0.0, 1e-12, 1e-9, 0.5 * MIN_IMPACT_RADIUS, MIN_IMPACT_RADIUS])
+        q = _single_atom_kick(nitrogen, self.V, np.column_stack([r, np.zeros_like(r)]))
+        assert q[0] == 0.0
+        assert q == pytest.approx(per_r * r, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_point_rejected(self, nitrogen, bad):
+        # pytest turns a RuntimeWarning into an error, so none escapes either.
+        pts = np.array([[0.3, 0.1], [bad, 1.0], [2.0, 0.0]])
+        with pytest.raises(ValueError, match="bessel_k1"):
+            total_kick_magnitude([(1.0, 0.0), (-1.0, 0.0)], [nitrogen, nitrogen], 10.0, pts)
+
+    def test_empty_points(self, nitrogen):
+        q = total_kick_magnitude([(1.0, 0.0)], [nitrogen], 10.0, np.empty((0, 2)))
+        assert q.shape == (0,)
+
+    def test_chunking_is_invisible(self, nitrogen):
+        chunk = transfer._CHUNK
+        projections = [(1.035, 0.0), (-1.035, 0.0)]
+        atoms = [nitrogen, nitrogen]
+        pts = np.random.default_rng(3).uniform(-6.0, 6.0, (2 * chunk + 1, 2))
+        whole = total_kick_magnitude(projections, atoms, 10.0, pts)
+        parts = [total_kick_magnitude(projections, atoms, 10.0, pts[lo:lo + chunk])
+                 for lo in (0, chunk, 2 * chunk)]
+        assert np.array_equal(whole, np.concatenate(parts))
+
+    def test_one_profile_per_distinct_atom(self, hfs_table, make_system):
+        # The profile does not depend on v: three energies of CO build two.
+        co = MoleculeGeometry.diatomic(hfs_table[6], hfs_table[8], 2.13)
+        kick_profile.cache_clear()
+        for energy in (10.0, 100.0, 1000.0):
+            cross_section_fixed(make_system(1, energy, co), 0.7, rel_tol=1e-2)
+        info = kick_profile.cache_info()
+        assert (info.misses, info.currsize) == (2, 2)
+        assert info.hits > 0
+
+    def test_import_builds_no_profile(self):
+        code = ("import molstrip.cli; from molstrip.transfer import kick_profile; "
+                "print(kick_profile.cache_info().currsize)")
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "0"
+
+    def test_sign_changing_fit_rejected(self):
+        # Sum A = 1 and alpha > 0 pass HfsAtom, but the kick turns negative.
+        atom = HfsAtom(Z=7.0, A=(-0.5, 1.5, 0.0), alpha=(1.0, 3.0, 1.0))
+        assert kick_magnitude(atom, 10.0, np.array([1.0]))[0] < 0.0
+        with pytest.raises(ValueError, match="Z=7 "):
+            kick_profile(atom)
 
 
 class TestGradientRelation:

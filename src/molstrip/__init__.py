@@ -39,12 +39,7 @@ from .form_factor import (
 )
 from .kinematics import CollisionParams, validate_regime, velocity_from_energy
 from .special_functions import bessel_k0, bessel_k1
-from .transfer import (
-    MomentumTransfer,
-    eikonal_phase_single,
-    momentum_transfer_single,
-    total_momentum_transfer,
-)
+from .transfer import eikonal_phase_single, kick_magnitude, total_kick_magnitude
 
 __all__ = [
     "__version__",
@@ -56,7 +51,6 @@ __all__ = [
     "HfsTableError",
     "IonizationTable",
     "MoleculeGeometry",
-    "MomentumTransfer",
     "Orientation",
     "OrientationScan",
     "ProjectileSpec",
@@ -71,12 +65,12 @@ __all__ = [
     "elastic_form_factor",
     "eikonal_phase_single",
     "ionization_probability",
+    "kick_magnitude",
     "load_hfs_table",
-    "momentum_transfer_single",
     "orientation_average",
     "phi_invariance_check",
     "screening_function",
-    "total_momentum_transfer",
+    "total_kick_magnitude",
     "transverse_positions",
     "validate_regime",
     "velocity_from_energy",

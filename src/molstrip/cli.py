@@ -5,7 +5,9 @@ digits), and echo the config into the output header so every file is
 self-describing and byte-reproducible for a fixed config.
 
 Exit codes: 0 success (regime warnings allowed), 2 config error,
-3 numerical non-convergence or a failed azimuthal-invariance check.
+3 numerical non-convergence, a failed azimuthal-invariance check or a
+perpendicular cross section of zero (delta and the average's correction
+divide by it).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 from . import __version__, cross_section
 from .atomic_data import HfsAtom, HfsTableError, MoleculeGeometry, builtin_hfs_table, load_hfs_table
 from .cross_section import AU_TO_CM2, CollisionSystem, delta_scan, orientation_average
-from .form_factor import TABLE_LIMITS, ProjectileSpec, build_ionization_table
+from .form_factor import TABLE_LIMITS, ProjectileSpec, build_ionization_table, check_table_params
 from .kinematics import validate_regime, velocity_from_energy
 from .quadrature import QuadratureError
 from .transfer import kick_profile
@@ -196,8 +198,13 @@ def _parse_table(spec) -> dict:
     if not isinstance(spec, dict):
         raise ConfigError("table: expected an object")
     _check_keys(spec, TABLE_LIMITS, "table.")
-    return {key: _number(f"table.{key}", spec.get(key, default), kind, minimum)
-            for key, (kind, default, minimum) in TABLE_LIMITS.items()}
+    params = {key: _number(f"table.{key}", spec.get(key, default), kind, minimum)
+              for key, (kind, default, minimum) in TABLE_LIMITS.items()}
+    try:
+        check_table_params(**params)
+    except ValueError as exc:
+        raise ConfigError(f"table.{exc}") from exc
+    return params
 
 
 def _path(name: str, value) -> str | None:
@@ -306,6 +313,7 @@ def cmd_average(config: RunConfig, out) -> None:
     for system in systems:
         lines += _energy_lines(system)
         perp = cross_section.cross_section_fixed(system, math.pi / 2, rel_tol=config.tolerance)
+        cross_section.check_perpendicular(system, perp, "relative_correction")
         avg = orientation_average(system, rel_tol=config.tolerance)
         for r_avg, r_perp in zip(avg, perp):
             ratio = r_avg.sigma_au / r_perp.sigma_au
@@ -397,6 +405,9 @@ def main(argv=None) -> int:
         return command(config, sys.stdout) or 0
     except QuadratureError as exc:
         print(f"numerical non-convergence: {exc}", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
+    except cross_section.DegenerateSystemError as exc:
+        print(exc, file=sys.stderr)
         return EXIT_NO_CONVERGENCE
 
 

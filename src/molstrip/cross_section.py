@@ -35,6 +35,8 @@ __all__ = [
     "CrossSectionResult",
     "OrientationScan",
     "CollisionSystem",
+    "DegenerateSystemError",
+    "check_perpendicular",
     "cross_section_fixed",
     "delta_scan",
     "orientation_average",
@@ -86,6 +88,20 @@ class CollisionSystem:
     @property
     def velocity(self) -> float:
         return self.params.velocity_au
+
+
+class DegenerateSystemError(ValueError):
+    """A channel's sigma at theta = pi/2 is zero, so a ratio to it is undefined."""
+
+
+def check_perpendicular(system: CollisionSystem, perp, quantity: str) -> None:
+    """Raise DegenerateSystemError, naming the energy and the channel, when a
+    sigma in ``perp`` (theta = pi/2) is not positive; ``quantity`` divides by it."""
+    for r in perp:
+        if not r.sigma_au > 0:
+            raise DegenerateSystemError(
+                f"degenerate system: sigma^{r.m}+ at theta = pi/2 vanishes at "
+                f"{system.params.energy_mev_u:.9g} MeV/u, so {quantity} is undefined")
 
 
 def _binomial_channels(p: np.ndarray, n: int) -> np.ndarray:
@@ -225,9 +241,8 @@ def delta_scan(
         raise ValueError("theta grid must lie within [0, pi/2]")
 
     perp = cross_section_fixed(system, math.pi / 2, rel_tol=rel_tol)
+    check_perpendicular(system, perp, "delta")
     sigma_perp = np.array([r.sigma_au for r in perp])
-    if np.any(sigma_perp <= 0):
-        raise ValueError("perpendicular cross section vanishes; degenerate system")
 
     at_perp = np.isclose(theta_grid, math.pi / 2)
     results = [perp if is_perp else cross_section_fixed(system, float(th), rel_tol=rel_tol)

@@ -38,6 +38,7 @@ __all__ = [
     "bound_survival_probability",
     "ionization_probability",
     "build_ionization_table",
+    "check_table_params",
 ]
 
 DEFAULT_N_MAX = 20
@@ -48,6 +49,10 @@ TABLE_LIMITS = {
     "n_points": (int, 400, 200),
     "n_max": (int, DEFAULT_N_MAX, 10),
 }
+# The coarsest grid step s_max / (n_points - 1): that of the smallest grid the
+# minimums allow.  Past it W_ion's error grows unseen (s_max 100 at 400 points
+# moves a sigma by 10 %) while quad_error, which sees only the b-plane sum, stays small.
+MAX_TABLE_STEP = TABLE_LIMITS["s_max"][2] / (TABLE_LIMITS["n_points"][2] - 1)
 
 
 @dataclass(frozen=True)
@@ -267,16 +272,26 @@ class IonizationTable:
         return float(out[0]) if scalar else out
 
 
+def check_table_params(s_max: float, n_points: int, n_max: int) -> None:
+    """Raise ValueError, led by the parameter's name, for a table outside
+    TABLE_LIMITS or with a grid step coarser than MAX_TABLE_STEP."""
+    for name, value in (("s_max", s_max), ("n_points", n_points), ("n_max", n_max)):
+        minimum = TABLE_LIMITS[name][2]
+        if value < minimum:
+            raise ValueError(f"{name} must be >= {minimum:g}, got {value}")
+    step = s_max / (n_points - 1)
+    if step > MAX_TABLE_STEP:
+        raise ValueError(f"s_max / (n_points - 1) = {step:.4g} must be <= {MAX_TABLE_STEP:.4g}: "
+                         "W_ion is not accurate on a coarser grid; raise n_points or lower s_max")
+
+
 def build_ionization_table(
     s_max: float = TABLE_LIMITS["s_max"][1],
     n_points: int = TABLE_LIMITS["n_points"][1],
     n_max: int = TABLE_LIMITS["n_max"][1],
 ) -> IonizationTable:
     """Tabulate W_ion on a uniform grid [0, s_max] for hot-loop interpolation."""
-    for name, value in (("s_max", s_max), ("n_points", n_points), ("n_max", n_max)):
-        minimum = TABLE_LIMITS[name][2]
-        if value < minimum:
-            raise ValueError(f"{name} must be >= {minimum:g}, got {value}")
+    check_table_params(s_max, n_points, n_max)
     s_grid = np.linspace(0.0, s_max, n_points)
     w = np.clip(1.0 - _survival_batch(s_grid, n_max), 0.0, 1.0)
     # Rounding in the shell sum must not break the monotone invariant.

@@ -12,8 +12,9 @@ which is minus the gradient of the per-electron eikonal phase
 The total kick at impact parameter b is the vector sum over atoms evaluated
 at the per-atom impact parameters b - s_m (s_m = transverse atom positions).
 chi is exposed as a diagnostic only; the cross-section path uses the kicks.
-``total_kick_magnitude`` reads |q_m| / b from one table per atom; the direct
-sum ``kick_magnitude`` builds and judges it (5e-12 relative) and serves beyond.
+``total_kick_magnitude`` reads |q_m| / b from one table per atom, which
+``kick_profile`` builds from its own K0 and K1 sums; the direct sum
+``kick_magnitude`` judges the table (5e-12 relative) and serves beyond its end.
 """
 
 from __future__ import annotations
@@ -28,32 +29,18 @@ from .atomic_data import HfsAtom
 from .special_functions import bessel_k0, bessel_k1
 
 __all__ = [
-    "MomentumTransfer",
     "eikonal_phase_single",
-    "momentum_transfer_single",
-    "total_momentum_transfer",
     "kick_magnitude",
     "kick_profile",
     "total_kick_magnitude",
 ]
 
 # Quadrature nodes must stay outside this radius of any atom projection; the
-# vectorized field clamps there (W_ion saturates at 1 well before).
+# kick clamps there (W_ion saturates at 1 well before).
 MIN_IMPACT_RADIUS = 1e-6
 
 PROFILE_NODES = 1000
 _CHUNK = 8192       # points per pass of total_kick_magnitude: bounds its temporaries
-
-
-@dataclass(frozen=True)
-class MomentumTransfer:
-    """Transverse momentum kick (a.u.) in the impact-parameter plane."""
-
-    vector: tuple[float, float]
-
-    @property
-    def magnitude(self) -> float:
-        return math.hypot(*self.vector)
 
 
 def _check_positive(value: float, name: str) -> None:
@@ -67,28 +54,6 @@ def eikonal_phase_single(atom: HfsAtom, v: float, b: float) -> float:
     _check_positive(b, "impact parameter")
     acc = sum(a * k for a, k in zip(atom.A, bessel_k0(np.multiply(atom.alpha, b))))
     return float(2.0 * atom.Z / v * acc)
-
-
-def momentum_transfer_single(atom: HfsAtom, v: float, b) -> MomentumTransfer:
-    """Kick q_m(b) from one atom; directed along b, magnitude ~ K1 sum."""
-    _check_positive(v, "velocity")
-    bx, by = float(b[0]), float(b[1])
-    r = math.hypot(bx, by)
-    _check_positive(r, "impact parameter magnitude")
-    k1 = bessel_k1(np.multiply(atom.alpha, r))
-    mag = 2.0 * atom.Z / v * sum(al * a * k for a, al, k in zip(atom.A, atom.alpha, k1))
-    return MomentumTransfer(vector=(mag * bx / r, mag * by / r))
-
-
-def total_momentum_transfer(projections, atoms, v: float, b) -> MomentumTransfer:
-    """Vector sum of per-atom kicks at b_m = b - s_m."""
-    qx = qy = 0.0
-    b = np.asarray(b, dtype=float)
-    for s_m, atom in zip(np.asarray(projections, dtype=float), atoms):
-        q = momentum_transfer_single(atom, v, b - s_m)
-        qx += q.vector[0]
-        qy += q.vector[1]
-    return MomentumTransfer(vector=(qx, qy))
 
 
 def kick_magnitude(atom: HfsAtom, v: float, r: np.ndarray) -> np.ndarray:

@@ -1,5 +1,8 @@
 """Shared fixtures: atoms, geometries, the W_ion table, collision systems."""
 
+import os
+from pathlib import Path
+
 import pytest
 
 from molstrip.atomic_data import HfsAtom, MoleculeGeometry, builtin_hfs_table
@@ -8,6 +11,16 @@ from molstrip.form_factor import ProjectileSpec, build_ionization_table
 from molstrip.kinematics import velocity_from_energy
 
 N2_BOND_LENGTH = 2.07
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.fixture(scope="session")
+def child_env():
+    """Environment for a child Python: this checkout's src leads PYTHONPATH, so
+    the child imports the molstrip under test, whatever else is installed."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 @pytest.fixture(scope="session")

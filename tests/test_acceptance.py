@@ -20,7 +20,7 @@ from molstrip.cross_section import (
 )
 from molstrip.form_factor import elastic_form_factor, ionization_probability
 from molstrip.special_functions import bessel_k0, bessel_k1
-from molstrip.transfer import eikonal_phase_single, momentum_transfer_single
+from molstrip.transfer import eikonal_phase_single, total_kick_magnitude
 from molstrip.verification import (
     bessel_reference,
     continuum_ionization_oracle,
@@ -141,7 +141,7 @@ def test_criterion_5_structural_invariants(nitrogen, make_system, ionization_tab
             eikonal_phase_single(nitrogen, 10.0, r + h)
             - eikonal_phase_single(nitrogen, 10.0, r - h)
         ) / (2 * h)
-        kick = momentum_transfer_single(nitrogen, 10.0, (r, 0.0)).vector[0]
+        kick = total_kick_magnitude([(0.0, 0.0)], [nitrogen], 10.0, np.array([[r, 0.0]]))[0]
         if abs(-grad / kick - 1.0) > 1e-5:
             failures.append(f"gradient relation fails at b={r:.3f}")
 

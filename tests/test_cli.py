@@ -168,7 +168,7 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "overrides,field",
         [({"table": {"s_max": 10}}, "table.s_max"), ({"tolerence": 1e-3}, "tolerence"),
-         ({"units": "cm2"}, "units")],
+         ({"units": "cm2"}, "units"), ({"table": {"s_max": 100}}, "table.s_max")],
     )
     def test_table_config_error(self, config_path, capsys, overrides, field):
         assert run_cli(["table", "--config", config_path(overrides)]) == EXIT_CONFIG_ERROR
@@ -193,6 +193,18 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == ""
         assert re.search(r"hfs_table: .*Z=7 ", err)
+
+    @pytest.mark.parametrize("command,quantity", [("scan-theta", "delta"),
+                                                  ("average", "relative_correction")])
+    def test_vanishing_perpendicular_sigma(self, config_path, capsys, command, quantity):
+        # Z_eff = 1e200 scales every kick to s ~ 1e-200, so p and each sigma are 0.
+        cfg = config_path({"projectile": {"Z": 26, "N_P": 2, "Z_eff": 1e200},
+                           "energies_mev_u": [100.0]})
+        assert run_cli([command, "--config", cfg]) == EXIT_NO_CONVERGENCE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"degenerate system: sigma^1+ at theta = pi/2 vanishes at 100 MeV/u, "
+                       f"so {quantity} is undefined\n")
 
     def test_flag_overrides_are_validated(self, config_path, capsys):
         code = run_cli(["table", "--config", config_path(), "--tolerance", "0.9"])
@@ -321,20 +333,21 @@ class TestDeterminism:
 
 
 class TestEntryPoint:
-    def test_module_invocation(self, config_path):
+    def test_module_invocation(self, config_path, child_env):
         result = subprocess.run(
             [sys.executable, "-m", "molstrip.cli", "table", "--config", config_path()],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=child_env,
         )
         assert result.returncode == 0
         assert "s,w_ion" in result.stdout
 
-    def test_import_leaves_out_scipy_interpolate(self):
+    def test_import_leaves_out_scipy_interpolate(self, child_env):
         # scipy.interpolate (and the scipy.optimize it loads) cost about 0.3 s
         # of start-up; the CLI needs only numpy and scipy.special.
         code = ("import sys, molstrip.cli; "
                 "print(sorted(m for m in sys.modules if m.startswith("
                 "('scipy.interpolate', 'scipy.optimize'))))")
-        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                env=child_env)
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"

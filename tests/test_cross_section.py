@@ -101,6 +101,17 @@ class TestFixedOrientation:
             3.0 * (parallel.quad_error + fused.quad_error)
         )
 
+    @pytest.mark.parametrize("energy", [10.0, 1000.0])
+    @pytest.mark.parametrize("theta", [0.0, 0.7, math.pi / 2], ids=["0", "0.7", "pi/2"])
+    def test_quadrant_matches_full_plane(self, make_system, energy, theta):
+        # Every scan takes the quadrant path; the full plane at the same
+        # (theta, phi = 0) judges it, channel by channel.
+        system = make_system(3, energy)
+        quadrant = cross_section_fixed(system, theta, rel_tol=1e-3)
+        full = cross_section_fixed(system, theta, rel_tol=1e-3, use_symmetry=False)
+        for q, f in zip(quadrant, full):
+            assert abs(q.sigma_au - f.sigma_au) <= 3.0 * (q.quad_error + f.quad_error), q.m
+
     def test_theta_reflection_symmetry(self, make_system):
         system = make_system(1, 10.0)
         fwd = cross_section_fixed(system, 2.0, rel_tol=1e-3)[0]

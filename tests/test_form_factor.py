@@ -8,6 +8,7 @@ from scipy import integrate
 from scipy import special as sp
 
 from molstrip.form_factor import (
+    MAX_TABLE_STEP,
     IonizationTable,
     ProjectileSpec,
     _shell_probabilities,
@@ -175,6 +176,12 @@ class TestIonizationTable:
             build_ionization_table(n_points=100)
         with pytest.raises(ValueError):
             build_ionization_table(n_max=5)
+        # The step cap: s_max 100 at 400 points moved sigma^1+ of Fe25+ on N2 by 10 %.
+        assert MAX_TABLE_STEP == 20.0 / 199
+        with pytest.raises(ValueError, match=r"s_max / \(n_points - 1\) = 0.2506"):
+            build_ionization_table(s_max=100.0)
+        for s_max, n_points in ((20.0, 200), (40.0, 1000)):
+            assert build_ionization_table(s_max, n_points, 10).s_max == s_max
 
     def test_zero_and_bounds(self, ionization_table):
         assert ionization_table(0.0) == 0.0

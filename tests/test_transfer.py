@@ -19,9 +19,7 @@ from molstrip.transfer import (
     eikonal_phase_single,
     kick_magnitude,
     kick_profile,
-    momentum_transfer_single,
     total_kick_magnitude,
-    total_momentum_transfer,
 )
 
 
@@ -62,32 +60,21 @@ class TestEikonalPhase:
         assert offsets[2] == pytest.approx(offsets[1], abs=1e-5)
 
 
-class TestSingleAtomKick:
-    def test_directed_along_b(self, nitrogen):
-        q = momentum_transfer_single(nitrogen, 10.0, (0.3, 0.4))
-        ratio = q.vector[1] / q.vector[0]
-        assert ratio == pytest.approx(0.4 / 0.3, rel=1e-12)
+def _single_atom_kick(atom, v, points):
+    return total_kick_magnitude([(0.0, 0.0)], [atom], v, np.asarray(points, dtype=float))
 
+
+class TestSingleAtomKick:
     def test_unscreened_coulomb_limit(self, nitrogen):
-        # K1(z) -> 1/z and sum A_i = 1 give |q| -> 2Z/(v b).
-        v, b = 10.0, 1e-7
-        q = momentum_transfer_single(nitrogen, v, (b, 0.0))
-        assert q.magnitude * b == pytest.approx(2.0 * nitrogen.Z / v, rel=1e-5)
+        # K1(z) -> 1/z and sum A_i = 1 give |q| -> 2Z/(v b); b stays above the
+        # MIN_IMPACT_RADIUS clamp.
+        v, b = 10.0, 1e-5
+        q = _single_atom_kick(nitrogen, v, [[b, 0.0]])[0]
+        assert q * b == pytest.approx(2.0 * nitrogen.Z / v, rel=1e-5)
 
     def test_exponential_decay(self, nitrogen):
-        q40 = momentum_transfer_single(nitrogen, 10.0, (40.0, 0.0)).magnitude
-        q50 = momentum_transfer_single(nitrogen, 10.0, (50.0, 0.0)).magnitude
+        q40, q50 = _single_atom_kick(nitrogen, 10.0, [[40.0, 0.0], [50.0, 0.0]])
         assert q50 < q40 * math.exp(-5.0)
-
-    def test_odd_under_reflection(self, nitrogen):
-        q_pos = momentum_transfer_single(nitrogen, 10.0, (0.8, -0.5))
-        q_neg = momentum_transfer_single(nitrogen, 10.0, (-0.8, 0.5))
-        assert q_neg.vector[0] == pytest.approx(-q_pos.vector[0], rel=1e-12)
-        assert q_neg.vector[1] == pytest.approx(-q_pos.vector[1], rel=1e-12)
-
-    def test_zero_b_rejected(self, nitrogen):
-        with pytest.raises(ValueError):
-            momentum_transfer_single(nitrogen, 10.0, (0.0, 0.0))
 
 
 class TestKickMagnitude:
@@ -138,39 +125,42 @@ class TestHydrogenRow:
         assert rel.max() <= 2e-3      # 1.3e-3 measured
 
 
+def _direct_total_kick(projections, atoms, v, b):
+    """|sum_m q_m(b - s_m)| from the direct sum, each kick along b - s_m."""
+    q = np.zeros(2)
+    for s_m, atom in zip(np.asarray(projections, dtype=float), atoms):
+        d = np.asarray(b, dtype=float) - s_m
+        r = math.hypot(*d)
+        q += kick_magnitude(atom, v, r) * d / r
+    return math.hypot(*q)
+
+
 class TestTotalKick:
+    PAIR = [(1.0, 0.0), (-1.0, 0.0)]
+
     def test_coincident_projections_double_the_kick(self, nitrogen):
-        b = (1.3, 0.2)
-        single = momentum_transfer_single(nitrogen, 10.0, b)
-        total = total_momentum_transfer(
-            [(0.0, 0.0), (0.0, 0.0)], [nitrogen, nitrogen], 10.0, b
-        )
-        assert total.vector[0] == pytest.approx(2.0 * single.vector[0], rel=1e-12)
-        assert total.vector[1] == pytest.approx(2.0 * single.vector[1], rel=1e-12)
+        b = [[1.3, 0.2]]
+        single = _single_atom_kick(nitrogen, 10.0, b)[0]
+        total = total_kick_magnitude([(0.0, 0.0), (0.0, 0.0)], [nitrogen, nitrogen], 10.0,
+                                     np.array(b))[0]
+        assert total == pytest.approx(2.0 * single, rel=1e-12)
 
     def test_bisector_symmetry(self, nitrogen):
-        # Projections at +-(1, 0); on the y axis (their perpendicular
-        # bisector) the x components cancel.
-        q = total_momentum_transfer(
-            [(1.0, 0.0), (-1.0, 0.0)], [nitrogen, nitrogen], 10.0, (0.0, 2.0)
-        )
-        assert q.vector[0] == pytest.approx(0.0, abs=1e-14)
-        assert q.vector[1] > 0.0
-
-    def test_single_atom_reduces(self, nitrogen):
-        b = (0.4, 0.9)
-        total = total_momentum_transfer([(0.0, 0.0)], [nitrogen], 10.0, b)
-        single = momentum_transfer_single(nitrogen, 10.0, b)
-        assert total.vector == pytest.approx(single.vector, rel=1e-14)
+        # On the y axis, the perpendicular bisector of (+-1, 0), the x components
+        # of the two kicks cancel and the y components add: |Q| = 2 |q(r)| |y| / r.
+        y = np.array([-3.0, 0.25, 0.5, 2.0, 7.0])
+        r = np.hypot(1.0, y)
+        q = total_kick_magnitude(self.PAIR, [nitrogen, nitrogen], 10.0,
+                                 np.column_stack([np.zeros_like(y), y]))
+        expected = 2.0 * kick_magnitude(nitrogen, 10.0, r) * np.abs(y) / r
+        assert q == pytest.approx(expected, rel=1e-12)
 
     def test_point_reflection_equivariance(self, nitrogen):
         projections = [(1.035, 0.0), (-1.035, 0.0)]
-        atoms = [nitrogen, nitrogen]
-        for b in [(0.3, 0.8), (-1.4, 0.2), (2.0, -2.0)]:
-            q = total_momentum_transfer(projections, atoms, 10.0, b)
-            q_neg = total_momentum_transfer(projections, atoms, 10.0, (-b[0], -b[1]))
-            assert q_neg.vector[0] == pytest.approx(-q.vector[0], rel=1e-12)
-            assert q_neg.vector[1] == pytest.approx(-q.vector[1], rel=1e-12)
+        b = np.array([(0.3, 0.8), (-1.4, 0.2), (2.0, -2.0)])
+        q = total_kick_magnitude(projections, [nitrogen, nitrogen], 10.0, b)
+        q_neg = total_kick_magnitude(projections, [nitrogen, nitrogen], 10.0, -b)
+        assert q_neg == pytest.approx(q, rel=1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -178,30 +168,27 @@ class TestTotalKick:
         st.floats(min_value=-5.0, max_value=5.0),
     )
     def test_triangle_inequality(self, nitrogen, bx, by):
-        projections = [(1.0, 0.0), (-1.0, 0.0)]
-        b = (bx, by)
-        if any(math.hypot(bx - sx, by - sy) < 1e-3 for sx, sy in projections):
+        if any(math.hypot(bx - sx, by - sy) < 1e-3 for sx, sy in self.PAIR):
             return
-        total = total_momentum_transfer(projections, [nitrogen, nitrogen], 10.0, b)
-        parts = sum(
-            momentum_transfer_single(nitrogen, 10.0, (bx - sx, by - sy)).magnitude
-            for sx, sy in projections
-        )
-        assert total.magnitude <= parts * (1.0 + 1e-12)
+        total = total_kick_magnitude(self.PAIR, [nitrogen, nitrogen], 10.0,
+                                     np.array([[bx, by]]))[0]
+        r = np.array([math.hypot(bx - sx, by - sy) for sx, sy in self.PAIR])
+        parts = kick_magnitude(nitrogen, 10.0, r).sum()
+        assert total <= parts * (1.0 + 1e-12)
 
-    def test_vectorized_magnitude_matches_scalar(self, nitrogen):
-        projections = [(1.035, 0.0), (-1.035, 0.0)]
-        atoms = [nitrogen, nitrogen]
+    def test_vectorized_magnitude_matches_scalar(self, nitrogen, hfs_table):
+        # The reference sums the direct kicks q_m (b - s_m) / |b - s_m| point by
+        # point.  The second, off-axis pair of unlike atoms also tests the y
+        # offsets, which vanish for the canonical pair.
+        cases = [([(1.035, 0.0), (-1.035, 0.0)], [nitrogen, nitrogen]),
+                 ([(0.6, -0.8), (-0.3, 0.5)], [hfs_table[6], hfs_table[8]])]
         rng = np.random.default_rng(9)
-        pts = rng.uniform(-4.0, 4.0, (50, 2))
-        fast = total_kick_magnitude(projections, atoms, 10.0, pts)
-        for i, b in enumerate(pts):
-            slow = total_momentum_transfer(projections, atoms, 10.0, b).magnitude
-            assert fast[i] == pytest.approx(slow, rel=1e-12)
-
-
-def _single_atom_kick(atom, v, points):
-    return total_kick_magnitude([(0.0, 0.0)], [atom], v, np.asarray(points, dtype=float))
+        for projections, atoms in cases:
+            pts = rng.uniform(-4.0, 4.0, (50, 2))
+            fast = total_kick_magnitude(projections, atoms, 10.0, pts)
+            for i, b in enumerate(pts):
+                slow = _direct_total_kick(projections, atoms, 10.0, b)
+                assert fast[i] == pytest.approx(slow, rel=1e-12)
 
 
 class TestKickProfile:
@@ -279,10 +266,11 @@ class TestKickProfile:
         assert (info.misses, info.currsize) == (2, 2)
         assert info.hits > 0
 
-    def test_import_builds_no_profile(self):
+    def test_import_builds_no_profile(self, child_env):
         code = ("import molstrip.cli; from molstrip.transfer import kick_profile; "
                 "print(kick_profile.cache_info().currsize)")
-        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                env=child_env)
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "0"
 
@@ -296,13 +284,16 @@ class TestKickProfile:
 
 class TestGradientRelation:
     def test_kick_is_minus_grad_phase(self, nitrogen):
+        # The production kick of one atom at the origin is the radial part of
+        # -grad chi, taken by central differences along x and y.
         rng = np.random.default_rng(7)
         v = 12.5
-        for _ in range(100):
-            r = rng.uniform(0.05, 10.0)
-            ang = rng.uniform(0.0, 2.0 * math.pi)
-            bx, by = r * math.cos(ang), r * math.sin(ang)
-            h = 1e-5 * r
+        r = rng.uniform(0.05, 10.0, 100)
+        ang = rng.uniform(0.0, 2.0 * math.pi, 100)
+        points = np.column_stack([r * np.cos(ang), r * np.sin(ang)])
+        kicks = _single_atom_kick(nitrogen, v, points)
+        for (bx, by), rad, q in zip(points, r, kicks):
+            h = 1e-5 * rad
             gx = (
                 eikonal_phase_single(nitrogen, v, math.hypot(bx + h, by))
                 - eikonal_phase_single(nitrogen, v, math.hypot(bx - h, by))
@@ -311,6 +302,5 @@ class TestGradientRelation:
                 eikonal_phase_single(nitrogen, v, math.hypot(bx, by + h))
                 - eikonal_phase_single(nitrogen, v, math.hypot(bx, by - h))
             ) / (2 * h)
-            q = momentum_transfer_single(nitrogen, v, (bx, by))
-            assert -gx == pytest.approx(q.vector[0], rel=1e-5, abs=1e-12)
-            assert -gy == pytest.approx(q.vector[1], rel=1e-5, abs=1e-12)
+            assert -gx == pytest.approx(q * bx / rad, rel=1e-5, abs=1e-12)
+            assert -gy == pytest.approx(q * by / rad, rel=1e-5, abs=1e-12)

@@ -4,15 +4,16 @@ All commands read a JSON config, write `#`-commented CSV (9 significant
 digits), and echo the config into the output header so every file is
 self-describing and byte-reproducible for a fixed config.
 
-Exit codes: 0 success (regime warnings allowed), 2 config error,
-3 numerical non-convergence, a failed azimuthal-invariance check or a
-perpendicular cross section of zero (delta and the average's correction
-divide by it).
+Exit codes: 0 success (regime warnings allowed), 2 config error or an
+unwritable output path, 3 numerical non-convergence, a failed
+azimuthal-invariance check or a perpendicular cross section of zero (delta
+and the average's correction divide by it).
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import sys
@@ -397,18 +398,31 @@ def main(argv=None) -> int:
         "validate": cmd_validate,
     }[args.command]
 
-    out_path = args.out or config.output
+    # The command writes into a buffer, so a failed run leaves an existing
+    # output file as it was.
+    buf = io.StringIO()
     try:
-        if out_path:
-            with open(out_path, "w") as fh:
-                return command(config, fh) or 0
-        return command(config, sys.stdout) or 0
+        status = command(config, buf) or 0
     except QuadratureError as exc:
         print(f"numerical non-convergence: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     except cross_section.DegenerateSystemError as exc:
         print(exc, file=sys.stderr)
         return EXIT_NO_CONVERGENCE
+
+    out_path = args.out or config.output
+    if not out_path:
+        sys.stdout.write(buf.getvalue())
+        return status
+    try:
+        with open(out_path, "w") as fh:
+            fh.write(buf.getvalue())
+    except OSError as exc:
+        field = "--out" if args.out else "output"
+        print(f"config error: {field}: cannot write {out_path!r}: {exc.strerror}",
+              file=sys.stderr)
+        return EXIT_CONFIG_ERROR
+    return status
 
 
 if __name__ == "__main__":

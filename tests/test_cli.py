@@ -206,6 +206,29 @@ class TestExitCodes:
         assert err == (f"degenerate system: sigma^1+ at theta = pi/2 vanishes at 100 MeV/u, "
                        f"so {quantity} is undefined\n")
 
+    def test_failed_run_keeps_existing_output(self, config_path, tmp_path, capsys):
+        out = tmp_path / "keep.csv"
+        out.write_bytes(b"good")
+        cfg = config_path({"projectile": {"Z": 26, "N_P": 2, "Z_eff": 1e200},
+                           "energies_mev_u": [100.0]})
+        code = run_cli(["scan-theta", "--config", cfg, "--out", str(out)])
+        assert code == EXIT_NO_CONVERGENCE
+        capsys.readouterr()
+        assert out.read_bytes() == b"good"
+
+    @pytest.mark.parametrize("field", ["--out", "output"])
+    def test_unwritable_output_path(self, config_path, tmp_path, capsys, field):
+        target = str(tmp_path / "no" / "such" / "dir" / "x.csv")
+        if field == "--out":
+            args = ["table", "--config", config_path(), "--out", target]
+        else:
+            args = ["table", "--config", config_path({"output": target})]
+        assert run_cli(args) == EXIT_CONFIG_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"config error: {field}: cannot write {target!r}: "
+                       "No such file or directory\n")
+
     def test_flag_overrides_are_validated(self, config_path, capsys):
         code = run_cli(["table", "--config", config_path(), "--tolerance", "0.9"])
         assert code == EXIT_CONFIG_ERROR
@@ -293,7 +316,7 @@ class TestValidate:
         assert [b.count("azimuthal invariance") for b in report.split("\nenergy ")[1:]] == [1] * 3
         assert report.count("[pass] azimuthal invariance") == 3
 
-    def test_phi_dependent_sigma_exits_3(self, config_path, capsys, monkeypatch):
+    def test_phi_dependent_sigma_exits_3(self, config_path, tmp_path, capsys, monkeypatch):
         from molstrip import cross_section
 
         honest = cross_section.cross_section_fixed
@@ -307,6 +330,13 @@ class TestValidate:
         captured = capsys.readouterr()
         assert "[FAIL] azimuthal invariance" in captured.out
         assert "azimuthal invariance check failed at 10 MeV/u" in captured.err
+
+        # The failing report is still written to the output file.
+        out = tmp_path / "report.txt"
+        code = run_cli(["validate", "--config", config_path(), "--out", str(out)])
+        assert code == EXIT_NO_CONVERGENCE
+        assert "[FAIL] azimuthal invariance" in out.read_text()
+        assert capsys.readouterr().out == ""
 
 
 class TestShippedConfigs:
@@ -343,10 +373,12 @@ class TestEntryPoint:
 
     def test_import_leaves_out_scipy_interpolate(self, child_env):
         # scipy.interpolate (and the scipy.optimize it loads) cost about 0.3 s
-        # of start-up; the CLI needs only numpy and scipy.special.
+        # of start-up; the CLI needs only numpy and scipy.special.  The test
+        # oracles (scipy.integrate, mpmath, molstrip.verification) stay out too.
         code = ("import sys, molstrip.cli; "
                 "print(sorted(m for m in sys.modules if m.startswith("
-                "('scipy.interpolate', 'scipy.optimize'))))")
+                "('scipy.interpolate', 'scipy.optimize', 'scipy.integrate', 'mpmath', "
+                "'molstrip.verification'))))")
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                                 env=child_env)
         assert result.returncode == 0, result.stderr

@@ -96,7 +96,7 @@ class MoleculeGeometry:
         pos = np.asarray(self.positions, dtype=float)
         for i in range(len(pos)):
             for j in range(i + 1, len(pos)):
-                if np.linalg.norm(pos[i] - pos[j]) <= 0.0:
+                if np.array_equal(pos[i], pos[j]):
                     raise ValueError(f"atoms[{i}] and atoms[{j}] coincide")
 
     @classmethod
@@ -121,7 +121,7 @@ class MoleculeGeometry:
         best = 0.0
         for i in range(len(pos)):
             for j in range(i + 1, len(pos)):
-                best = max(best, float(np.linalg.norm(pos[i] - pos[j])))
+                best = max(best, math.dist(pos[i], pos[j]))
         return best
 
 

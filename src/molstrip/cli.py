@@ -13,9 +13,11 @@ and the average's correction divide by it).
 from __future__ import annotations
 
 import argparse
+import errno
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -31,6 +33,8 @@ from .transfer import kick_profile
 
 EXIT_CONFIG_ERROR = 2
 EXIT_NO_CONVERGENCE = 3
+
+MAX_THETA_POINTS = 10_000     # each point is a b-plane integral per energy
 
 PROJECTILE_PRESETS = {
     "Fe25+": (26.0, 1),
@@ -186,13 +190,16 @@ def _parse_theta_grid(spec) -> np.ndarray:
     if isinstance(spec, dict):
         _check_keys(spec, ("points",), "theta_grid.")
         n = _number("theta_grid.points", _get(spec, "points", 31), int, 1)
+        if n > MAX_THETA_POINTS:
+            raise ConfigError(f"theta_grid.points must be <= {MAX_THETA_POINTS}, got {n}")
         return np.linspace(0.0, math.pi / 2, n)
-    if not isinstance(spec, list) or not spec:
-        raise ConfigError("theta_grid: expected {\"points\": n} or a nonempty list of angles")
-    grid = np.array([_number("theta_grid", t, float, 0.0) for t in spec])
-    if np.any(grid > math.pi / 2 + 1e-12):
-        raise ConfigError("theta_grid: explicit angles must lie in [0, pi/2]")
-    return grid
+    if not isinstance(spec, list):
+        raise ConfigError("theta_grid: expected {\"points\": n} or a list of angles")
+    angles = [_number("theta_grid", t) for t in spec]
+    try:
+        return cross_section.check_theta_grid(angles)
+    except ValueError as exc:
+        raise ConfigError(f"theta_grid: {exc}") from exc
 
 
 def _parse_table(spec) -> dict:
@@ -200,7 +207,7 @@ def _parse_table(spec) -> dict:
         raise ConfigError("table: expected an object")
     _check_keys(spec, TABLE_LIMITS, "table.")
     params = {key: _number(f"table.{key}", spec.get(key, default), kind, minimum)
-              for key, (kind, default, minimum) in TABLE_LIMITS.items()}
+              for key, (kind, default, minimum, _) in TABLE_LIMITS.items()}
     try:
         check_table_params(**params)
     except ValueError as exc:
@@ -220,7 +227,7 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:     # bad JSON, or an integer past Python's 4300 digits
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config: expected a JSON object")
@@ -297,12 +304,10 @@ def cmd_scan_theta(config: RunConfig, out) -> None:
         for i, theta in enumerate(scan.theta_grid):
             for m in range(1, system.projectile.N_P + 1):
                 sigma = scan.sigma_au[i, m - 1]
-                lines.append(
-                    ",".join([
-                        _fmt(theta), str(m), _fmt(sigma), _fmt(sigma * AU_TO_CM2),
-                        _fmt(scan.quad_error[i, m - 1]), _fmt(scan.delta[i, m - 1]),
-                    ])
-                )
+                lines.append(",".join([
+                    _fmt(theta), str(m), _fmt(sigma), _fmt(sigma * AU_TO_CM2),
+                    _fmt(scan.quad_error[i, m - 1]), _fmt(scan.delta[i, m - 1]),
+                ]))
     out.write("\n".join(lines) + "\n")
 
 
@@ -313,16 +318,14 @@ def cmd_average(config: RunConfig, out) -> None:
                  "relative_correction_error,sigma_avg_cm2,sigma_perp_cm2")
     for system in systems:
         lines += _energy_lines(system)
-        perp = cross_section.cross_section_fixed(system, math.pi / 2, rel_tol=config.tolerance)
-        cross_section.check_perpendicular(system, perp, "relative_correction")
-        avg = orientation_average(system, rel_tol=config.tolerance)
-        for r_avg, r_perp in zip(avg, perp):
-            ratio = r_avg.sigma_au / r_perp.sigma_au
+        avg, scan = orientation_average(system, rel_tol=config.tolerance)
+        for r, perp, perp_err in zip(avg, scan.sigma_perp, scan.perp_error):
+            ratio = r.sigma_au / perp
             # First-order error of ratio - 1 from both quadrature errors.
-            rel_err = (r_avg.quad_error + ratio * r_perp.quad_error) / r_perp.sigma_au
+            rel_err = (r.quad_error + ratio * perp_err) / perp
             lines.append(",".join([
-                str(r_avg.m), _fmt(r_avg.sigma_au), _fmt(r_perp.sigma_au),
-                _fmt(ratio - 1.0), _fmt(rel_err), _fmt(r_avg.sigma_cm2), _fmt(r_perp.sigma_cm2),
+                str(r.m), _fmt(r.sigma_au), _fmt(perp), _fmt(ratio - 1.0), _fmt(rel_err),
+                _fmt(r.sigma_au * AU_TO_CM2), _fmt(perp * AU_TO_CM2),
             ]))
     out.write("\n".join(lines) + "\n")
 
@@ -383,6 +386,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _output_dir_error(path: str) -> str | None:
+    """Why the directory of ``path`` cannot take the output, or None; checked
+    before a run so that no scan is computed only to be lost.  Creates nothing."""
+    directory = os.path.dirname(path) or "."
+    if os.path.exists(path) or os.access(directory, os.W_OK | os.X_OK):
+        return None
+    return os.strerror(errno.EACCES if os.path.isdir(directory) else errno.ENOENT)
+
+
+def _cannot_write(field: str, path: str, reason: str) -> int:
+    print(f"config error: {field}: cannot write {path!r}: {reason}", file=sys.stderr)
+    return EXIT_CONFIG_ERROR
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -390,6 +407,11 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
+    out_path = args.out or config.output
+    field = "--out" if args.out else "output"
+    reason = out_path and _output_dir_error(out_path)
+    if reason:
+        return _cannot_write(field, out_path, reason)
 
     command = {
         "scan-theta": cmd_scan_theta,
@@ -410,7 +432,6 @@ def main(argv=None) -> int:
         print(exc, file=sys.stderr)
         return EXIT_NO_CONVERGENCE
 
-    out_path = args.out or config.output
     if not out_path:
         sys.stdout.write(buf.getvalue())
         return status
@@ -418,10 +439,7 @@ def main(argv=None) -> int:
         with open(out_path, "w") as fh:
             fh.write(buf.getvalue())
     except OSError as exc:
-        field = "--out" if args.out else "output"
-        print(f"config error: {field}: cannot write {out_path!r}: {exc.strerror}",
-              file=sys.stderr)
-        return EXIT_CONFIG_ERROR
+        return _cannot_write(field, out_path, exc.strerror)
     return status
 
 

@@ -28,7 +28,7 @@ from .atomic_data import MoleculeGeometry, Orientation, transverse_positions
 from .form_factor import IonizationTable, ProjectileSpec
 from .kinematics import CollisionParams, RegimeCheck
 from .quadrature import QuadratureError, integrate_b_plane
-from .transfer import total_kick_magnitude
+from .transfer import MIN_IMPACT_RADIUS, total_kick_magnitude
 
 __all__ = [
     "AU_TO_CM2",
@@ -36,7 +36,7 @@ __all__ = [
     "OrientationScan",
     "CollisionSystem",
     "DegenerateSystemError",
-    "check_perpendicular",
+    "check_theta_grid",
     "cross_section_fixed",
     "delta_scan",
     "orientation_average",
@@ -60,10 +60,6 @@ class CrossSectionResult:
     sigma_au: float
     quad_error: float
 
-    @property
-    def sigma_cm2(self) -> float:
-        return self.sigma_au * AU_TO_CM2
-
 
 @dataclass(frozen=True)
 class OrientationScan:
@@ -74,6 +70,7 @@ class OrientationScan:
     quad_error: np.ndarray        # (n_theta, N_P)
     delta: np.ndarray             # (n_theta, N_P)
     sigma_perp: np.ndarray        # (N_P,)
+    perp_error: np.ndarray        # (N_P,)
 
 
 @dataclass(frozen=True)
@@ -92,16 +89,6 @@ class CollisionSystem:
 
 class DegenerateSystemError(ValueError):
     """A channel's sigma at theta = pi/2 is zero, so a ratio to it is undefined."""
-
-
-def check_perpendicular(system: CollisionSystem, perp, quantity: str) -> None:
-    """Raise DegenerateSystemError, naming the energy and the channel, when a
-    sigma in ``perp`` (theta = pi/2) is not positive; ``quantity`` divides by it."""
-    for r in perp:
-        if not r.sigma_au > 0:
-            raise DegenerateSystemError(
-                f"degenerate system: sigma^{r.m}+ at theta = pi/2 vanishes at "
-                f"{system.params.energy_mev_u:.9g} MeV/u, so {quantity} is undefined")
 
 
 def _binomial_channels(p: np.ndarray, n: int) -> np.ndarray:
@@ -127,10 +114,14 @@ def _outer_cutoff(projections, field_fn) -> float:
     """Radius beyond which the integrand is below CUTOFF_FRACTION of its peak.
 
     Raises QuadratureError when the integrand is still above that fraction at
-    the last sample, 150 a.u. past the outermost atom.
+    the last sample, 150 a.u. past the outermost atom, or when the b-plane
+    coordinates there do not resolve MIN_IMPACT_RADIUS, where the kick is clamped.
     """
     projections = np.asarray(projections, dtype=float)
     outer = float(np.max(np.hypot(projections[:, 0], projections[:, 1])))
+    if np.spacing(outer + 150.0) > MIN_IMPACT_RADIUS:
+        raise QuadratureError(f"b-plane coordinates {outer:g} a.u. off the beam axis do not "
+                              f"resolve {MIN_IMPACT_RADIUS:g} a.u.", None, None, 0)
     direction = projections[np.argmax(np.hypot(projections[:, 0], projections[:, 1]))]
     norm = np.hypot(*direction)
     u = direction / norm if norm > 0 else np.array([1.0, 0.0])
@@ -185,13 +176,19 @@ def cross_section_fixed(
         projections, quadrant = _canonical_frame(geom, projections)
     field_fn = _channel_field(projections, geom.atoms, proj, system.velocity, system.table)
     b_max = _outer_cutoff(projections, field_fn)
+    # The integrand reaches b_max - outer past an atom.  An atom farther out lies in
+    # an initial cell too wide for any node to see it, so edges at +- reach frame it.
+    seeds = np.asarray(projections, dtype=float)
+    reach = b_max - float(np.max(np.hypot(seeds[:, 0], seeds[:, 1])))
+    if b_max > 2.0 * reach:
+        seeds = np.concatenate([seeds, seeds - reach, seeds + reach])
     values, errors = integrate_b_plane(
         field_fn,
         half_width=b_max,
         rel_tol=rel_tol,
         quadrant=quadrant,
-        x_splits=np.asarray(projections)[:, 0],
-        y_splits=np.asarray(projections)[:, 1],
+        x_splits=seeds[:, 0],
+        y_splits=seeds[:, 1],
     )
     return [
         CrossSectionResult(m=m, sigma_au=float(values[m - 1]), quad_error=float(errors[m - 1]))
@@ -224,63 +221,59 @@ def phi_invariance_check(system: CollisionSystem, theta: float, rel_tol: float) 
     )
 
 
-def delta_scan(
-    system: CollisionSystem,
-    theta_grid,
-    rel_tol: float = 1e-3,
-) -> OrientationScan:
+def check_theta_grid(theta_grid) -> np.ndarray:
+    """``theta_grid`` as a float array; ValueError unless it is nonempty and
+    lies within [0, pi/2], allowing 1e-12 of rounding past pi/2."""
+    theta_grid = np.asarray(theta_grid, dtype=float)
+    if not (theta_grid.size and np.all((theta_grid >= 0) & (theta_grid <= math.pi / 2 + 1e-12))):
+        raise ValueError("theta grid must be nonempty and lie within [0, pi/2]")
+    return theta_grid
+
+
+def delta_scan(system: CollisionSystem, theta_grid, rel_tol: float = 1e-3) -> OrientationScan:
     """sigma(theta) and delta(theta) over a grid in [0, pi/2].
 
-    delta is measured against sigma at theta = pi/2, which is computed once;
-    a grid point at pi/2 reuses it, so delta(pi/2) is exactly zero.
+    delta is measured against sigma at theta = pi/2, computed once.  Raises
+    DegenerateSystemError, naming the energy and the channel, when a channel's
+    sigma at pi/2 is not positive.
     """
-    theta_grid = np.asarray(theta_grid, dtype=float)
-    if theta_grid.size == 0:
-        raise ValueError("theta grid must be nonempty")
-    if np.any(theta_grid < 0) or np.any(theta_grid > math.pi / 2 + 1e-12):
-        raise ValueError("theta grid must lie within [0, pi/2]")
-
+    theta_grid = check_theta_grid(theta_grid)
     perp = cross_section_fixed(system, math.pi / 2, rel_tol=rel_tol)
-    check_perpendicular(system, perp, "delta")
-    sigma_perp = np.array([r.sigma_au for r in perp])
+    for r in perp:
+        if not r.sigma_au > 0:
+            raise DegenerateSystemError(
+                f"degenerate system: sigma^{r.m}+ at theta = pi/2 vanishes at "
+                f"{system.params.energy_mev_u:.9g} MeV/u, so no ratio to it is defined")
 
-    at_perp = np.isclose(theta_grid, math.pi / 2)
-    results = [perp if is_perp else cross_section_fixed(system, float(th), rel_tol=rel_tol)
-               for th, is_perp in zip(theta_grid, at_perp)]
+    # Row 0 is sigma at pi/2; a grid point at pi/2 reuses it.
+    results = [perp] + [perp if np.isclose(th, math.pi / 2)
+                        else cross_section_fixed(system, float(th), rel_tol=rel_tol)
+                        for th in theta_grid]
     sigma = np.array([[r.sigma_au for r in res] for res in results])
     err = np.array([[r.quad_error for r in res] for res in results])
-    delta = sigma / sigma_perp[None, :] - 1.0
-    delta[at_perp] = 0.0
-
-    return OrientationScan(
-        theta_grid=theta_grid,
-        sigma_au=sigma,
-        quad_error=err,
-        delta=delta,
-        sigma_perp=sigma_perp,
-    )
+    return OrientationScan(theta_grid=theta_grid, sigma_au=sigma[1:], quad_error=err[1:],
+                           delta=sigma[1:] / sigma[0] - 1.0, sigma_perp=sigma[0],
+                           perp_error=err[0])
 
 
-def orientation_average(system: CollisionSystem, rel_tol: float = 1e-4) -> list[CrossSectionResult]:
+def orientation_average(
+    system: CollisionSystem, rel_tol: float = 1e-3,
+) -> tuple[list[CrossSectionResult], OrientationScan]:
     """Chaotic-orientation average: integral of sigma(theta) (1/2) sin(theta).
 
     Substituting c = cos(theta) and folding theta -> pi - theta reduces this
     to the plain mean of sigma over c in [0, 1], done by AVERAGE_NODES-point
-    Gauss-Legendre.
+    Gauss-Legendre through delta_scan, whose scan (with sigma at pi/2) is
+    returned beside the average.
     The reported error is the isotropic-weight sum of the per-node
     quadrature errors (the Gauss-Legendre truncation is spectrally small:
     sigma is analytic in c through its dependence on L^2 (1 - c^2)).
     """
     x, w = np.polynomial.legendre.leggauss(AVERAGE_NODES)
-    c = 0.5 * (x + 1.0)
-    w = 0.5 * w
-    thetas = np.arccos(c)
-    results = [cross_section_fixed(system, float(th), rel_tol=rel_tol) for th in thetas]
-    sigma = np.array([[r.sigma_au for r in res] for res in results])
-    err = np.array([[r.quad_error for r in res] for res in results])
-    avg = w @ sigma
-    avg_err = w @ err
+    scan = delta_scan(system, np.arccos(0.5 * (x + 1.0)), rel_tol=rel_tol)
+    avg = 0.5 * w @ scan.sigma_au
+    avg_err = 0.5 * w @ scan.quad_error
     return [
         CrossSectionResult(m=m + 1, sigma_au=float(avg[m]), quad_error=float(avg_err[m]))
         for m in range(system.projectile.N_P)
-    ]
+    ], scan

@@ -43,11 +43,12 @@ __all__ = [
 
 DEFAULT_N_MAX = 20
 
-# Parameters of build_ionization_table: name -> (type, default, minimum).
+# Parameters of build_ionization_table: name -> (type, default, minimum, maximum).
+# The maxima keep each (n_points, n_max) array of the build within 80 MB.
 TABLE_LIMITS = {
-    "s_max": (float, 20.0, 20.0),
-    "n_points": (int, 400, 200),
-    "n_max": (int, DEFAULT_N_MAX, 10),
+    "s_max": (float, 20.0, 20.0, np.inf),
+    "n_points": (int, 400, 200, 10_000),
+    "n_max": (int, DEFAULT_N_MAX, 10, 1_000),
 }
 # The coarsest grid step s_max / (n_points - 1): that of the smallest grid the
 # minimums allow.  Past it W_ion's error grows unseen (s_max 100 at 400 points
@@ -276,9 +277,9 @@ def check_table_params(s_max: float, n_points: int, n_max: int) -> None:
     """Raise ValueError, led by the parameter's name, for a table outside
     TABLE_LIMITS or with a grid step coarser than MAX_TABLE_STEP."""
     for name, value in (("s_max", s_max), ("n_points", n_points), ("n_max", n_max)):
-        minimum = TABLE_LIMITS[name][2]
-        if value < minimum:
-            raise ValueError(f"{name} must be >= {minimum:g}, got {value}")
+        minimum, maximum = TABLE_LIMITS[name][2:]
+        if not minimum <= value <= maximum:
+            raise ValueError(f"{name} must lie in [{minimum:g}, {maximum:g}], got {value}")
     step = s_max / (n_points - 1)
     if step > MAX_TABLE_STEP:
         raise ValueError(f"s_max / (n_points - 1) = {step:.4g} must be <= {MAX_TABLE_STEP:.4g}: "

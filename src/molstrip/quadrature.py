@@ -9,7 +9,7 @@ Each sweep splits only the cells the tolerance needs (excess cover): with the
 cells ranked by their worst per-component error-to-tolerance ratio, it splits
 the shortest leading run whose summed errors cover the excess
 ``total_error - tolerance`` of every component still above its tolerance.
-The run never exceeds the cells with a positive ratio, the ``max_cells``
+The run never exceeds the cells with a positive ratio, the ``_MAX_CELLS``
 budget (each split adds three cells) or ``_BATCH`` cells.  Evaluation is
 batched, so the integrand receives whole point arrays, and cell creation
 order is fixed, which makes the final reduction deterministic regardless of
@@ -33,6 +33,7 @@ _HIGH_ORDER = 8
 _BATCH = 256          # ceiling on the cells one sweep splits (80 evals each)
 _INITIAL_DIVISIONS = 8
 _MIN_CELL_SIZE = 1e-6  # cells narrower than this are never split
+_MAX_CELLS = 400_000   # cell budget of one integral
 _ABS_TOL = 1e-30       # floor on the per-component tolerance
 
 
@@ -104,7 +105,6 @@ def integrate_b_plane(
     quadrant: bool = False,
     x_splits=(),
     y_splits=(),
-    max_cells: int = 400_000,
 ):
     """Integrate an (n, 2) -> (n, m) integrand over the b-plane square.
 
@@ -142,7 +142,7 @@ def integrate_b_plane(
         n_refine = min(
             _excess_cover(err[order[:_BATCH]], tot_err - scale),
             int(np.count_nonzero(score > 0)),
-            (max_cells - n_cells) // 3,
+            (_MAX_CELLS - n_cells) // 3,
         )
         if n_refine <= 0:
             achieved = float(np.max(tot_err / np.maximum(np.abs(totals), _ABS_TOL)))

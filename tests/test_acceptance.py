@@ -75,9 +75,9 @@ def test_criterion_3_chaotic_average(make_system, capsys):
     failures = []
     for energy in ENERGIES:
         system = make_system(1, energy)
-        perp = cross_section_fixed(system, math.pi / 2, rel_tol=1e-4)[0]
-        avg = orientation_average(system, rel_tol=1e-4)[0]
-        rel = abs(avg.sigma_au - perp.sigma_au) / perp.sigma_au
+        avg, scan = orientation_average(system, rel_tol=1e-4)
+        perp = scan.sigma_perp[0]
+        rel = abs(avg[0].sigma_au - perp) / perp
         if rel >= 0.005:
             failures.append(f"E={energy}: |avg - perp|/perp = {rel:.4f} >= 0.005")
     _report(capsys, 3, "chaotic-orientation average", failures)

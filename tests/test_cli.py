@@ -1,6 +1,7 @@
 """Command-line front end: configs, CSV output, exit codes, determinism."""
 
 import json
+import math
 import re
 import subprocess
 import sys
@@ -16,7 +17,8 @@ from molstrip.cli import (
     load_config,
     main,
 )
-from molstrip.cross_section import AU_TO_CM2
+from molstrip import cross_section
+from molstrip.cross_section import AU_TO_CM2, delta_scan
 
 BASE_CONFIG = {
     "projectile": "Fe25+",
@@ -113,11 +115,40 @@ class TestConfigLoading:
              "target.diatomic.bond_length: bond length must be positive"),
             ({"target": {"diatomic": {"Z": 7, "bond_length": -1}}},
              "target.diatomic.bond_length: bond length must be positive"),
+            ({"theta_grid": [-0.1]}, "theta_grid"),
+            ({"theta_grid": []}, "theta_grid"),
+            ({"theta_grid": {"points": 10**50}}, "theta_grid.points"),
+            ({"theta_grid": {"points": 10**400}}, "theta_grid.points"),
+            ({"table": {"n_points": 10**20}}, "table.n_points"),
+            ({"table": {"n_points": 10**400}}, "table.n_points"),
+            ({"table": {"n_max": 10**20}}, "table.n_max"),
+            ({"table": {"n_max": 10**400}}, "table.n_max"),
         ],
     )
     def test_invalid_fields_are_named(self, config_path, overrides, field):
         with pytest.raises(ConfigError, match=re.escape(field)):
             load_config(config_path(overrides))
+
+    def test_integer_past_the_parser_limit(self, tmp_path):
+        # Python refuses to parse a JSON integer of more than 4300 digits.
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(BASE_CONFIG)[:-1] + ', "seed": ' + "1" * 5000 + "}")
+        with pytest.raises(ConfigError, match="config is not valid JSON"):
+            load_config(path)
+
+    @pytest.mark.parametrize("offset,accepted", [(2e-12, False), (5e-13, True)])
+    def test_theta_rule_matches_delta_scan(self, config_path, capsys, make_system,
+                                           offset, accepted):
+        theta = math.pi / 2 + offset
+        code = run_cli(["table", "--config", config_path({"theta_grid": [theta]})])
+        err = capsys.readouterr().err
+        if accepted:
+            assert code == 0
+            assert delta_scan(make_system(1, 10.0), [theta]).delta[0, 0] == 0.0
+        else:
+            assert code == EXIT_CONFIG_ERROR and "theta_grid" in err
+            with pytest.raises(ValueError, match="theta grid"):
+                delta_scan(make_system(1, 10.0), [theta])
 
     def test_table_defaults_and_types(self, config_path):
         cfg = load_config(config_path({"table": {"s_max": 25}}))
@@ -194,17 +225,16 @@ class TestExitCodes:
         assert out == ""
         assert re.search(r"hfs_table: .*Z=7 ", err)
 
-    @pytest.mark.parametrize("command,quantity", [("scan-theta", "delta"),
-                                                  ("average", "relative_correction")])
-    def test_vanishing_perpendicular_sigma(self, config_path, capsys, command, quantity):
+    @pytest.mark.parametrize("command", ["scan-theta", "average"])
+    def test_vanishing_perpendicular_sigma(self, config_path, capsys, command):
         # Z_eff = 1e200 scales every kick to s ~ 1e-200, so p and each sigma are 0.
         cfg = config_path({"projectile": {"Z": 26, "N_P": 2, "Z_eff": 1e200},
                            "energies_mev_u": [100.0]})
         assert run_cli([command, "--config", cfg]) == EXIT_NO_CONVERGENCE
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == (f"degenerate system: sigma^1+ at theta = pi/2 vanishes at 100 MeV/u, "
-                       f"so {quantity} is undefined\n")
+        assert err == ("degenerate system: sigma^1+ at theta = pi/2 vanishes at 100 MeV/u, "
+                       "so no ratio to it is defined\n")
 
     def test_failed_run_keeps_existing_output(self, config_path, tmp_path, capsys):
         out = tmp_path / "keep.csv"
@@ -228,6 +258,39 @@ class TestExitCodes:
         assert out == ""
         assert err == (f"config error: {field}: cannot write {target!r}: "
                        "No such file or directory\n")
+
+    def test_missing_output_directory_fails_before_the_run(self, config_path, tmp_path,
+                                                          capsys, monkeypatch):
+        def no_integrals(*args, **kwargs):
+            raise AssertionError("cross_section_fixed was called")
+
+        monkeypatch.setattr(cross_section, "cross_section_fixed", no_integrals)
+        target = str(tmp_path / "missing" / "x.csv")
+        code = run_cli(["scan-theta", "--config", config_path(), "--out", target])
+        assert code == EXIT_CONFIG_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"config error: --out: cannot write {target!r}: "
+                       "No such file or directory\n")
+        assert not (tmp_path / "missing").exists()
+
+    @pytest.mark.parametrize("bond", [6000, 20700, 1e308])
+    def test_far_apart_atoms(self, config_path, tmp_path, capsys, bond):
+        # Two N atoms out of each other's reach: sigma_perp is twice one atom's
+        # 0.00541113, or, past what the b-plane coordinates resolve, exit 3.
+        cfg = config_path({"target": {"diatomic": {"Z": 7, "bond_length": bond}},
+                           "theta_grid": [math.pi / 2], "tolerance": 1e-3, "table": {}})
+        out = tmp_path / "far.csv"
+        code = run_cli(["scan-theta", "--config", cfg, "--out", str(out)])
+        err = capsys.readouterr().err
+        if bond == 1e308:
+            assert code == EXIT_NO_CONVERGENCE
+            assert "b-plane coordinates" in err
+            return
+        assert code == 0
+        row = data_rows(out.read_text())[0].split(",")
+        sigma, quad_error = float(row[2]), float(row[4])
+        assert abs(sigma - 2 * 0.00541113) <= quad_error
 
     def test_flag_overrides_are_validated(self, config_path, capsys):
         code = run_cli(["table", "--config", config_path(), "--tolerance", "0.9"])

@@ -12,7 +12,6 @@ from molstrip.atomic_data import HfsAtom, MoleculeGeometry
 from molstrip.cross_section import (
     AU_TO_CM2,
     CollisionSystem,
-    CrossSectionResult,
     _channel_field,
     cross_section_fixed,
     delta_scan,
@@ -74,8 +73,6 @@ class TestLossProbabilities:
 
 class TestCrossSectionResult:
     def test_unit_conversion(self):
-        r = CrossSectionResult(m=1, sigma_au=2.0, quad_error=0.01)
-        assert r.sigma_cm2 == pytest.approx(2.0 * AU_TO_CM2, rel=1e-14)
         assert AU_TO_CM2 == pytest.approx(2.8002852e-17, rel=1e-9)
 
 
@@ -213,14 +210,21 @@ class TestOrientationAverage:
         single = MoleculeGeometry(atoms=(nitrogen,), positions=((0.0, 0.0, 0.0),))
         system = make_system(1, 10.0, geometry=single)
         fixed = cross_section_fixed(system, 0.9, rel_tol=1e-3)[0]
-        avg = orientation_average(system, rel_tol=1e-3)[0]
+        avg = orientation_average(system, rel_tol=1e-3)[0][0]
         assert abs(avg.sigma_au - fixed.sigma_au) <= 3.0 * (avg.quad_error + fixed.quad_error)
+
+    def test_sigma_perp_is_the_perpendicular_integral(self, make_system):
+        system = make_system(2, 100.0)
+        _, scan = orientation_average(system, rel_tol=1e-3)
+        perp = cross_section_fixed(system, math.pi / 2, rel_tol=1e-3)
+        assert np.array_equal(scan.sigma_perp, [r.sigma_au for r in perp])
+        assert np.array_equal(scan.perp_error, [r.quad_error for r in perp])
 
     def test_average_respects_mean_value_bound(self, make_system):
         system = make_system(1, 10.0)
         grid = np.linspace(0.0, math.pi / 2, 7)
         scan = delta_scan(system, grid, rel_tol=1e-3)
-        avg = orientation_average(system, rel_tol=1e-3)[0]
+        avg = orientation_average(system, rel_tol=1e-3)[0][0]
         lo = scan.sigma_au[:, 0].min() - 3.0 * scan.quad_error[:, 0].max()
         hi = scan.sigma_au[:, 0].max() + 3.0 * scan.quad_error[:, 0].max()
         assert lo <= avg.sigma_au <= hi

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from molstrip import quadrature
 from molstrip.quadrature import QuadratureError, integrate_b_plane
 
 
@@ -61,24 +62,26 @@ class TestFailureModes:
         with pytest.raises(ValueError):
             integrate_b_plane(gaussian, half_width=0.0)
 
-    def test_nonconvergence_carries_best_estimate(self):
+    def test_nonconvergence_carries_best_estimate(self, monkeypatch):
         def needle(pts):
             return 1.0 / (1e-8 + pts[:, 0] ** 2 + pts[:, 1] ** 2)[:, None]
 
+        monkeypatch.setattr(quadrature, "_MAX_CELLS", 500)
         with pytest.raises(QuadratureError) as excinfo:
-            integrate_b_plane(needle, half_width=1.0, rel_tol=1e-10, max_cells=500)
+            integrate_b_plane(needle, half_width=1.0, rel_tol=1e-10)
         err = excinfo.value
         assert err.n_cells >= 64
         assert np.all(np.asarray(err.values) > 0)
         assert np.all(np.asarray(err.errors) > 0)
 
-    def test_nonconvergence_respects_max_cells(self):
+    def test_nonconvergence_respects_max_cells(self, monkeypatch):
         def needle(pts):
             return 1.0 / (1e-8 + pts[:, 0] ** 2 + pts[:, 1] ** 2)[:, None]
 
         for max_cells in (500, 501, 502):
+            monkeypatch.setattr(quadrature, "_MAX_CELLS", max_cells)
             with pytest.raises(QuadratureError) as excinfo:
-                integrate_b_plane(needle, half_width=1.0, rel_tol=1e-10, max_cells=max_cells)
+                integrate_b_plane(needle, half_width=1.0, rel_tol=1e-10)
             assert excinfo.value.n_cells <= max_cells
 
 

@@ -243,6 +243,29 @@ class TestErrorHonesty:
                 for r, r_ref in zip(cross_section_fixed(system, theta, rel_tol=tol), ref):
                     assert abs(r.sigma_au - r_ref.sigma_au) <= r.quad_error, (theta, tol, r.m)
 
+    # sigma^{1+}, sigma^{2+} of Fe24+ on N2 from the nested 4x4/8x8 Gauss-Legendre
+    # rule pair that preceded the Genz-Malik rule, at rel_tol 1e-7 (reported
+    # errors at most 1.9e-9 au), so this leg does not judge the rule by itself.
+    GAUSS_LEGENDRE_REFERENCE = {
+        (10.0, 0.0): (0.0238740099037341, 0.006704105142935525),
+        (10.0, 0.5): (0.015972724973083975, 0.003559385528392413),
+        (10.0, math.pi / 2): (0.01593822926067819, 0.0035601449722209534),
+        (100.0, 0.0): (0.004229188775426484, 0.0008298707891020882),
+        (100.0, 0.5): (0.0026256009901680657, 0.0004213134975281632),
+        (100.0, math.pi / 2): (0.002619384402723886, 0.0004213271158424704),
+        (1000.0, 0.0): (0.001272520868287873, 0.00020263453409371778),
+        (1000.0, 0.5): (0.0007670361269606115, 0.00010186630535141714),
+        (1000.0, math.pi / 2): (0.000765511830520347, 0.00010186723682982666),
+    }
+
+    @pytest.mark.parametrize("energy, theta", sorted(GAUSS_LEGENDRE_REFERENCE))
+    def test_quad_error_bounds_error_against_gauss_legendre(self, make_system, energy, theta):
+        system = make_system(2, energy)
+        for tol in (1e-2, 1e-3):
+            results = cross_section_fixed(system, theta, rel_tol=tol)
+            for r, ref in zip(results, self.GAUSS_LEGENDRE_REFERENCE[energy, theta]):
+                assert abs(r.sigma_au - ref) <= r.quad_error, (tol, r.m)
+
     def test_evaluation_budget(self, make_system, monkeypatch):
         evals = []
 
@@ -256,3 +279,4 @@ class TestErrorHonesty:
         monkeypatch.setattr("molstrip.cross_section.integrate_b_plane", counting)
         cross_section_fixed(make_system(1, 10.0), 0.5, rel_tol=1e-3)
         assert sum(evals) <= 40_000
+        assert len(evals) <= 6        # integrand calls the Gauss-Legendre pair needed

@@ -45,6 +45,35 @@ class TestKnownIntegrals:
         assert values[0] == pytest.approx(math.pi, rel=1e-5)
 
 
+class TestGenzMalikRule:
+    """The 17-node rule pair on a non-square cell away from the origin."""
+
+    X0, Y0, DX, DY = 1.3, -0.7, 0.9, 2.1
+
+    def weights(self):
+        high = quadrature._WEIGHTS[:, 0]
+        return {7: high, 5: high - quadrature._WEIGHTS[:, 1]}
+
+    @pytest.mark.parametrize("degree", [7, 5])
+    def test_integrates_monomials_exactly(self, degree):
+        x = self.X0 + self.DX * quadrature._NODES[:, 0]
+        y = self.Y0 + self.DY * quadrature._NODES[:, 1]
+        w = self.weights()[degree] * self.DX * self.DY
+        x1, y1 = self.X0 + self.DX, self.Y0 + self.DY
+        for i in range(degree + 1):
+            for j in range(degree + 1 - i):
+                exact = ((x1 ** (i + 1) - self.X0 ** (i + 1)) / (i + 1)
+                         * (y1 ** (j + 1) - self.Y0 ** (j + 1)) / (j + 1))
+                assert w @ (x**i * y**j) == pytest.approx(exact, rel=1e-13), (i, j)
+
+    def test_weights_sum_to_one_and_nodes_lie_inside(self):
+        for w in self.weights().values():
+            assert w.sum() == pytest.approx(1.0, rel=1e-15)
+        assert np.all(self.weights()[5][13:] == 0.0)    # embedded: 13 of the 17 nodes
+        assert quadrature._NODES.shape == (17, 2)
+        assert np.all((quadrature._NODES > 0.0) & (quadrature._NODES < 1.0))
+
+
 class TestVectorIntegrands:
     def test_componentwise_values_and_errors(self):
         def two_fields(pts):

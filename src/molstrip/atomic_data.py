@@ -52,6 +52,9 @@ class HfsAtom:
     alpha: tuple[float, float, float]
 
     def __post_init__(self):
+        for name, values in (("Z", (self.Z,)), ("A", self.A), ("alpha", self.alpha)):
+            if not all(math.isfinite(v) for v in values):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.Z < 1:
             raise ValueError(f"nuclear charge must be >= 1, got {self.Z}")
         if len(self.A) != 3 or len(self.alpha) != 3:
@@ -127,14 +130,14 @@ class MoleculeGeometry:
 
 def screening_function(atom: HfsAtom, r: float) -> float:
     """Phi(r) = sum_i A_i exp(-alpha_i r); equals 1 at r = 0, decays to 0."""
-    if r < 0:
+    if not r >= 0:
         raise ValueError(f"r must be non-negative, got {r}")
     return float(sum(a * math.exp(-al * r) for a, al in zip(atom.A, atom.alpha)))
 
 
 def charge_density(atom: HfsAtom, r: float) -> float:
     """Electronic charge density rho(r) < 0; integrates to -Z over all space."""
-    if r <= 0:
+    if not r > 0:
         raise ValueError(f"r must be positive, got {r}")
     s = sum(a * al * al * math.exp(-al * r) for a, al in zip(atom.A, atom.alpha))
     return float(-atom.Z / (4.0 * math.pi * r) * s)

@@ -265,9 +265,11 @@ def orientation_average(
     to the plain mean of sigma over c in [0, 1], done by AVERAGE_NODES-point
     Gauss-Legendre through delta_scan, whose scan (with sigma at pi/2) is
     returned beside the average.
-    The reported error is the isotropic-weight sum of the per-node
-    quadrature errors (the Gauss-Legendre truncation is spectrally small:
-    sigma is analytic in c through its dependence on L^2 (1 - c^2)).
+    The reported error is the isotropic-weight sum of the per-node b-plane
+    quadrature errors only.  It leaves out the Gauss-Legendre truncation,
+    which is not small: sigma has a sharp feature near c = 1, and for Fe24+
+    at 10 MeV/u, m = 2, the 20-node relative correction is 0.000529 against
+    a converged 0.000936.
     """
     x, w = np.polynomial.legendre.leggauss(AVERAGE_NODES)
     scan = delta_scan(system, np.arccos(0.5 * (x + 1.0)), rel_tol=rel_tol)

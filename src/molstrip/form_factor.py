@@ -17,10 +17,9 @@ interpolation table makes W_ion cheap inside the impact-parameter quadrature
 hot loop.  The table is a monotone piecewise-cubic Hermite interpolant (PCHIP;
 Fritsch & Carlson 1980, SIAM J. Numer. Anal. 17:238) with the harmonic-mean
 slopes of Fritsch & Butland 1984 (SIAM J. Sci. Stat. Comput. 5:300), evaluated
-in numpy.  Its slopes, coefficients, interval choice and evaluation order
-follow scipy.interpolate.PchipInterpolator, so it returns the same bits as
-PchipInterpolator(s_grid, w_values, extrapolate=False) without importing
-scipy.interpolate at start-up.
+in numpy without importing scipy.interpolate.  Its cubics are built and read
+by ``_HermiteSteps``, the piecewise Hermite on unit steps that also holds each
+atom's quintic kick profile in ``transfer``.
 """
 
 from __future__ import annotations
@@ -71,11 +70,11 @@ class ProjectileSpec:
     def __post_init__(self):
         if not 1 <= self.N_P <= 3:
             raise ValueError(f"N_P must be 1..3, got {self.N_P}")
-        if self.Z_nucleus - self.N_P < 1:
+        if not self.Z_nucleus - self.N_P >= 1:
             raise ValueError(
                 f"net charge Z-N_P must be >= 1, got {self.Z_nucleus - self.N_P}"
             )
-        if self.z_eff is not None and self.z_eff <= 0:
+        if self.z_eff is not None and not self.z_eff > 0:
             raise ValueError(f"z_eff must be positive, got {self.z_eff}")
 
     @property
@@ -91,9 +90,9 @@ class ProjectileSpec:
 
 def elastic_form_factor(q: float, z_eff: float) -> float:
     """|<1s| exp(-i q.r) |1s>| = (1 + q^2 / (4 Z_eff^2))^-2."""
-    if q < 0:
+    if not q >= 0:
         raise ValueError(f"q must be non-negative, got {q}")
-    if z_eff <= 0:
+    if not z_eff > 0:
         raise ValueError(f"z_eff must be positive, got {z_eff}")
     s = q / z_eff
     return (1.0 + 0.25 * s * s) ** -2
@@ -172,9 +171,47 @@ def ionization_probability(s: float, n_max: int = DEFAULT_N_MAX) -> float:
     return 1.0 - bound_survival_probability(s, n_max)
 
 
-def _end_slope(h0, h1, m0, m1):
+@dataclass(frozen=True)
+class _HermiteSteps:
+    """A piecewise cubic or quintic Hermite on unit steps: step i spans t in [i, i + 1].
+
+    ``coef[:, i]`` holds step i's polynomial in t - i, top power first.
+    """
+
+    coef: np.ndarray
+
+    @classmethod
+    def fit(cls, y, y1, y2=None) -> "_HermiteSteps":
+        """The Hermite matching node values y and t-derivatives y1 (and y2, for a quintic).
+
+        What the left node's Taylor terms leave of the right node's value, slope
+        (and curvature) fixes each step's top two (three) coefficients.
+        """
+        if y2 is None:
+            dz = y[1:] - y[:-1] - y1[:-1]
+            dz1 = y1[1:] - y1[:-1]
+            return cls(np.stack([dz1 - 2.0 * dz, 3.0 * dz - dz1, y1[:-1], y[:-1]]))
+        dz = y[1:] - y[:-1] - y1[:-1] - 0.5 * y2[:-1]
+        dz1 = y1[1:] - y1[:-1] - y2[:-1]
+        dz2 = y2[1:] - y2[:-1]
+        return cls(np.stack([6.0 * dz - 3.0 * dz1 + 0.5 * dz2, -15.0 * dz + 7.0 * dz1 - dz2,
+                             10.0 * dz - 4.0 * dz1 + 0.5 * dz2, 0.5 * y2[:-1], y1[:-1], y[:-1]]))
+
+    def __call__(self, t: np.ndarray) -> np.ndarray:
+        """The fit at t >= 0, past the last step on its polynomial; t is overwritten by t - i."""
+        i = np.minimum(t.astype(np.intp), self.coef.shape[1] - 1)
+        c = i.astype(float)             # then holds one coefficient row at a time
+        t -= c
+        z = self.coef[0].take(i)
+        for row in self.coef[1:]:
+            z *= t
+            z += row.take(i, out=c, mode="clip")
+        return z
+
+
+def _end_slope(m0, m1):
     """One-sided three-point end slope, limited so the end keeps its shape."""
-    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    d = 0.5 * (3.0 * m0 - m1)
     if np.sign(d) != np.sign(m0):
         return 0.0
     if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
@@ -182,81 +219,48 @@ def _end_slope(h0, h1, m0, m1):
     return d
 
 
-def _pchip_coefficients(x: np.ndarray, y: np.ndarray) -> tuple:
-    """Cubic coefficients (c0, c1, c2, c3) of PCHIP on each interval of x.
+def _pchip_slopes(y: np.ndarray) -> np.ndarray:
+    """PCHIP node slopes per unit step (Fritsch & Butland 1984).
 
-    On [x_i, x_i+1] the interpolant is c3 + c2 d + c1 d^2 + c0 d^3, d = s - x_i.
-    Node slopes are the weighted harmonic mean of the neighbouring secants, zero
-    where a secant is zero or the secants change sign (Fritsch & Butland 1984),
-    and the one-sided three-point estimate at both ends; the coefficients are
-    those of the cubic Hermite interpolant with those slopes.  Each step is the
-    arithmetic of scipy.interpolate.PchipInterpolator, so the results agree
-    bitwise.
+    Inside, the harmonic mean of the neighbouring secants, zero where a secant
+    is zero or the secants change sign; at both ends the one-sided three-point
+    estimate.
     """
-    h = np.diff(x)
-    m = np.diff(y) / h
+    m = np.diff(y)
     d = np.zeros_like(y)
     sign = np.sign(m)
     flat = (sign[1:] != sign[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
-    w1 = 2 * h[1:] + h[:-1]
-    w2 = h[1:] + 2 * h[:-1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
-    d[1:-1][~flat] = 1.0 / whmean[~flat]
-    d[0] = _end_slope(h[0], h[1], m[0], m[1])
-    d[-1] = _end_slope(h[-1], h[-2], m[-1], m[-2])
-    t = (d[:-1] + d[1:] - 2 * m) / h
-    return t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1].copy()
+    with np.errstate(divide="ignore"):
+        hmean = 2.0 / (1.0 / m[:-1] + 1.0 / m[1:])
+    d[1:-1][~flat] = hmean[~flat]
+    d[0] = _end_slope(m[0], m[1])
+    d[-1] = _end_slope(m[-1], m[-2])
+    return d
 
 
 @dataclass(frozen=True)
 class IonizationTable:
-    """Monotone-cubic (PCHIP) interpolation of W_ion on a uniform scaled-kick grid.
+    """Monotone-cubic (PCHIP) interpolation of W_ion on the uniform grid
+    ``s_grid = linspace(0, s_max, len(w_values))``.
 
-    The coefficients are built once from (s_grid, w_values); a lookup finds each
-    interval by arithmetic on the uniform grid and evaluates the cubic in numpy.
-    It returns the same bits as scipy's PchipInterpolator(s_grid, w_values,
-    extrapolate=False), clipped to [0, 1].  Beyond s_max the table evaluates the
-    closed-form shell sum directly, so it joins the grid continuously and stays
-    right at any kick; s < 0 and nan give nan.
+    The Hermite cubics are fitted once from w_values and their PCHIP slopes; a
+    lookup is one Horner pass in s / step, clipped to [0, 1].  Beyond s_max the
+    table evaluates the closed-form shell sum directly, so it joins the grid
+    continuously and stays right at any kick; s < 0 and nan give nan.
     """
 
-    s_grid: np.ndarray
+    s_max: float
     w_values: np.ndarray
     n_max: int
-    _pchip: tuple = field(repr=False, compare=False, default=None)
+    _fit: _HermiteSteps = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        x = self.s_grid
-        n = x.size
-        if (n < 3 or x[0] != 0.0
-                or not np.allclose(np.diff(x), x[-1] / (n - 1), rtol=1e-9, atol=0.0)):
-            raise ValueError("s_grid must be uniform from 0 with at least 3 points")
-        # Right ends of the intervals; the last interval is closed at s_max.
-        upper = np.append(x[1:-1], np.inf)
-        coeffs = _pchip_coefficients(x, self.w_values)
-        object.__setattr__(self, "_pchip", coeffs + (upper, (n - 1) / x[-1]))
+        fit = _HermiteSteps.fit(self.w_values, _pchip_slopes(self.w_values))
+        object.__setattr__(self, "_fit", fit)
 
     @property
-    def s_max(self) -> float:
-        return float(self.s_grid[-1])
-
-    def _interpolate(self, s: np.ndarray) -> np.ndarray:
-        """PCHIP at 0 <= s <= s_max, in scipy's interval choice and order."""
-        c0, c1, c2, c3, upper, scale = self._pchip
-        x = self.s_grid
-        # The arithmetic guess is off by at most one interval; step it so that
-        # x[i] <= s < x[i+1], as a binary search would.
-        i = (s * scale).astype(np.intp)
-        np.minimum(i, x.size - 2, out=i)
-        i -= s < x[i]
-        i += s >= upper[i]
-        d = s - x[i]
-        w = c3[i] + c2[i] * d
-        d2 = d * d
-        w += c1[i] * d2
-        w += c0[i] * (d2 * d)
-        return w
+    def s_grid(self) -> np.ndarray:
+        return np.linspace(0.0, self.s_max, len(self.w_values))
 
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
@@ -265,7 +269,7 @@ class IonizationTable:
         s_max = self.s_max
         out = np.full_like(s, np.nan)
         inside = (s >= 0.0) & (s <= s_max)
-        out[inside] = self._interpolate(s[inside])
+        out[inside] = self._fit(s[inside] * ((len(self.w_values) - 1) / s_max))
         big = s > s_max
         if big.any():
             out[big] = 1.0 - _survival_batch(s[big], self.n_max)
@@ -293,8 +297,7 @@ def build_ionization_table(
 ) -> IonizationTable:
     """Tabulate W_ion on a uniform grid [0, s_max] for hot-loop interpolation."""
     check_table_params(s_max, n_points, n_max)
-    s_grid = np.linspace(0.0, s_max, n_points)
-    w = np.clip(1.0 - _survival_batch(s_grid, n_max), 0.0, 1.0)
+    w = np.clip(1.0 - _survival_batch(np.linspace(0.0, s_max, n_points), n_max), 0.0, 1.0)
     # Rounding in the shell sum must not break the monotone invariant.
     w = np.maximum.accumulate(w)
-    return IonizationTable(s_grid=s_grid, w_values=w, n_max=n_max)
+    return IonizationTable(s_max=float(s_max), w_values=w, n_max=n_max)

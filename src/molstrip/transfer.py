@@ -26,6 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .atomic_data import HfsAtom
+from .form_factor import _HermiteSteps
 from .special_functions import bessel_k0, bessel_k1
 
 __all__ = [
@@ -71,14 +72,14 @@ def kick_magnitude(atom: HfsAtom, v: float, r: np.ndarray) -> np.ndarray:
 class KickProfile:
     """One atom's S1(r) / r, S1 = sum_i alpha_i A_i K1(alpha_i r), tabulated in u = ln r.
 
-    z = ln(S1 / r) is a quintic Hermite with exact z', z'' at nodes u0 + i h;
-    ``coef[:, i]`` is step i's quintic in t - i, t = (u - u0) / h, top power first.
+    ``z`` is ln(S1 / r) as a quintic Hermite in t = (u - u0) / h with exact
+    z', z'' at the nodes u0 + i h.
     """
 
     u0: float
     h: float
     r_hi: float
-    coef: np.ndarray = field(repr=False)
+    z: _HermiteSteps = field(repr=False)
 
     def __call__(self, r2: np.ndarray) -> np.ndarray:
         """The profile at squared radii r2 <= r_hi^2, clamped below MIN_IMPACT_RADIUS; in place."""
@@ -86,14 +87,7 @@ class KickProfile:
         np.log(t, out=t)                # t = (ln(r2) / 2 - u0) / h
         t -= 2.0 * self.u0
         t /= 2.0 * self.h
-        i = np.minimum(t.astype(np.intp), self.coef.shape[1] - 1)
-        c = i.astype(float)             # then holds one coefficient row at a time
-        t -= c
-        z = self.coef[0].take(i)
-        for row in self.coef[1:]:
-            z *= t
-            z += row.take(i, out=c, mode="clip")
-        return np.exp(z, out=t)
+        return np.exp(self.z(t), out=t)
 
 
 @lru_cache(maxsize=32)
@@ -122,14 +116,7 @@ def kick_profile(atom: HfsAtom) -> KickProfile:
     z = np.log(s1 / r)
     z1 = h * (p - 2.0)
     z2 = h * h * (p + r * (r * s2 - s0) / s1 - p * p)
-    # What the left node's Taylor terms leave of the right node's value, slope
-    # and curvature fixes each step's t^3, t^4 and t^5 terms.
-    dz = z[1:] - z[:-1] - z1[:-1] - 0.5 * z2[:-1]
-    dz1 = z1[1:] - z1[:-1] - z2[:-1]
-    dz2 = z2[1:] - z2[:-1]
-    coef = np.stack([6.0 * dz - 3.0 * dz1 + 0.5 * dz2, -15.0 * dz + 7.0 * dz1 - dz2,
-                     10.0 * dz - 4.0 * dz1 + 0.5 * dz2, 0.5 * z2[:-1], z1[:-1], z[:-1]])
-    return KickProfile(u0=u0, h=h, r_hi=r_hi, coef=coef)
+    return KickProfile(u0=u0, h=h, r_hi=r_hi, z=_HermiteSteps.fit(z, z1, z2))
 
 
 def total_kick_magnitude(projections, atoms, v: float, points: np.ndarray) -> np.ndarray:

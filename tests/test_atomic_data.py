@@ -39,6 +39,15 @@ class TestHfsAtomInvariants:
     def test_sum_tolerance_accepts_rounding(self):
         HfsAtom(Z=7, A=(0.5, 0.3, 0.2 + 5e-7), alpha=(1.0, 2.0, 3.0))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_fields_rejected(self, bad):
+        with pytest.raises(ValueError, match="Z must be finite"):
+            HfsAtom(Z=bad, A=(0.5, 0.3, 0.2), alpha=(1.0, 2.0, 3.0))
+        with pytest.raises(ValueError, match="A must be finite"):
+            HfsAtom(Z=7, A=(0.5, bad, 0.2), alpha=(1.0, 2.0, 3.0))
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            HfsAtom(Z=7, A=(0.5, 0.3, 0.2), alpha=(1.0, 2.0, bad))
+
 
 class TestScreeningFunction:
     def test_unity_at_origin(self, synthetic_atom, nitrogen):
@@ -53,8 +62,9 @@ class TestScreeningFunction:
         assert screening_function(synthetic_atom, 1.0) == pytest.approx(expected, rel=1e-14)
 
     def test_negative_r_rejected(self, synthetic_atom):
-        with pytest.raises(ValueError):
-            screening_function(synthetic_atom, -0.1)
+        for r in (-0.1, math.nan):
+            with pytest.raises(ValueError, match="r must be non-negative"):
+                screening_function(synthetic_atom, r)
 
     @settings(max_examples=50, deadline=None)
     @given(st.floats(min_value=0.0, max_value=20.0), st.floats(min_value=1e-6, max_value=5.0))
@@ -68,10 +78,9 @@ class TestChargeDensity:
             assert charge_density(nitrogen, r) < 0.0
 
     def test_domain(self, nitrogen):
-        with pytest.raises(ValueError):
-            charge_density(nitrogen, 0.0)
-        with pytest.raises(ValueError):
-            charge_density(nitrogen, -1.0)
+        for r in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="r must be positive"):
+                charge_density(nitrogen, r)
 
     def test_vanishes_at_infinity(self, nitrogen):
         assert abs(charge_density(nitrogen, 80.0)) < 1e-20
@@ -200,6 +209,17 @@ class TestHfsTableLoading:
         path = tmp_path / "atoms.csv"
         path.write_text(self.HEADER + "7,not_a_number,0.3,0.2,1,2,3\n")
         with pytest.raises(HfsTableError, match="line 2"):
+            load_hfs_table(path)
+
+    @pytest.mark.parametrize("row", [
+        "nan,0.5,0.3,0.2,1.0,2.0,3.0", "inf,0.5,0.3,0.2,1.0,2.0,3.0",
+        "7,nan,0.3,0.2,1.0,2.0,3.0", "7,0.5,0.3,inf,1.0,2.0,3.0",
+        "7,0.5,0.3,0.2,nan,2.0,3.0", "7,0.5,0.3,0.2,1.0,2.0,inf",
+    ])
+    def test_nonfinite_entry_names_line(self, tmp_path, row):
+        path = tmp_path / "atoms.csv"
+        path.write_text(self.HEADER + "8,0.5,0.3,0.2,1.0,2.0,3.0\n" + row + "\n")
+        with pytest.raises(HfsTableError, match="line 3 .*must be finite"):
             load_hfs_table(path)
 
     def test_duplicate_z_rejected(self, tmp_path):

@@ -225,6 +225,23 @@ class TestExitCodes:
         assert out == ""
         assert re.search(r"hfs_table: .*Z=7 ", err)
 
+    # A non-finite Z used to end in a traceback with exit 1, and a nan A or
+    # alpha in a message naming no line.
+    @pytest.mark.parametrize("field,row", [
+        ("Z", "nan,0.1741,0.8259,0.0,9.1943,1.6642,1.0"),
+        ("Z", "inf,0.1741,0.8259,0.0,9.1943,1.6642,1.0"),
+        ("A", "7,nan,0.8259,0.0,9.1943,1.6642,1.0"),
+        ("alpha", "7,0.1741,0.8259,0.0,9.1943,1.6642,inf"),
+    ])
+    def test_nonfinite_hfs_entry(self, config_path, tmp_path, capsys, field, row):
+        atoms = tmp_path / "atoms.csv"
+        atoms.write_text(f"Z,A1,A2,A3,alpha1,alpha2,alpha3\n{row}\n")
+        cfg = config_path({"hfs_table": str(atoms)})
+        assert run_cli(["scan-theta", "--config", cfg]) == EXIT_CONFIG_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert re.search(rf"hfs_table: line 2 .*{field} must be finite", err)
+
     @pytest.mark.parametrize("command", ["scan-theta", "average"])
     def test_vanishing_perpendicular_sigma(self, config_path, capsys, command):
         # Z_eff = 1e200 scales every kick to s ~ 1e-200, so p and each sigma are 0.

@@ -387,8 +387,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _output_dir_error(path: str) -> str | None:
-    """Why the directory of ``path`` cannot take the output, or None; checked
-    before a run so that no scan is computed only to be lost.  Creates nothing."""
+    """Why ``path`` cannot take the output (it is a directory, or its directory
+    is missing or not writable), or None; checked before a run so that no scan
+    is computed only to be lost.  Creates nothing."""
+    if os.path.isdir(path):
+        return os.strerror(errno.EISDIR)
     directory = os.path.dirname(path) or "."
     if os.path.exists(path) or os.access(directory, os.W_OK | os.X_OK):
         return None

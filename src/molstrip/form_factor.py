@@ -74,8 +74,10 @@ class ProjectileSpec:
             raise ValueError(
                 f"net charge Z-N_P must be >= 1, got {self.Z_nucleus - self.N_P}"
             )
-        if self.z_eff is not None and not self.z_eff > 0:
-            raise ValueError(f"z_eff must be positive, got {self.z_eff}")
+        if not self.Z_nucleus < np.inf:
+            raise ValueError(f"Z_nucleus must be finite, got {self.Z_nucleus}")
+        if self.z_eff is not None and not 0 < self.z_eff < np.inf:
+            raise ValueError(f"z_eff must be positive and finite, got {self.z_eff}")
 
     @property
     def Z_eff(self) -> float:
@@ -297,7 +299,6 @@ def build_ionization_table(
 ) -> IonizationTable:
     """Tabulate W_ion on a uniform grid [0, s_max] for hot-loop interpolation."""
     check_table_params(s_max, n_points, n_max)
-    w = np.clip(1.0 - _survival_batch(np.linspace(0.0, s_max, n_points), n_max), 0.0, 1.0)
     # Rounding in the shell sum must not break the monotone invariant.
-    w = np.maximum.accumulate(w)
+    w = np.maximum.accumulate(1.0 - _survival_batch(np.linspace(0.0, s_max, n_points), n_max))
     return IonizationTable(s_max=float(s_max), w_values=w, n_max=n_max)

@@ -1,7 +1,8 @@
 """Modified Bessel functions of the second kind (McDonald functions) K0 and K1.
 
 These enter the screened eikonal phase (through K0) and the momentum-transfer
-kernel (through K1); ``transfer`` evaluates both only through this module.
+kernel (through K1).  ``transfer`` calls them only through this module: to
+build each atom's kick profile and in the references that judge it.
 The evaluation is delegated to scipy's Cephes-based routines, wrapped with the
 domain contract used throughout the package: strictly positive finite
 arguments, and a hard zero once exp(-x) underflows, just above x = 746 (the

@@ -12,9 +12,11 @@ which is minus the gradient of the per-electron eikonal phase
 The total kick at impact parameter b is the vector sum over atoms evaluated
 at the per-atom impact parameters b - s_m (s_m = transverse atom positions).
 chi is exposed as a diagnostic only; the cross-section path uses the kicks.
-``total_kick_magnitude`` reads |q_m| / b from one table per atom, which
-``kick_profile`` builds from its own K0 and K1 sums; the direct sum
-``kick_magnitude`` judges the table (5e-12 relative) and serves beyond its end.
+``total_kick_magnitude`` reads |q_m| / b at every radius from one table per
+atom, which ``kick_profile`` builds from its own K0 and K1 sums and which is 0
+past its end (alpha_min r > 600, or r > 1e11 a.u.).  The direct sum
+``kick_magnitude`` and the phase ``eikonal_phase_single`` are the references
+that judge the table (5e-12 relative).
 """
 
 from __future__ import annotations
@@ -40,7 +42,15 @@ __all__ = [
 # kick clamps there (W_ion saturates at 1 well before).
 MIN_IMPACT_RADIUS = 1e-6
 
-PROFILE_NODES = 1000
+# Every profile's nodes lie at ln r = u0 + i h, 1,000 of them on
+# [MIN_IMPACT_RADIUS, 200] a.u. and as many more as the atom's reach needs.
+_U0 = math.log(MIN_IMPACT_RADIUS)
+_H = (math.log(200.0) - _U0) / 999
+# The reach is capped so that alpha_min r and the node count (<= 2,047) stay
+# finite for any alpha > 0.  The cap costs nothing: _outer_cutoff exits once an
+# atom lies 2^33 = 8.6e9 a.u. off the beam axis, so no run that proceeds asks
+# for the kick farther than about 2.1e10 a.u. from an atom.
+_MAX_REACH = 1e11
 _CHUNK = 8192       # points per pass of total_kick_magnitude: bounds its temporaries
 
 
@@ -82,26 +92,29 @@ class KickProfile:
     z: _HermiteSteps = field(repr=False)
 
     def __call__(self, r2: np.ndarray) -> np.ndarray:
-        """The profile at squared radii r2 <= r_hi^2, clamped below MIN_IMPACT_RADIUS; in place."""
-        t = np.maximum(r2, MIN_IMPACT_RADIUS**2, out=r2)
+        """The profile at squared radii r2, clamped below MIN_IMPACT_RADIUS and 0
+        past r_hi; in place."""
+        beyond = r2 > self.r_hi**2
+        t = np.clip(r2, MIN_IMPACT_RADIUS**2, self.r_hi**2, out=r2)
         np.log(t, out=t)                # t = (ln(r2) / 2 - u0) / h
         t -= 2.0 * self.u0
         t /= 2.0 * self.h
-        return np.exp(self.z(t), out=t)
+        np.exp(self.z(t), out=t)
+        np.copyto(t, 0.0, where=beyond)
+        return t
 
 
 @lru_cache(maxsize=32)
 def kick_profile(atom: HfsAtom) -> KickProfile:
-    """The atom's profile on [MIN_IMPACT_RADIUS, min(200, 600 / alpha_min)], where
-    K1 is a normal double; one serves every v.  ValueError names Z if S1 <= 0.
+    """The atom's profile from MIN_IMPACT_RADIUS to r_hi, the first node at or past
+    min(600 / alpha_min, 1e11), where K1 is still a normal double; one serves
+    every v.  ValueError names Z if S1 <= 0.
     """
     terms = [(a, al) for a, al in zip(atom.A, atom.alpha) if a != 0.0]
-    r_hi = min(200.0, 600.0 / min(al for _, al in terms))
-    u0 = math.log(MIN_IMPACT_RADIUS)
-    h = (math.log(r_hi) - u0) / (PROFILE_NODES - 1)
-    r = np.exp(u0 + h * np.arange(PROFILE_NODES))
+    reach = min(600.0 / min(al for _, al in terms), _MAX_REACH)
+    r = np.exp(_U0 + _H * np.arange(math.ceil((math.log(reach) - _U0) / _H) + 1))
     # S0 = sum alpha^2 A K0 and S2 = sum alpha^3 A K1 give the derivatives.
-    s1, s0, s2 = np.zeros((3, PROFILE_NODES))
+    s1, s0, s2 = np.zeros((3, len(r)))
     for a, al in terms:
         k1 = bessel_k1(al * r)
         s1 += al * a * k1
@@ -114,37 +127,33 @@ def kick_profile(atom: HfsAtom) -> KickProfile:
     # times h and h^2 they are the t-derivatives.
     p = -r * s0 / s1
     z = np.log(s1 / r)
-    z1 = h * (p - 2.0)
-    z2 = h * h * (p + r * (r * s2 - s0) / s1 - p * p)
-    return KickProfile(u0=u0, h=h, r_hi=r_hi, z=_HermiteSteps.fit(z, z1, z2))
+    z1 = _H * (p - 2.0)
+    z2 = _H * _H * (p + r * (r * s2 - s0) / s1 - p * p)
+    return KickProfile(u0=_U0, h=_H, r_hi=float(r[-1]), z=_HermiteSteps.fit(z, z1, z2))
 
 
 def total_kick_magnitude(projections, atoms, v: float, points: np.ndarray) -> np.ndarray:
     """|Q(b)| = |sum_m q_m(b - s_m)| for an (N, 2) array of b points.
 
-    Each |q_m| / r comes from the atom's kick profile out to r_hi and from the
-    direct sum beyond it, which also rejects nan and inf points.
+    Each |q_m| / r is the atom's kick profile times 2 Z_m / v, 0 past the
+    profile's r_hi.  ValueError if a point is nan or inf.
     """
     points = np.asarray(points, dtype=float)
-    terms = [(s_m, atom, kick_profile(atom), 2.0 * atom.Z / v)
+    if not np.isfinite(points).all():
+        raise ValueError("b-plane points must be finite")
+    terms = [(s_m, kick_profile(atom), 2.0 * atom.Z / v)
              for s_m, atom in zip(np.asarray(projections, dtype=float), atoms)]
     out = np.empty(len(points))
     for lo in range(0, len(points), _CHUNK):
         chunk = points[lo:lo + _CHUNK]
         qx, qy = np.zeros((2, len(chunk)))
-        for s_m, atom, profile, scale in terms:
+        for s_m, profile, scale in terms:
             dx = chunk[:, 0] - s_m[0]
             dy = chunk[:, 1] - s_m[1]
             w = dx * dx                 # r^2, then |q_m| / r in place
             w += dy * dy
-            near = w <= profile.r_hi**2
-            if near.all():
-                profile(w)
-                w *= scale
-            else:
-                w[near] = profile(w[near]) * scale
-                r = np.hypot(dx[~near], dy[~near])
-                w[~near] = kick_magnitude(atom, v, r) / r
+            profile(w)
+            w *= scale
             dx *= w
             dy *= w
             qx += dx

@@ -225,6 +225,18 @@ class TestExitCodes:
         assert out == ""
         assert re.search(r"hfs_table: .*Z=7 ", err)
 
+    def test_denormal_alpha_hfs_entry(self, config_path, tmp_path, capsys):
+        # 600 / 5e-324 overflows to inf; the capped kick table still meets
+        # alpha r = 0 at its first node and rejects the fit.
+        atoms = tmp_path / "tiny.csv"
+        atoms.write_text("Z,A1,A2,A3,alpha1,alpha2,alpha3\n7,0.1741,0.8259,0.0,9.1943,5e-324,1.0\n")
+        cfg = config_path({"hfs_table": str(atoms)})
+        assert run_cli(["scan-theta", "--config", cfg]) == EXIT_CONFIG_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("config error: hfs_table: bessel_k1 requires a positive finite "
+                       "argument, got 0.0\n")
+
     # A non-finite Z used to end in a traceback with exit 1, and a nan A or
     # alpha in a message naming no line.
     @pytest.mark.parametrize("field,row", [
@@ -290,6 +302,23 @@ class TestExitCodes:
         assert err == (f"config error: --out: cannot write {target!r}: "
                        "No such file or directory\n")
         assert not (tmp_path / "missing").exists()
+
+    @pytest.mark.parametrize("field", ["--out", "output"])
+    def test_directory_as_output_fails_before_the_run(self, config_path, tmp_path, capsys,
+                                                      monkeypatch, field):
+        def no_integrals(*args, **kwargs):
+            raise AssertionError("cross_section_fixed was called")
+
+        monkeypatch.setattr(cross_section, "cross_section_fixed", no_integrals)
+        target = str(tmp_path)
+        if field == "--out":
+            args = ["scan-theta", "--config", config_path(), "--out", target]
+        else:
+            args = ["scan-theta", "--config", config_path({"output": target})]
+        assert run_cli(args) == EXIT_CONFIG_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"config error: {field}: cannot write {target!r}: Is a directory\n"
 
     @pytest.mark.parametrize("bond", [6000, 20700, 1e308])
     def test_far_apart_atoms(self, config_path, tmp_path, capsys, bond):

@@ -195,37 +195,75 @@ class TestKickProfile:
     """total_kick_magnitude reads each atom's tabulated profile; kick_magnitude judges it."""
 
     V = 7.5
+    SOFT = HfsAtom(Z=3.0, A=(0.5, 0.5, 0.0), alpha=(0.2, 0.1, 1.0))
+    STIFF = HfsAtom(Z=2.0, A=(0.5, 0.5, 0.0), alpha=(8.0, 5.0, 1.0))
+
+    def _max_rel_error_to_r_hi(self, atom, n=100_000):
+        r = np.geomspace(MIN_IMPACT_RADIUS, kick_profile(atom).r_hi, n)
+        q = _single_atom_kick(atom, self.V, np.column_stack([r, np.zeros_like(r)]))
+        rel = np.abs(q / kick_magnitude(atom, self.V, r) - 1.0)
+        return rel.max(), rel[r <= 10.0].max()
 
     def test_matches_direct_sum_for_every_shipped_atom(self, hfs_table):
-        r = np.geomspace(MIN_IMPACT_RADIUS, 200.0, 100_000)
         for atom in hfs_table.values():
-            assert kick_profile(atom).r_hi == 200.0
-            q = _single_atom_kick(atom, self.V, np.column_stack([r, np.zeros_like(r)]))
-            rel = np.abs(q / kick_magnitude(atom, self.V, r) - 1.0)
-            assert rel.max() <= 5e-12, atom.Z              # 1.7e-12 measured
-            assert rel[r <= 10.0].max() <= 5e-13, atom.Z   # 2.5e-13 measured
+            # The first node at or past 600 / alpha_min: 305 a.u. for H, 406 for C and Au.
+            assert 300.0 < kick_profile(atom).r_hi < 410.0, atom.Z
+            rel, rel_near = self._max_rel_error_to_r_hi(atom)
+            assert rel <= 5e-12, atom.Z            # 3.3e-12 measured
+            assert rel_near <= 5e-13, atom.Z       # 2.2e-13 measured
+
+    def test_soft_fit_reaches_600_over_alpha_min(self):
+        profile = kick_profile(self.SOFT)
+        assert 6000.0 <= profile.r_hi < 6000.0 * math.exp(profile.h)
+        rel, _ = self._max_rel_error_to_r_hi(self.SOFT)
+        assert rel <= 5e-12                        # 3.6e-12 measured
 
     def test_direct_sum_beyond_the_table(self, hfs_table):
-        # On the axes at r = 256 a power of two, so (|q| / r) * r is |q| exactly.
-        soft = HfsAtom(Z=3.0, A=(0.5, 0.5, 0.0), alpha=(0.2, 0.1, 1.0))
-        far = np.array([[256.0, 0.0], [0.0, -256.0], [-256.0, 0.0], [0.0, 512.0]])
-        points = np.concatenate([far, [[0.5, 0.25], [3.0, -2.0]]])
-        for atom in [*hfs_table.values(), soft]:
+        # Past r_hi the direct sum is below 1e-250 of its value at 1 a.u., and
+        # the profile gives exactly 0, out to any radius.
+        for atom in [*hfs_table.values(), self.SOFT, self.STIFF]:
+            r_hi = kick_profile(atom).r_hi
+            r = np.array([r_hi * (1.0 + 1e-12), 1e9])
+            direct = kick_magnitude(atom, self.V, r) / kick_magnitude(atom, self.V, 1.0)
+            assert direct.max() < 1e-250, atom.Z
+            points = np.array([[r[0], 0.0], [0.0, -r[0]], [1e9, 0.0], [0.0, 1e9],
+                               [r_hi * (1.0 - 1e-12), 0.0]])
             q = _single_atom_kick(atom, self.V, points)
-            r = np.hypot(far[:, 0], far[:, 1])
-            assert np.array_equal(q[:4], kick_magnitude(atom, self.V, r)), atom.Z
-            near = np.hypot(points[4:, 0], points[4:, 1])
-            assert q[4:] == pytest.approx(kick_magnitude(atom, self.V, near), rel=1e-12)
-        assert _single_atom_kick(soft, self.V, far).min() > 1e-50
+            assert np.array_equal(q[:4], np.zeros(4)), atom.Z
+            assert q[4] > 0.0, atom.Z
 
     def test_stiff_fit_ends_before_k1_underflows(self):
-        # alpha_min r = 1000 at r = 200: K1 is 0 there, so the table stops at 600 / 5.
-        stiff = HfsAtom(Z=2.0, A=(0.5, 0.5, 0.0), alpha=(8.0, 5.0, 1.0))
-        assert kick_profile(stiff).r_hi == pytest.approx(120.0)
-        r = np.geomspace(MIN_IMPACT_RADIUS, 140.0, 20_000)
-        q = _single_atom_kick(stiff, self.V, np.column_stack([r, np.zeros_like(r)]))
-        direct = kick_magnitude(stiff, self.V, r)
-        assert np.abs(q / direct - 1.0).max() <= 5e-12      # 2.5e-12 measured
+        # alpha_min r = 1000 at r = 200: K1 is 0 there, so the table stops at the
+        # first node past 600 / 5, where K1(alpha_min r) is still a normal double.
+        profile = kick_profile(self.STIFF)
+        assert 120.0 <= profile.r_hi < 120.0 * math.exp(profile.h)
+        assert sp.k1(5.0 * profile.r_hi) > np.finfo(float).tiny
+        rel, _ = self._max_rel_error_to_r_hi(self.STIFF, 20_000)
+        assert rel <= 5e-12                        # 2.8e-12 measured
+
+    def test_one_node_spacing_for_every_atom(self, hfs_table):
+        # The nodes on [MIN_IMPACT_RADIUS, 200] a.u. are the same 1,000 for every
+        # atom; only how far they continue depends on the fit.
+        step = (math.log(200.0) - math.log(MIN_IMPACT_RADIUS)) / 999
+        for atom in [*hfs_table.values(), self.SOFT, self.STIFF]:
+            profile = kick_profile(atom)
+            assert (profile.u0, profile.h) == (math.log(MIN_IMPACT_RADIUS), step), atom.Z
+            nodes = profile.z.coef.shape[1] + 1
+            assert profile.r_hi == pytest.approx(math.exp(profile.u0 + (nodes - 1) * step),
+                                                 rel=1e-15), atom.Z
+        assert {kick_profile(atom).z.coef.shape[1] + 1 for atom in hfs_table.values()} \
+            == {1022, 1028, 1031, 1037}
+
+    def test_reach_is_capped_for_a_tiny_alpha(self):
+        # 600 / alpha would be 6e302 a.u., where S1 underflows to 0; the cap at
+        # 1e11 a.u. keeps the table near 2,000 nodes and the kick positive.
+        atom = HfsAtom(Z=7.0, A=(0.1741, 0.8259, 0.0), alpha=(9.1943, 1e-300, 1.0))
+        profile = kick_profile(atom)
+        assert profile.z.coef.shape[1] + 1 <= 2050
+        assert 1e11 <= profile.r_hi < 1e11 * math.exp(profile.h)
+        q = _single_atom_kick(atom, self.V, [[1e10, 0.0], [2e11, 0.0]])
+        assert q[0] == pytest.approx(kick_magnitude(atom, self.V, 1e10), rel=5e-12)
+        assert q[1] == 0.0
 
     def test_clamped_below_min_impact_radius(self, nitrogen):
         # As the direct sum: |q_m| / r is held at its MIN_IMPACT_RADIUS value.
@@ -239,7 +277,7 @@ class TestKickProfile:
     def test_nonfinite_point_rejected(self, nitrogen, bad):
         # pytest turns a RuntimeWarning into an error, so none escapes either.
         pts = np.array([[0.3, 0.1], [bad, 1.0], [2.0, 0.0]])
-        with pytest.raises(ValueError, match="bessel_k1"):
+        with pytest.raises(ValueError, match="points must be finite"):
             total_kick_magnitude([(1.0, 0.0), (-1.0, 0.0)], [nitrogen, nitrogen], 10.0, pts)
 
     def test_empty_points(self, nitrogen):

@@ -195,6 +195,8 @@ def _parse_theta_grid(spec) -> np.ndarray:
         return np.linspace(0.0, math.pi / 2, n)
     if not isinstance(spec, list):
         raise ConfigError("theta_grid: expected {\"points\": n} or a list of angles")
+    if len(spec) > MAX_THETA_POINTS:
+        raise ConfigError(f"theta_grid: at most {MAX_THETA_POINTS} angles, got {len(spec)}")
     angles = [_number("theta_grid", t) for t in spec]
     try:
         return cross_section.check_theta_grid(angles)
@@ -245,8 +247,11 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
     if not isinstance(energies, (list, tuple)) or not energies:
         raise ConfigError("energies_mev_u: expected a nonempty list")
     energies = [_number("energies_mev_u", e) for e in energies]
-    if any(not (e > 0) for e in energies):
-        raise ConfigError("energies_mev_u: all energies must be positive")
+    for e in energies:
+        try:
+            velocity_from_energy(e)
+        except ValueError as exc:
+            raise ConfigError(f"energies_mev_u: {exc}") from exc
 
     tolerance = _number("tolerance", _get(merged, "tolerance", 1e-3))
     if not 1e-6 <= tolerance <= 1e-1:

@@ -92,30 +92,27 @@ class DegenerateSystemError(ValueError):
 
 
 def _binomial_channels(p: np.ndarray, n: int) -> np.ndarray:
-    """Columns P_m for m = 1..n plus the per-electron p as the last column."""
+    """Columns P_m for m = 1..n."""
     cols = [math.comb(n, m) * p**m * (1.0 - p) ** (n - m) for m in range(1, n + 1)]
-    cols.append(p)
     return np.stack(cols, axis=1)
 
 
-def _channel_field(projections, atoms, proj, v, table):
+def _loss_probability(projections, atoms, proj, v, table):
+    """p(b) = W_ion(|Q(b)| / Z_eff), the per-electron loss probability at b-plane points."""
     z_eff = proj.Z_eff
-    n = proj.N_P
 
-    def integrand(points):
-        q = total_kick_magnitude(projections, atoms, v, points)
-        p = table(q / z_eff)
-        return _binomial_channels(p, n)
+    def p(points):
+        return table(total_kick_magnitude(projections, atoms, v, points) / z_eff)
 
-    return integrand
+    return p
 
 
-def _outer_cutoff(projections, field_fn) -> float:
-    """Radius beyond which the integrand is below CUTOFF_FRACTION of its peak.
+def _outer_cutoff(projections, p_fn) -> float:
+    """Radius beyond which p is below CUTOFF_FRACTION of its peak.
 
-    Raises QuadratureError when the integrand is still above that fraction at
-    the last sample, 150 a.u. past the outermost atom, or when the b-plane
-    coordinates there do not resolve MIN_IMPACT_RADIUS, where the kick is clamped.
+    Raises QuadratureError when p is still above that fraction at the last
+    sample, 150 a.u. past the outermost atom, or when the b-plane coordinates
+    there do not resolve MIN_IMPACT_RADIUS, where the kick is clamped.
     """
     projections = np.asarray(projections, dtype=float)
     outer = float(np.max(np.hypot(projections[:, 0], projections[:, 1])))
@@ -128,7 +125,7 @@ def _outer_cutoff(projections, field_fn) -> float:
 
     t = np.concatenate([np.geomspace(1e-4, 1.0, 40), np.linspace(1.1, 150.0, 600)])
     pts = u[None, :] * (outer + t)[:, None]
-    p = field_fn(pts)[:, -1]      # the per-electron loss probability
+    p = p_fn(pts)
     peak = float(p.max())
     if peak <= 0.0:
         return outer + 1.0
@@ -164,18 +161,14 @@ def cross_section_fixed(
     rel_tol: float = 1e-3,
     use_symmetry: bool = True,
 ) -> list[CrossSectionResult]:
-    """sigma^{m+}(theta, phi) for every channel m = 1..N_P.
-
-    The integrand also carries the per-electron p as a last column, so the
-    refinement resolves integral p(b) d^2b too; only the channels are returned.
-    """
+    """sigma^{m+}(theta, phi) for every channel m = 1..N_P."""
     geom, proj = system.geometry, system.projectile
     projections = transverse_positions(geom, Orientation(theta, phi))
     quadrant = False
     if use_symmetry:
         projections, quadrant = _canonical_frame(geom, projections)
-    field_fn = _channel_field(projections, geom.atoms, proj, system.velocity, system.table)
-    b_max = _outer_cutoff(projections, field_fn)
+    p_fn = _loss_probability(projections, geom.atoms, proj, system.velocity, system.table)
+    b_max = _outer_cutoff(projections, p_fn)
     # The integrand reaches b_max - outer past an atom.  An atom farther out lies in
     # an initial cell too wide for any node to see it, so edges at +- reach frame it.
     seeds = np.asarray(projections, dtype=float)
@@ -183,17 +176,15 @@ def cross_section_fixed(
     if b_max > 2.0 * reach:
         seeds = np.concatenate([seeds, seeds - reach, seeds + reach])
     values, errors = integrate_b_plane(
-        field_fn,
+        lambda points: _binomial_channels(p_fn(points), proj.N_P),
         half_width=b_max,
         rel_tol=rel_tol,
         quadrant=quadrant,
         x_splits=seeds[:, 0],
         y_splits=seeds[:, 1],
     )
-    return [
-        CrossSectionResult(m=m, sigma_au=float(values[m - 1]), quad_error=float(errors[m - 1]))
-        for m in range(1, proj.N_P + 1)
-    ]
+    return [CrossSectionResult(m=m, sigma_au=float(sigma), quad_error=float(err))
+            for m, (sigma, err) in enumerate(zip(values, errors), start=1)]
 
 
 def phi_invariance_check(system: CollisionSystem, theta: float, rel_tol: float) -> RegimeCheck:

@@ -34,7 +34,6 @@ __all__ = [
     "ProjectileSpec",
     "IonizationTable",
     "elastic_form_factor",
-    "bound_survival_probability",
     "ionization_probability",
     "build_ionization_table",
     "check_table_params",
@@ -153,10 +152,11 @@ def _survival_batch(s_values: np.ndarray, n_max: int) -> np.ndarray:
     return np.minimum(np.maximum(total, 0.0), 1.0)
 
 
-def bound_survival_probability(s: float, n_max: int = DEFAULT_N_MAX) -> float:
-    """Probability that a kicked 1s electron lands in any bound state.
+def ionization_probability(s: float, n_max: int = DEFAULT_N_MAX) -> float:
+    """W_ion(s) = 1 - P_bound(s), P_bound being the probability that a kicked 1s
+    electron lands in any bound state, clipped to [0, 1].
 
-    Sums shells n <= n_max exactly, from Bethe's closed form for
+    P_bound sums shells n <= n_max exactly, from Bethe's closed form for
     sum_{lm} |<nlm| exp(-i s z) |1s>|^2 (Bethe 1930, Ann. Phys. 397:325;
     Inokuti 1971, Rev. Mod. Phys. 43:297), and adds the C/n^3 Rydberg tail
     when n_max >= 4.
@@ -165,12 +165,7 @@ def bound_survival_probability(s: float, n_max: int = DEFAULT_N_MAX) -> float:
         raise ValueError(f"s must be non-negative, got {s}")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    return float(_survival_batch(np.array([s]), n_max)[0])
-
-
-def ionization_probability(s: float, n_max: int = DEFAULT_N_MAX) -> float:
-    """W_ion(s) = 1 - P_bound(s); P_bound is already clipped to [0, 1]."""
-    return 1.0 - bound_survival_probability(s, n_max)
+    return 1.0 - float(_survival_batch(np.array([s]), n_max)[0])
 
 
 @dataclass(frozen=True)

@@ -48,16 +48,19 @@ class RegimeCheck:
 
 
 def velocity_from_energy(energy_mev_u: float) -> CollisionParams:
-    """Relativistic conversion MeV/u -> speed in a.u."""
+    """Relativistic conversion MeV/u -> speed in a.u.; ValueError unless that is positive."""
     if not (energy_mev_u > 0) or math.isinf(energy_mev_u):
         raise ValueError(f"energy must be positive and finite, got {energy_mev_u}")
     gamma = 1.0 + energy_mev_u / AMU_MEV
     beta = math.sqrt(1.0 - 1.0 / (gamma * gamma))
+    velocity_au = beta * C_AU
+    if not velocity_au > 0:      # below about 1e-13 MeV/u, gamma rounds to 1
+        raise ValueError(f"energy {energy_mev_u:g} MeV/u is too small: the speed rounds to 0")
     return CollisionParams(
         energy_mev_u=energy_mev_u,
         gamma=gamma,
         beta=beta,
-        velocity_au=beta * C_AU,
+        velocity_au=velocity_au,
     )
 
 

@@ -101,7 +101,7 @@ def mc_cross_section(
 
         q = total_kick_magnitude(projections, atoms, v, pts)
         p = system.table(q / proj.Z_eff)
-        weights = _binomial_channels(p, n_p)[:, :n_p] / density[:, None]
+        weights = _binomial_channels(p, n_p) / density[:, None]
         total += weights.sum(axis=0)
         total_sq += (weights * weights).sum(axis=0)
         n_done += size

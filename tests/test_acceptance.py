@@ -13,7 +13,8 @@ import pytest
 from molstrip.atomic_data import HfsAtom, charge_density
 from molstrip.cli import main as cli_main
 from molstrip.cross_section import (
-    _channel_field,
+    _binomial_channels,
+    _loss_probability,
     cross_section_fixed,
     delta_scan,
     orientation_average,
@@ -165,10 +166,11 @@ def test_criterion_5_structural_invariants(nitrogen, make_system, ionization_tab
 
     # Binomial channel normalization.
     from molstrip.form_factor import ProjectileSpec
-    field_fn = _channel_field([(1.0, 0.0), (-1.0, 0.0)], system.geometry.atoms,
-                              ProjectileSpec(26.0, 3), system.velocity, ionization_table)
-    cols = field_fn(np.array([[0.9, 0.4]]))[0]     # P_1..P_3, then p
-    if abs(cols[:-1].sum() + (1.0 - cols[-1]) ** 3 - 1.0) > 1e-12:
+    p = _loss_probability([(1.0, 0.0), (-1.0, 0.0)], system.geometry.atoms,
+                          ProjectileSpec(26.0, 3), system.velocity, ionization_table)(
+        np.array([[0.9, 0.4]]))
+    cols = _binomial_channels(p, 3)[0]     # P_1..P_3
+    if abs(cols.sum() + (1.0 - p[0]) ** 3 - 1.0) > 1e-12:
         failures.append("binomial channels not normalized")
 
     # Expected-loss sum rule; integral p d^2b is sigma^{1+} of one electron

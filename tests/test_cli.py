@@ -13,6 +13,7 @@ import pytest
 from molstrip.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_NO_CONVERGENCE,
+    MAX_THETA_POINTS,
     ConfigError,
     load_config,
     main,
@@ -204,6 +205,34 @@ class TestExitCodes:
     def test_table_config_error(self, config_path, capsys, overrides, field):
         assert run_cli(["table", "--config", config_path(overrides)]) == EXIT_CONFIG_ERROR
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["scan-theta", "average", "validate"])
+    def test_energy_too_small_for_a_speed(self, config_path, capsys, command):
+        assert run_cli([command, "--config", config_path({"energies_mev_u": [1e-14]})]) \
+            == EXIT_CONFIG_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("config error: energies_mev_u: energy 1e-14 MeV/u is too small")
+
+    def test_tiny_energy_with_a_speed_loads(self, config_path):
+        # 1e-12 MeV/u is a speed of 6.5e-6 a.u.
+        assert load_config(config_path({"energies_mev_u": [1e-12]})).energies == [1e-12]
+
+    def test_theta_list_past_the_cap_fails_before_the_run(self, config_path, capsys,
+                                                          monkeypatch):
+        def no_integrals(*args, **kwargs):
+            raise AssertionError("cross_section_fixed was called")
+
+        monkeypatch.setattr(cross_section, "cross_section_fixed", no_integrals)
+        angles = [0.1] * (MAX_THETA_POINTS + 1)
+        code = run_cli(["scan-theta", "--config", config_path({"theta_grid": angles})])
+        assert code == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == (
+            f"config error: theta_grid: at most {MAX_THETA_POINTS} angles, "
+            f"got {MAX_THETA_POINTS + 1}\n")
+        # The cap itself is allowed.
+        cfg = load_config(config_path({"theta_grid": [0.1] * MAX_THETA_POINTS}))
+        assert len(cfg.theta_grid) == MAX_THETA_POINTS
 
     def test_unreached_outer_cutoff(self, config_path, tmp_path, capsys):
         atoms = tmp_path / "soft.csv"

@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from molstrip import cross_section
 from molstrip.atomic_data import HfsAtom, MoleculeGeometry
 from molstrip.cross_section import (
     AU_TO_CM2,
     CollisionSystem,
-    _channel_field,
+    _binomial_channels,
+    _loss_probability,
     cross_section_fixed,
     delta_scan,
     orientation_average,
@@ -37,38 +39,54 @@ class ConstantTable:
         return np.full(s.shape, self.value)
 
 
-def channel_columns(b, atoms, proj, table):
-    """The quadrature integrand at one impact parameter: P_1..P_N_P, then p."""
-    field_fn = _channel_field([(1.0, 0.0), (-1.0, 0.0)], atoms, proj, 20.0, table)
-    return field_fn(np.array([b], dtype=float))[0]
+def loss_and_channels(b, atoms, proj, table):
+    """p and the quadrature integrand's columns P_1..P_N_P at one impact parameter."""
+    p = _loss_probability([(1.0, 0.0), (-1.0, 0.0)], atoms, proj, 20.0, table)(
+        np.array([b], dtype=float))
+    return p[0], _binomial_channels(p, proj.N_P)[0]
 
 
 class TestLossProbabilities:
     def test_binomial_example(self, n2_geometry):
-        cols = channel_columns((0.5, 0.5), n2_geometry.atoms, ProjectileSpec(26.0, 2),
-                               ConstantTable(0.5))
-        assert cols[-1] == pytest.approx(0.5)
+        p, cols = loss_and_channels((0.5, 0.5), n2_geometry.atoms, ProjectileSpec(26.0, 2),
+                                    ConstantTable(0.5))
+        assert p == pytest.approx(0.5)
         assert cols[0] == pytest.approx(0.5)   # P_1 = 2 p (1-p)
         assert cols[1] == pytest.approx(0.25)  # P_2 = p^2
 
     def test_far_impact_parameter_is_elastic(self, n2_geometry, ionization_table):
-        cols = channel_columns((80.0, 0.0), n2_geometry.atoms, ProjectileSpec(26.0, 2),
-                               ionization_table)
-        assert cols[-1] < 1e-10
-        assert 1.0 - cols[:-1].sum() == pytest.approx(1.0, abs=1e-9)   # P_0
+        p, cols = loss_and_channels((80.0, 0.0), n2_geometry.atoms, ProjectileSpec(26.0, 2),
+                                    ionization_table)
+        assert p < 1e-10
+        assert 1.0 - cols.sum() == pytest.approx(1.0, abs=1e-9)   # P_0
 
     def test_single_electron_channel_equals_p(self, n2_geometry, ionization_table):
-        cols = channel_columns((1.5, 0.3), n2_geometry.atoms, ProjectileSpec(26.0, 1),
-                               ionization_table)
-        assert cols[0] == pytest.approx(cols[-1], rel=1e-12)
+        p, cols = loss_and_channels((1.5, 0.3), n2_geometry.atoms, ProjectileSpec(26.0, 1),
+                                    ionization_table)
+        assert cols[0] == pytest.approx(p, rel=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(st.floats(min_value=0.0, max_value=1.0), st.integers(min_value=1, max_value=3))
     def test_channels_normalized(self, n2_geometry, p, n_p):
-        cols = channel_columns((0.7, 0.1), n2_geometry.atoms, ProjectileSpec(26.0, n_p),
-                               ConstantTable(p))
-        assert cols[:-1].sum() + (1.0 - p) ** n_p == pytest.approx(1.0, abs=1e-12)
+        _, cols = loss_and_channels((0.7, 0.1), n2_geometry.atoms, ProjectileSpec(26.0, n_p),
+                                    ConstantTable(p))
+        assert cols.sum() + (1.0 - p) ** n_p == pytest.approx(1.0, abs=1e-12)
         assert np.all((0.0 <= cols) & (cols <= 1.0))
+
+    @pytest.mark.parametrize("n_p", [1, 2, 3])
+    def test_integrand_columns_are_the_channels(self, make_system, monkeypatch, n_p):
+        # The integrand cross_section_fixed hands to the quadrature has one
+        # column per channel m = 1..N_P and nothing else.
+        shapes = []
+
+        def spy(integrand, **kwargs):
+            shapes.append(np.shape(integrand(np.array([[0.3, 0.2], [5.0, -1.0]]))))
+            return integrate_b_plane(integrand, **kwargs)
+
+        monkeypatch.setattr(cross_section, "integrate_b_plane", spy)
+        results = cross_section_fixed(make_system(n_p, 100.0), 0.4, rel_tol=1e-2)
+        assert shapes == [(2, n_p)]
+        assert [r.m for r in results] == list(range(1, n_p + 1))
 
 
 class TestCrossSectionResult:

@@ -13,7 +13,6 @@ from molstrip.form_factor import (
     _HermiteSteps,
     _shell_probabilities,
     _survival_batch,
-    bound_survival_probability,
     build_ionization_table,
     elastic_form_factor,
     ionization_probability,
@@ -111,41 +110,38 @@ class TestShellProbabilities:
 
     @pytest.mark.parametrize("s", [80.0, 100.0, 150.0, 200.0])
     def test_large_kick_survival_is_elastic(self, s):
-        assert abs(bound_survival_probability(s) - (1.0 + 0.25 * s * s) ** -4) <= 1e-12
+        assert abs(1.0 - ionization_probability(s) - (1.0 + 0.25 * s * s) ** -4) <= 1e-12
 
     @pytest.mark.parametrize("s", [1e100, 1e200, 1e308])
     def test_huge_kick_is_finite(self, s):
-        assert bound_survival_probability(s) == 0.0
         assert ionization_probability(s) == 1.0
 
 
 class TestBoundSurvival:
     def test_identity_at_zero_kick(self):
-        assert bound_survival_probability(0.0, n_max=12) == pytest.approx(1.0, abs=1e-10)
+        assert 1.0 - ionization_probability(0.0, n_max=12) == pytest.approx(1.0, abs=1e-10)
 
     def test_vanishes_at_large_kick(self):
-        assert bound_survival_probability(40.0) < 1e-3
+        assert 1.0 - ionization_probability(40.0) < 1e-3
 
     def test_elastic_only_matches_closed_form(self):
         # n_max = 1 keeps just the ground-state term, F(s)^2.
         for s in (0.2, 1.0, 3.0, 7.0):
             expected = elastic_form_factor(s, 1.0) ** 2
-            assert bound_survival_probability(s, n_max=1) == pytest.approx(expected, abs=1e-8)
+            assert 1.0 - ionization_probability(s, n_max=1) == pytest.approx(expected, abs=1e-8)
 
     def test_domain(self):
-        # ionization_probability is 1 - bound_survival_probability: same checks.
-        for route in (bound_survival_probability, ionization_probability):
-            for s in (-0.1, float("nan")):
-                with pytest.raises(ValueError, match="s must be non-negative"):
-                    route(s)
-            for n_max in (0, -3):
-                with pytest.raises(ValueError, match="n_max"):
-                    route(1.0, n_max=n_max)
+        for s in (-0.1, float("nan")):
+            with pytest.raises(ValueError, match="s must be non-negative"):
+                ionization_probability(s)
+        for n_max in (0, -3):
+            with pytest.raises(ValueError, match="n_max"):
+                ionization_probability(1.0, n_max=n_max)
 
     @settings(max_examples=30, deadline=None)
     @given(st.floats(min_value=0.0, max_value=50.0))
     def test_is_a_probability(self, s):
-        assert 0.0 <= bound_survival_probability(s, n_max=10) <= 1.0
+        assert 0.0 <= 1.0 - ionization_probability(s, n_max=10) <= 1.0
 
 
 class TestIonizationProbability:

@@ -37,7 +37,8 @@ class TestVelocityFromEnergy:
         assert params.beta == pytest.approx(math.sqrt(1.0 - params.gamma**-2), rel=1e-14)
         assert params.velocity_au == pytest.approx(params.beta * C_AU, rel=1e-14)
 
-    @pytest.mark.parametrize("bad", [0.0, -5.0, float("inf")])
+    # At 1e-14 MeV/u, gamma = 1 + E/931.494 rounds to 1 and the speed to 0.
+    @pytest.mark.parametrize("bad", [0.0, -5.0, float("inf"), 1e-14])
     def test_domain(self, bad):
         with pytest.raises(ValueError):
             velocity_from_energy(bad)

@@ -7,7 +7,7 @@ self-describing and byte-reproducible for a fixed config.
 Exit codes: 0 success (regime warnings allowed), 2 config error or an
 unwritable output path, 3 numerical non-convergence, a failed
 azimuthal-invariance check or a perpendicular cross section of zero (delta
-and the average's correction divide by it).
+and the average's correction divide by it; the azimuthal check is vacuous).
 """
 
 from __future__ import annotations
@@ -357,7 +357,7 @@ def cmd_validate(config: RunConfig, out) -> int:
             f"v = {_fmt(params.velocity_au)} a.u., gamma = {_fmt(params.gamma)}\n"
         )
         regime = validate_regime(params, config.projectile, config.geometry)
-        phi_check = cross_section.phi_invariance_check(system, math.pi / 2, config.tolerance)
+        phi_check = cross_section.phi_invariance_check(system, config.tolerance)
         for check in regime + [phi_check]:
             status = "pass" if check.passed else "WARN" if check in regime else "FAIL"
             out.write(

@@ -11,9 +11,9 @@ taken by symmetry (the full b-plane integral is invariant under rotations
 about the beam): scans evaluate phi = 0 only, and phi_invariance_check, run
 by ``molstrip validate``, tests the symmetry numerically.  delta(theta)
 compares each orientation against the perpendicular one, and the chaotic
-average integrates sigma(theta) with the isotropic weight, i.e. by
-Gauss-Legendre in cos(theta) over [0, 1] using the theta -> pi - theta
-symmetry.
+average integrates sigma(theta) with the isotropic weight over [0, pi/2],
+using the theta -> pi - theta symmetry, by Gauss-Legendre in
+u = sqrt(1 - cos(theta)), whose nodes crowd towards theta = 0.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ AU_TO_CM2 = 2.8002852e-17      # a_0^2 in cm^2
 # Outer cutoff: drop the domain where p falls below this fraction of its peak.
 CUTOFF_FRACTION = 1e-8
 
-# Gauss-Legendre nodes in cos(theta) for the chaotic-orientation average.
+# Gauss-Legendre nodes in u, cos(theta) = 1 - u^2, for the chaotic-orientation average.
 AVERAGE_NODES = 20
 
 
@@ -187,16 +187,27 @@ def cross_section_fixed(
             for m, (sigma, err) in enumerate(zip(values, errors), start=1)]
 
 
-def phi_invariance_check(system: CollisionSystem, theta: float, rel_tol: float) -> RegimeCheck:
-    """Check numerically that sigma does not depend on the azimuth phi.
+def _check_perp(system: CollisionSystem, perp: list[CrossSectionResult]) -> None:
+    """Raise DegenerateSystemError, naming energy and channel, for a sigma at pi/2 <= 0."""
+    for r in perp:
+        if not r.sigma_au > 0:
+            raise DegenerateSystemError(
+                f"degenerate system: sigma^{r.m}+ at theta = pi/2 vanishes at "
+                f"{system.params.energy_mev_u:.9g} MeV/u, so no ratio to it is defined")
+
+
+def phi_invariance_check(system: CollisionSystem, rel_tol: float) -> RegimeCheck:
+    """Check numerically that sigma at theta = pi/2 does not depend on the azimuth phi.
 
     The scans evaluate phi = 0 only and take it as the azimuthal average.  This
     integrates two azimuths over the full b-plane, without the symmetric fast
     path; the value is the largest channel gap over its allowance
-    3 (err_a + err_b) + 1e-12 |sigma|, and it must not exceed 1.
+    3 (err_a + err_b) + 1e-12 |sigma|, and it must not exceed 1.  A vanishing
+    sigma, which would pass vacuously, raises DegenerateSystemError.
     """
-    tol = max(rel_tol, 1e-3)
+    theta, tol = math.pi / 2, max(rel_tol, 1e-3)
     a = cross_section_fixed(system, theta, 0.7, rel_tol=tol, use_symmetry=False)
+    _check_perp(system, a)
     b = cross_section_fixed(system, theta, 2.3, rel_tol=tol, use_symmetry=False)
     ratio = 0.0
     for ra, rb in zip(a, b):
@@ -230,11 +241,7 @@ def delta_scan(system: CollisionSystem, theta_grid, rel_tol: float = 1e-3) -> Or
     """
     theta_grid = check_theta_grid(theta_grid)
     perp = cross_section_fixed(system, math.pi / 2, rel_tol=rel_tol)
-    for r in perp:
-        if not r.sigma_au > 0:
-            raise DegenerateSystemError(
-                f"degenerate system: sigma^{r.m}+ at theta = pi/2 vanishes at "
-                f"{system.params.energy_mev_u:.9g} MeV/u, so no ratio to it is defined")
+    _check_perp(system, perp)
 
     # Row 0 is sigma at pi/2; a grid point at pi/2 reuses it.
     results = [perp] + [perp if np.isclose(th, math.pi / 2)
@@ -252,21 +259,20 @@ def orientation_average(
 ) -> tuple[list[CrossSectionResult], OrientationScan]:
     """Chaotic-orientation average: integral of sigma(theta) (1/2) sin(theta).
 
-    Substituting c = cos(theta) and folding theta -> pi - theta reduces this
-    to the plain mean of sigma over c in [0, 1], done by AVERAGE_NODES-point
+    Folding theta -> pi - theta and substituting cos(theta) = 1 - u^2 turn this
+    into the integral of 2 u sigma over u in [0, 1], done by AVERAGE_NODES-point
     Gauss-Legendre through delta_scan, whose scan (with sigma at pi/2) is
-    returned beside the average.
+    returned beside the average.  In u the nodes reach sigma's sharp feature
+    near theta = 0, which no node of the same rule in cos(theta) sampled: for
+    Fe24+ at 10 MeV/u, m = 2, tol 1e-3, the relative correction is 0.000940
+    against 0.000933 with 40 nodes (0.000525 in cos(theta)).
     The reported error is the isotropic-weight sum of the per-node b-plane
-    quadrature errors only.  It leaves out the Gauss-Legendre truncation,
-    which is not small: sigma has a sharp feature near c = 1, and for Fe24+
-    at 10 MeV/u, m = 2, the 20-node relative correction is 0.000529 against
-    a converged 0.000936.
+    quadrature errors only; no estimate of the Gauss-Legendre truncation is
+    made yet.
     """
     x, w = np.polynomial.legendre.leggauss(AVERAGE_NODES)
-    scan = delta_scan(system, np.arccos(0.5 * (x + 1.0)), rel_tol=rel_tol)
-    avg = 0.5 * w @ scan.sigma_au
-    avg_err = 0.5 * w @ scan.quad_error
-    return [
-        CrossSectionResult(m=m + 1, sigma_au=float(avg[m]), quad_error=float(avg_err[m]))
-        for m in range(system.projectile.N_P)
-    ], scan
+    u = 0.5 * (x + 1.0)         # on [0, 1]; the weights become (w / 2) dc/du = w u
+    scan = delta_scan(system, 2.0 * np.arcsin(u / math.sqrt(2.0)), rel_tol=rel_tol)
+    avg, avg_err = (w * u) @ scan.sigma_au, (w * u) @ scan.quad_error
+    return [CrossSectionResult(m=m, sigma_au=float(sigma), quad_error=float(err))
+            for m, (sigma, err) in enumerate(zip(avg, avg_err), start=1)], scan

@@ -13,13 +13,13 @@ bound-state survival sum,
 where each shell's sum over l and m has an exact closed form (Bethe 1930,
 Ann. Phys. 397:325; tabulated by Inokuti 1971, Rev. Mod. Phys. 43:297), and
 the shells above n_max add a C/n^3 Rydberg tail fitted to the last three.  An
-interpolation table makes W_ion cheap inside the impact-parameter quadrature
-hot loop.  The table is a monotone piecewise-cubic Hermite interpolant (PCHIP;
-Fritsch & Carlson 1980, SIAM J. Numer. Anal. 17:238) with the harmonic-mean
-slopes of Fritsch & Butland 1984 (SIAM J. Sci. Stat. Comput. 5:300), evaluated
-in numpy without importing scipy.interpolate.  Its cubics are built and read
-by ``_HermiteSteps``, the piecewise Hermite on unit steps that also holds each
-atom's quintic kick profile in ``transfer``.
+interpolation table on s in [0, 20] makes W_ion cheap inside the
+impact-parameter quadrature hot loop.  The table is a monotone piecewise-cubic
+Hermite interpolant (PCHIP; Fritsch & Carlson 1980, SIAM J. Numer. Anal.
+17:238) with the harmonic-mean slopes of Fritsch & Butland 1984 (SIAM J. Sci.
+Stat. Comput. 5:300), evaluated in numpy without importing scipy.interpolate.
+Its cubics are built and read by ``_HermiteSteps``, the piecewise Hermite on
+unit steps that also holds each atom's quintic kick profile in ``transfer``.
 """
 
 from __future__ import annotations
@@ -40,18 +40,17 @@ __all__ = [
 ]
 
 DEFAULT_N_MAX = 20
+TABLE_S_MAX = 20.0      # the W_ion table's range; past it IonizationTable uses the closed form
 
 # Parameters of build_ionization_table: name -> (type, default, minimum, maximum).
-# The maxima keep each (n_points, n_max) array of the build within 80 MB.
+# s_max takes TABLE_S_MAX alone; it stays a key because generated configs write it.
+# The least n_points caps the step at 20/199, past which W_ion's error grows unseen
+# by quad_error.  The maxima keep each (n_points, n_max) array of the build within 80 MB.
 TABLE_LIMITS = {
-    "s_max": (float, 20.0, 20.0, np.inf),
+    "s_max": (float, TABLE_S_MAX, TABLE_S_MAX, TABLE_S_MAX),
     "n_points": (int, 400, 200, 10_000),
     "n_max": (int, DEFAULT_N_MAX, 10, 1_000),
 }
-# The coarsest grid step s_max / (n_points - 1): that of the smallest grid the
-# minimums allow.  Past it W_ion's error grows unseen (s_max 100 at 400 points
-# moves a sigma by 10 %) while quad_error, which sees only the b-plane sum, stays small.
-MAX_TABLE_STEP = TABLE_LIMITS["s_max"][2] / (TABLE_LIMITS["n_points"][2] - 1)
 
 
 @dataclass(frozen=True)
@@ -238,15 +237,14 @@ def _pchip_slopes(y: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class IonizationTable:
     """Monotone-cubic (PCHIP) interpolation of W_ion on the uniform grid
-    ``s_grid = linspace(0, s_max, len(w_values))``.
+    ``s_grid = linspace(0, TABLE_S_MAX, len(w_values))``.
 
     The Hermite cubics are fitted once from w_values and their PCHIP slopes; a
-    lookup is one Horner pass in s / step, clipped to [0, 1].  Beyond s_max the
-    table evaluates the closed-form shell sum directly, so it joins the grid
+    lookup is one Horner pass in s / step, clipped to [0, 1].  Beyond TABLE_S_MAX
+    the table evaluates the closed-form shell sum directly, so it joins the grid
     continuously and stays right at any kick; s < 0 and nan give nan.
     """
 
-    s_max: float
     w_values: np.ndarray
     n_max: int
     _fit: _HermiteSteps = field(init=False, repr=False, compare=False)
@@ -257,13 +255,13 @@ class IonizationTable:
 
     @property
     def s_grid(self) -> np.ndarray:
-        return np.linspace(0.0, self.s_max, len(self.w_values))
+        return np.linspace(0.0, TABLE_S_MAX, len(self.w_values))
 
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
         scalar = s.ndim == 0
         s = np.atleast_1d(s)
-        s_max = self.s_max
+        s_max = TABLE_S_MAX
         out = np.full_like(s, np.nan)
         inside = (s >= 0.0) & (s <= s_max)
         out[inside] = self._fit(s[inside] * ((len(self.w_values) - 1) / s_max))
@@ -275,25 +273,21 @@ class IonizationTable:
 
 
 def check_table_params(s_max: float, n_points: int, n_max: int) -> None:
-    """Raise ValueError, led by the parameter's name, for a table outside
-    TABLE_LIMITS or with a grid step coarser than MAX_TABLE_STEP."""
+    """Raise ValueError, led by the parameter's name, for a table outside TABLE_LIMITS."""
     for name, value in (("s_max", s_max), ("n_points", n_points), ("n_max", n_max)):
         minimum, maximum = TABLE_LIMITS[name][2:]
         if not minimum <= value <= maximum:
             raise ValueError(f"{name} must lie in [{minimum:g}, {maximum:g}], got {value}")
-    step = s_max / (n_points - 1)
-    if step > MAX_TABLE_STEP:
-        raise ValueError(f"s_max / (n_points - 1) = {step:.4g} must be <= {MAX_TABLE_STEP:.4g}: "
-                         "W_ion is not accurate on a coarser grid; raise n_points or lower s_max")
 
 
 def build_ionization_table(
-    s_max: float = TABLE_LIMITS["s_max"][1],
+    s_max: float = TABLE_S_MAX,
     n_points: int = TABLE_LIMITS["n_points"][1],
     n_max: int = TABLE_LIMITS["n_max"][1],
 ) -> IonizationTable:
-    """Tabulate W_ion on a uniform grid [0, s_max] for hot-loop interpolation."""
+    """Tabulate W_ion on a uniform grid [0, TABLE_S_MAX] for hot-loop interpolation."""
     check_table_params(s_max, n_points, n_max)
     # Rounding in the shell sum must not break the monotone invariant.
-    w = np.maximum.accumulate(1.0 - _survival_batch(np.linspace(0.0, s_max, n_points), n_max))
-    return IonizationTable(s_max=float(s_max), w_values=w, n_max=n_max)
+    s = np.linspace(0.0, TABLE_S_MAX, n_points)
+    w = np.maximum.accumulate(1.0 - _survival_batch(s, n_max))
+    return IonizationTable(w_values=w, n_max=n_max)

@@ -27,7 +27,7 @@ import numpy as np
 from scipy import special as sp
 
 from .atomic_data import Orientation, transverse_positions
-from .cross_section import CollisionSystem, _binomial_channels, _canonical_frame
+from .cross_section import CollisionSystem, _binomial_channels
 from .transfer import total_kick_magnitude
 
 __all__ = [
@@ -52,11 +52,10 @@ _MC_BLOCK = 1 << 16
 def mc_cross_section(
     system: CollisionSystem,
     theta: float,
-    phi: float = 0.0,
     n_samples: int = 10**6,
     seed: int = 0,
 ) -> list[McEstimate]:
-    """Monte-Carlo sigma^{m+}(theta, phi), one estimate per channel.
+    """Monte-Carlo sigma^{m+}(theta) at phi = 0, one estimate per channel.
 
     Proposal: pick an atom uniformly, then an exponential radial step around
     its projection with rate equal to the atom's softest screening exponent
@@ -68,9 +67,7 @@ def mc_cross_section(
     if n_samples < 10**4:
         raise ValueError(f"n_samples must be >= 1e4, got {n_samples}")
     geom, proj = system.geometry, system.projectile
-    projections = transverse_positions(geom, Orientation(theta, phi))
-    projections, _ = _canonical_frame(geom, projections)
-    projections = np.asarray(projections, dtype=float)
+    projections = transverse_positions(geom, Orientation(theta))
     atoms = geom.atoms
     v = system.velocity
     n_atoms = len(atoms)

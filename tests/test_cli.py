@@ -152,8 +152,8 @@ class TestConfigLoading:
                 delta_scan(make_system(1, 10.0), [theta])
 
     def test_table_defaults_and_types(self, config_path):
-        cfg = load_config(config_path({"table": {"s_max": 25}}))
-        assert cfg.table_params == {"s_max": 25.0, "n_points": 400, "n_max": 20}
+        cfg = load_config(config_path({"table": {"s_max": 20}}))
+        assert cfg.table_params == {"s_max": 20.0, "n_points": 400, "n_max": 20}
         assert isinstance(cfg.table_params["s_max"], float)
 
     def test_reserved_and_execution_fields_accepted(self, config_path):
@@ -205,6 +205,19 @@ class TestExitCodes:
     def test_table_config_error(self, config_path, capsys, overrides, field):
         assert run_cli(["table", "--config", config_path(overrides)]) == EXIT_CONFIG_ERROR
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["scan-theta", "average", "table", "validate"])
+    def test_table_range_other_than_20_fails_before_the_run(self, config_path, capsys,
+                                                           monkeypatch, command):
+        def never(*args, **kwargs):
+            raise AssertionError("cross_section_fixed called")
+
+        monkeypatch.setattr(cross_section, "cross_section_fixed", never)
+        cfg = config_path({"table": {"s_max": 25}})
+        assert run_cli([command, "--config", cfg]) == EXIT_CONFIG_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "config error: table.s_max must lie in [20, 20], got 25.0\n"
 
     @pytest.mark.parametrize("command", ["scan-theta", "average", "validate"])
     def test_energy_too_small_for_a_speed(self, config_path, capsys, command):
@@ -283,9 +296,10 @@ class TestExitCodes:
         assert out == ""
         assert re.search(rf"hfs_table: line 2 .*{field} must be finite", err)
 
-    @pytest.mark.parametrize("command", ["scan-theta", "average"])
+    @pytest.mark.parametrize("command", ["scan-theta", "average", "validate"])
     def test_vanishing_perpendicular_sigma(self, config_path, capsys, command):
         # Z_eff = 1e200 scales every kick to s ~ 1e-200, so p and each sigma are 0.
+        # validate's azimuthal check would then compare zeros and pass vacuously.
         cfg = config_path({"projectile": {"Z": 26, "N_P": 2, "Z_eff": 1e200},
                            "energies_mev_u": [100.0]})
         assert run_cli([command, "--config", cfg]) == EXIT_NO_CONVERGENCE

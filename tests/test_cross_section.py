@@ -238,6 +238,19 @@ class TestOrientationAverage:
         assert np.array_equal(scan.sigma_perp, [r.sigma_au for r in perp])
         assert np.array_equal(scan.perp_error, [r.quad_error for r in perp])
 
+    def test_nodes_resolve_the_feature_near_theta_zero(self, make_system, monkeypatch):
+        # sigma^2+ of Fe24+ at 10 MeV/u falls 24 % by theta = 0.03.  The same
+        # 20 nodes in cos(theta) never sampled that and missed m = 2 by 4.1e-4.
+        system = make_system(2, 10.0)
+
+        def corrections():
+            avg, scan = orientation_average(system, rel_tol=1e-3)
+            return np.array([r.sigma_au for r in avg]) / scan.sigma_perp - 1.0
+
+        shipped = corrections()
+        monkeypatch.setattr(cross_section, "AVERAGE_NODES", 40)
+        assert np.abs(shipped - corrections()).max() <= 3e-5
+
     def test_average_respects_mean_value_bound(self, make_system):
         system = make_system(1, 10.0)
         grid = np.linspace(0.0, math.pi / 2, 7)

@@ -8,7 +8,7 @@ from scipy import integrate
 from scipy import special as sp
 
 from molstrip.form_factor import (
-    MAX_TABLE_STEP,
+    TABLE_S_MAX,
     ProjectileSpec,
     _HermiteSteps,
     _shell_probabilities,
@@ -178,12 +178,14 @@ class TestIonizationTable:
             build_ionization_table(n_points=100)
         with pytest.raises(ValueError):
             build_ionization_table(n_max=5)
-        # The step cap: s_max 100 at 400 points moved sigma^1+ of Fe25+ on N2 by 10 %.
-        assert MAX_TABLE_STEP == 20.0 / 199
-        with pytest.raises(ValueError, match=r"s_max / \(n_points - 1\) = 0.2506"):
-            build_ionization_table(s_max=100.0)
-        for s_max, n_points in ((20.0, 200), (40.0, 1000)):
-            assert build_ionization_table(s_max, n_points, 10).s_max == s_max
+        # The range is fixed: s_max is accepted only at TABLE_S_MAX, and is named otherwise.
+        assert TABLE_S_MAX == 20.0
+        for s_max in (25.0, 100.0, np.nextafter(20.0, 0.0)):
+            with pytest.raises(ValueError, match=r"^s_max must lie in \[20, 20\], got "):
+                build_ionization_table(s_max=s_max)
+        for n_points in (200, 1000):
+            table = build_ionization_table(20.0, n_points, 10)
+            assert table.s_grid[-1] == TABLE_S_MAX and len(table.w_values) == n_points
 
     def test_zero_and_bounds(self, ionization_table):
         assert ionization_table(0.0) == 0.0
@@ -194,7 +196,7 @@ class TestIonizationTable:
 
     def test_interpolation_matches_direct_evaluation(self, ionization_table):
         rng = np.random.default_rng(1234)
-        s = rng.uniform(0.0, ionization_table.s_max, 1000)
+        s = rng.uniform(0.0, TABLE_S_MAX, 1000)
         direct = np.array([ionization_probability(v, ionization_table.n_max) for v in s])
         assert np.max(np.abs(ionization_table(s) - direct)) <= 1e-4
 
@@ -210,9 +212,8 @@ class TestIonizationTable:
         assert np.all(w_mid >= lo) and np.all(w_mid <= hi)
 
     def test_beyond_grid_matches_closed_form(self, ionization_table):
-        s_max = ionization_table.s_max
-        above = np.nextafter(s_max, np.inf)
-        assert abs(ionization_table(above) - ionization_table(s_max)) <= 1e-15
+        above = np.nextafter(TABLE_S_MAX, np.inf)
+        assert abs(ionization_table(above) - ionization_table(TABLE_S_MAX)) <= 1e-15
         for s in (25.0, 80.0):
             assert abs(ionization_table(s) - ionization_probability(s)) <= 1e-15
 
@@ -246,12 +247,12 @@ class TestHermiteSteps:
         assert np.array_equal(fit(nodes[:-1].copy()), poly(nodes[:-1]))
 
 
-# The default table, a long fine grid, the coarsest grid allowed, and one between.
+# The default table, a fine grid, the coarsest grid allowed, and one between.
 TABLE_CONFIGS = [
     {},
-    {"s_max": 40.0, "n_points": 1000, "n_max": 20},
+    {"s_max": 20.0, "n_points": 1000, "n_max": 20},
     {"s_max": 20.0, "n_points": 200, "n_max": 10},
-    {"s_max": 25.0, "n_points": 300, "n_max": 15},
+    {"s_max": 20.0, "n_points": 300, "n_max": 15},
 ]
 
 
@@ -278,7 +279,7 @@ class TestPchipMatchesScipy:
         grid = table.s_grid
         rng = np.random.default_rng(2024)
         s = np.concatenate([
-            rng.uniform(0.0, table.s_max, 10**6),
+            rng.uniform(0.0, TABLE_S_MAX, 10**6),
             grid,
             np.nextafter(grid[1:], -np.inf),
             np.nextafter(grid[:-1], np.inf),
@@ -289,7 +290,7 @@ class TestPchipMatchesScipy:
 
     def test_scalars_and_edges(self, ionization_table):
         table, expected = ionization_table, self.reference(ionization_table)
-        s_max = table.s_max
+        s_max = TABLE_S_MAX
         for s in (0.0, 0.37, 1e-300, s_max):
             value = table(s)
             assert isinstance(value, float)
@@ -323,7 +324,7 @@ def _survival_inline(s, n_max):
 
 @pytest.mark.parametrize("n_max", [10, 20])
 def test_survival_batch_bitwise_equal_to_inline_sum(n_max):
-    # Past s_max, where the table calls it one batch at a time, and on the grid.
+    # Past TABLE_S_MAX, where the table calls it one batch at a time, and on the grid.
     s = np.array([np.nextafter(20.0, np.inf), 25.0, 60.0, 1e154, 1e300])
     grid = np.linspace(0.0, 40.0, 1001)
     assert np.array_equal(_survival_batch(grid, n_max), _survival_inline(grid, n_max))

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from molstrip import cli, cross_section
+from molstrip import cli, cross_section, form_factor
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -95,6 +95,21 @@ def test_cli_accepts_every_benchmark_config_key():
     assert keys <= cli.CONFIG_FIELDS
 
 
+def _benchmark_tables():
+    """The table settings ``inputs.py`` defines, by name."""
+    tree = ast.parse((PERFBENCH / "inputs.py").read_text())
+    return {node.targets[0].id: ast.literal_eval(node.value) for node in tree.body
+            if isinstance(node, ast.Assign)
+            and getattr(node.targets[0], "id", None) in ("DEFAULT_TABLE", "SMOKE_TABLE")}
+
+
+@pytest.mark.parametrize("name", ["DEFAULT_TABLE", "SMOKE_TABLE"])
+def test_cli_accepts_the_benchmark_table_settings(name):
+    table = _benchmark_tables()[name]
+    assert table.keys() == form_factor.TABLE_LIMITS.keys()
+    form_factor.check_table_params(**table)
+
+
 @pytest.fixture
 def fixed_calls(monkeypatch):
     """Arguments of every cross_section_fixed call, defaults filled in."""
@@ -130,5 +145,6 @@ def test_scan_theta_calls_each_theta_once_on_the_symmetric_path(tmp_path, fixed_
 
 def test_average_calls_each_node_once_on_the_symmetric_path(tmp_path, fixed_calls):
     _run(tmp_path, "average")
-    nodes = np.arccos(0.5 * (np.polynomial.legendre.leggauss(20)[0] + 1.0))
+    u = 0.5 * (np.polynomial.legendre.leggauss(20)[0] + 1.0)
+    nodes = 2.0 * np.arcsin(u / math.sqrt(2.0))
     _assert_symmetric_path(fixed_calls, [math.pi / 2, *nodes])

@@ -17,18 +17,18 @@ interpolation table on s in [0, 20] makes W_ion cheap inside the
 impact-parameter quadrature hot loop.  The table is a monotone piecewise-cubic
 Hermite interpolant (PCHIP; Fritsch & Carlson 1980, SIAM J. Numer. Anal.
 17:238) with the harmonic-mean slopes of Fritsch & Butland 1984 (SIAM J. Sci.
-Stat. Comput. 5:300), evaluated in numpy without importing scipy.interpolate.
+Stat. Comput. 5:300), evaluated in numpy.
 Its cubics are built and read by ``_HermiteSteps``, the piecewise Hermite on
 unit steps that also holds each atom's quintic kick profile in ``transfer``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy import special as sp
 
 __all__ = [
     "ProjectileSpec",
@@ -98,14 +98,35 @@ def elastic_form_factor(q: float, z_eff: float) -> float:
     return (1.0 + 0.25 * s * s) ** -2
 
 
+def _zeta3(n: int) -> float:
+    """Hurwitz zeta(3, n + 1) = sum_{k > n} k^-3.
+
+    The first 20 terms, plus the Euler-Maclaurin tail from m = n + 21,
+
+        sum_{k >= m} k^-3 = 1/(2m^2) + 1/(2m^3) + sum_j B_2j (2j + 1) / (2 m^(2j+2)),
+
+    to j = 5; the next term is below 1e-18 of the sum.  Every term is an
+    integer ratio, so the sum is formed exactly and rounded once: the result
+    equals mpmath's zeta(3, n + 1) rounded to a double for every n in
+    [10, 1000] (scipy's zeta is up to 3 ulp off; a math.fsum of the rounded
+    terms up to 1 ulp).
+    """
+    m = n + 21
+    terms = [(1, k**3) for k in range(n + 1, m)]
+    terms += [(1, 2 * m**2), (1, 2 * m**3), (1, 4 * m**4), (-1, 12 * m**6),
+              (1, 12 * m**8), (-3, 20 * m**10), (5, 12 * m**12)]
+    den = math.lcm(*(d for _, d in terms))
+    return sum(num * (den // d) for num, d in terms) / den
+
+
 @lru_cache(maxsize=32)
 def _shell_constants(n_max: int) -> tuple:
     """The s-independent factors of the shell sum for shells 2..n_max.
 
     Returns n^2, (n-1)^2, (n+1)^2, 2^8 n^7, (n^2-1)/3 and n-3 for n = 2..n_max,
     then the Rydberg-tail weights m^3 for the last three shells m and
-    zeta(3, n_max + 1).  Each is computed by the same operations as inline, so
-    cached and inline evaluation agree bitwise.
+    zeta(3, n_max + 1) from ``_zeta3``.  Each array is computed by the same
+    operations as inline, so cached and inline evaluation agree bitwise.
     """
     n = np.arange(2.0, n_max + 1.0)
     consts = (n * n, (n - 1.0) ** 2, (n + 1.0) ** 2, 2.0**8 * n**7,
@@ -113,7 +134,7 @@ def _shell_constants(n_max: int) -> tuple:
               np.arange(n_max - 2.0, n_max + 1.0) ** 3)
     for arr in consts:
         arr.setflags(write=False)
-    return consts + (sp.zeta(3, n_max + 1),)
+    return consts + (_zeta3(n_max),)
 
 
 def _shell_probabilities(s_values: np.ndarray, n_max: int) -> np.ndarray:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .atomic_data import HfsAtom
 from .form_factor import _HermiteSteps
-from .special_functions import bessel_k0, bessel_k1
+from .special_functions import _k0_k1, bessel_k0, bessel_k1
 
 __all__ = [
     "eikonal_phase_single",
@@ -116,10 +116,10 @@ def kick_profile(atom: HfsAtom) -> KickProfile:
     # S0 = sum alpha^2 A K0 and S2 = sum alpha^3 A K1 give the derivatives.
     s1, s0, s2 = np.zeros((3, len(r)))
     for a, al in terms:
-        k1 = bessel_k1(al * r)
+        k0, k1 = _k0_k1(al * r, "bessel_k1")
         s1 += al * a * k1
         s2 += al * al * al * a * k1
-        s0 += al * al * a * bessel_k0(al * r)
+        s0 += al * al * a * k0
     if not np.all(s1 > 0.0):
         raise ValueError(f"the screened kick of Z={atom.Z:g} is not positive at r = "
                          f"{r[np.argmin(s1 > 0.0)]:.3g} a.u.; the fit is unphysical")

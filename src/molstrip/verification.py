@@ -325,7 +325,7 @@ def bessel_reference(x: float, order: int) -> float:
     """K_order(x) from mpmath's ``besselk`` at 40 significant digits.
 
     mpmath evaluates K with its own hypergeometric and asymptotic series,
-    independent of the Cephes routines behind ``special_functions``.
+    independent of the series and continued fraction in ``special_functions``.
     Relative accuracy far beyond 1e-14; test use only.
     """
     x = _check_bessel_args(x, order)

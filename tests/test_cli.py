@@ -523,15 +523,21 @@ class TestEntryPoint:
         assert result.returncode == 0
         assert "s,w_ion" in result.stdout
 
-    def test_import_leaves_out_scipy_interpolate(self, child_env):
-        # scipy.interpolate (and the scipy.optimize it loads) cost about 0.3 s
-        # of start-up; the CLI needs only numpy and scipy.special.  The test
-        # oracles (scipy.integrate, mpmath, molstrip.verification) stay out too.
-        code = ("import sys, molstrip.cli; "
-                "print(sorted(m for m in sys.modules if m.startswith("
-                "('scipy.interpolate', 'scipy.optimize', 'scipy.integrate', 'mpmath', "
-                "'molstrip.verification'))))")
-        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                                env=child_env)
+    def test_commands_load_no_scipy(self, config_path, tmp_path, child_env):
+        # The CLI evaluates everything in numpy: importing scipy.special alone
+        # cost about 0.3 s and 25 MB at start-up.  scipy, mpmath and
+        # molstrip.verification serve only the test oracles.
+        code = ("import sys, molstrip.cli\n"
+                "def loaded():\n"
+                "    return sorted(m for m in sys.modules if m.startswith(('scipy', 'mpmath'))\n"
+                "                  or m == 'molstrip.verification')\n"
+                "print(loaded())\n"
+                "for i, command in enumerate(['scan-theta', 'average', 'table', 'validate']):\n"
+                "    code = molstrip.cli.main([command, '--config', sys.argv[1],\n"
+                "                              '--out', f'{sys.argv[2]}/{i}.csv'])\n"
+                "    print(command, code, loaded())\n")
+        result = subprocess.run([sys.executable, "-c", code, config_path(), str(tmp_path)],
+                                capture_output=True, text=True, env=child_env)
         assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "[]"
+        assert result.stdout.splitlines() == ["[]", "scan-theta 0 []", "average 0 []",
+                                              "table 0 []", "validate 0 []"]

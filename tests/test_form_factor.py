@@ -1,5 +1,8 @@
 """Hydrogenic sudden-kick matrix elements and the W_ion table."""
 
+import math
+
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +16,7 @@ from molstrip.form_factor import (
     _HermiteSteps,
     _shell_probabilities,
     _survival_batch,
+    _zeta3,
     build_ionization_table,
     elastic_form_factor,
     ionization_probability,
@@ -306,7 +310,8 @@ class TestPchipMatchesScipy:
 
 
 def _survival_inline(s, n_max):
-    """P_bound from the shell sum written out in full, as a bitwise reference."""
+    """P_bound from the shell sum written out in full, as a bitwise reference;
+    zeta(3, n_max + 1) comes from the production helper, tested on its own below."""
     n = np.arange(2.0, n_max + 1.0)
     with np.errstate(over="ignore", invalid="ignore"):
         k2 = s[:, None] ** 2
@@ -318,7 +323,7 @@ def _survival_inline(s, n_max):
     inelastic[np.isinf(b)] = 0.0
     probs = np.concatenate([(1.0 + 0.25 * k2) ** -4, inelastic], axis=1)
     ns = np.arange(n_max - 2, n_max + 1)
-    tail = np.mean(probs[:, ns - 1] * ns[None, :] ** 3, axis=1) * sp.zeta(3, n_max + 1)
+    tail = np.mean(probs[:, ns - 1] * ns[None, :] ** 3, axis=1) * _zeta3(n_max)
     return np.clip(probs.sum(axis=1) + tail, 0.0, 1.0)
 
 
@@ -332,3 +337,11 @@ def test_survival_batch_bitwise_equal_to_inline_sum(n_max):
     for v in s:
         one = np.array([v])
         assert _survival_batch(one, n_max)[0] == _survival_inline(one, n_max)[0]
+
+
+def test_zeta3_is_correctly_rounded():
+    # Every n_max the table accepts; scipy's zeta(3, n + 1) is up to 3 ulp off.
+    with mp.workdps(40):
+        for n in range(10, 1001):
+            exact = mp.zeta(3, n + 1)
+            assert abs(mp.mpf(_zeta3(n)) - exact) <= 0.5 * math.ulp(float(exact)), n

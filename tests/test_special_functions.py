@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import special as sp
 
 from molstrip.special_functions import bessel_k0, bessel_k1
 from molstrip.verification import bessel_reference
@@ -88,32 +87,70 @@ class TestShape:
 class TestDomain:
     @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf"), -float("inf")])
     def test_rejects_nonpositive_and_nonfinite(self, bad):
-        with pytest.raises(ValueError):
-            bessel_k0(bad)
-        with pytest.raises(ValueError):
-            bessel_k1(bad)
-        # One bad element rejects a whole array.
         for kernel in (bessel_k0, bessel_k1):
-            with pytest.raises(ValueError, match="positive finite"):
+            message = f"{kernel.__name__} requires a positive finite argument"
+            with pytest.raises(ValueError, match=message):
+                kernel(bad)
+            # One bad element rejects a whole array.
+            with pytest.raises(ValueError, match=message):
                 kernel(np.array([0.5, 2.0, bad, 3.0]))
 
 
-class TestArrays:
-    """An array in gives an array out, from the same scipy calls."""
+class TestAccuracy:
+    """Both branches and the seam at x = 2 against the 40-digit mpmath reference."""
 
-    def test_bitwise_equal_to_scipy(self):
-        x = np.array([1e-8, 1e-3, 0.5, 1.0, 7.25, 80.0, 700.0, 800.0])
-        assert np.array_equal(bessel_k0(x), sp.k0(x))
-        assert np.array_equal(bessel_k1(x), sp.k1(x))
-        assert bessel_k0(x)[-1] == bessel_k1(x)[-1] == 0.0
-        grid = x.reshape(2, 4)
-        assert np.array_equal(bessel_k1(grid), sp.k1(grid))
+    X = np.concatenate([np.geomspace(1e-8, 700.0, 200),
+                        [np.nextafter(2.0, 0.0), 2.0, np.nextafter(2.0, 3.0)]])
+
+    def test_within_1e14_of_reference(self):
+        for kernel, order in ((bessel_k0, 0), (bessel_k1, 1)):
+            values = kernel(self.X)
+            worst = max(abs(v / bessel_reference(x, order) - 1.0) for x, v in zip(self.X, values))
+            assert worst <= 1e-14, (order, worst)
+
+    @pytest.mark.parametrize("x", [np.nextafter(1075 * math.log(2.0), np.inf), 745.2, 800.0,
+                                   1e5, 1e300, np.finfo(float).max])
+    def test_zero_past_underflow_without_warning(self, x):
+        with np.errstate(all="raise"):
+            assert bessel_k0(x) == bessel_k1(x) == 0.0
+            assert np.array_equal(bessel_k0(np.array([x, 3.0]))[:1], [0.0])
+            assert np.array_equal(bessel_k1(np.array([x, 3.0]))[:1], [0.0])
+
+    def test_continuous_and_decreasing_across_the_seam(self):
+        # Series below x = 2, continued fraction above.  Neighbouring doubles
+        # move K by about 4 ulp, less than the series' rounding near 2, so the
+        # ordering is checked at steps of 1e-13, where K moves by ~1e-13.
+        x = 2.0 + np.arange(-10, 11) * 1e-13
+        assert x[10] == 2.0
+        for kernel in (bessel_k0, bessel_k1):
+            values = kernel(x)
+            assert np.all(np.diff(values) < 0.0)
+            edge = kernel(np.array([np.nextafter(2.0, 0.0), 2.0, np.nextafter(2.0, 3.0)]))
+            assert edge == pytest.approx(edge[1], rel=1e-14, abs=0.0)
+
+    def test_denormal_argument(self):
+        # 1/x overflows below 5.6e-309: K1 is inf there, with no warning, and
+        # K0 stays -ln(x/2) - gamma.
+        assert bessel_k1(5e-324) == math.inf
+        assert bessel_k0(5e-324) == pytest.approx(math.log(2.0) - math.log(5e-324) - EULER_GAMMA,
+                                                   rel=1e-15)
+
+
+class TestArrays:
+    """An array in gives an array out, from the same pass as a scalar."""
 
     def test_scalar_gives_float(self):
         for x in (2.0, 3, np.float64(0.25), np.array(1.5)):
             assert type(bessel_k0(x)) is float
             assert type(bessel_k1(x)) is float
-        assert bessel_k1(np.array(1.5)) == sp.k1(1.5)
+        assert bessel_k1(np.array(1.5)) == bessel_k1(np.array([1.5, 7.25]))[0]
+
+    def test_shape_kept(self):
+        x = np.array([1e-8, 1e-3, 0.5, 1.0, 7.25, 80.0, 700.0, 800.0])
+        for kernel in (bessel_k0, bessel_k1):
+            flat = kernel(x)
+            assert np.array_equal(kernel(x.reshape(2, 4)), flat.reshape(2, 4))
+            assert np.array_equal(flat, [kernel(v) for v in x])
 
     def test_empty_gives_empty(self):
         for kernel in (bessel_k0, bessel_k1):
@@ -144,8 +181,14 @@ def _scipy_kernel_uses(tree):
     return lines
 
 
+def _imported_modules(tree):
+    """Every module an import statement in a parsed module names."""
+    names = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names]
+    return names + [n.module or "" for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
+
+
 class TestOneKernel:
-    """special_functions is the only production caller of scipy's K0/K1."""
+    """The package evaluates K0/K1 in numpy; scipy serves only the oracles."""
 
     SRC = Path(__file__).resolve().parents[1] / "src" / "molstrip"
 
@@ -154,20 +197,23 @@ class TestOneKernel:
                 "from scipy.special import k1e\nimport scipy\n"
                 "sp.k0(1.0); ss.k1(1.0); scipy.special.k0e(1.0); sp.zeta(3, 2)\n")
         assert sorted(_scipy_kernel_uses(ast.parse(code))) == [3, 5, 5, 5]
+        assert _imported_modules(ast.parse(code)) == ["scipy.special", "scipy", "scipy",
+                                                      "scipy.special"]
 
-    def test_only_special_functions_calls_scipy_k0_k1(self):
+    def test_only_verification_imports_scipy(self):
         modules = sorted(self.SRC.glob("*.py"))
         assert self.SRC / "transfer.py" in modules
-        offenders = {p.name: lines for p in modules if p.name != "special_functions.py"
-                     if (lines := _scipy_kernel_uses(ast.parse(p.read_text())))}
-        assert offenders == {}
-        assert _scipy_kernel_uses(ast.parse((self.SRC / "special_functions.py").read_text()))
+        trees = {p.name: ast.parse(p.read_text()) for p in modules}
+        importers = sorted(name for name, tree in trees.items()
+                           if any(m.split(".")[0] == "scipy" for m in _imported_modules(tree)))
+        assert importers == ["verification.py"]
+        # The oracles' K0/K1 come from mpmath, not from scipy's kernels either.
+        assert {name: lines for name, tree in trees.items()
+                if (lines := _scipy_kernel_uses(tree))} == {}
 
     def test_transfer_does_not_import_scipy(self):
         tree = ast.parse((self.SRC / "transfer.py").read_text())
-        imported = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names]
-        imported += [n.module or "" for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
-        assert not [m for m in imported if m.split(".")[0] == "scipy"]
+        assert not [m for m in _imported_modules(tree) if m.split(".")[0] == "scipy"]
 
 
 @settings(max_examples=60, deadline=None)

@@ -14,6 +14,7 @@ from scipy import special as sp
 from molstrip import transfer
 from molstrip.atomic_data import HfsAtom, MoleculeGeometry
 from molstrip.cross_section import cross_section_fixed
+from molstrip.special_functions import bessel_k1
 from molstrip.transfer import (
     MIN_IMPACT_RADIUS,
     eikonal_phase_single,
@@ -85,7 +86,7 @@ class TestKickMagnitude:
             rc = np.maximum(r, MIN_IMPACT_RADIUS)
             acc = np.zeros_like(rc)
             for a, al in zip(atom.A, atom.alpha):
-                acc += al * a * sp.k1(al * rc)
+                acc += al * a * bessel_k1(al * rc)
             expected = 2.0 * atom.Z / 7.5 * acc
             assert np.array_equal(kick_magnitude(atom, 7.5, r), expected), atom.Z
 

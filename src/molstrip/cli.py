@@ -34,7 +34,7 @@ from .transfer import kick_profile
 EXIT_CONFIG_ERROR = 2
 EXIT_NO_CONVERGENCE = 3
 
-MAX_THETA_POINTS = 10_000     # each point is a b-plane integral per energy
+MAX_THETA_POINTS = 10_000     # each point is one b-plane integral for all energies
 
 PROJECTILE_PRESETS = {
     "Fe25+": (26.0, 1),
@@ -303,9 +303,9 @@ def cmd_scan_theta(config: RunConfig, out) -> None:
     systems = _build_systems(config)
     lines = _header_lines(config, "scan-theta")
     lines.append("theta_rad,channel_m,sigma_au,sigma_cm2,quad_error_au,delta")
-    for system in systems:
+    scans = delta_scan(systems, config.theta_grid, rel_tol=config.tolerance)
+    for system, scan in zip(systems, scans):
         lines += _energy_lines(system)
-        scan = delta_scan(system, config.theta_grid, rel_tol=config.tolerance)
         for i, theta in enumerate(scan.theta_grid):
             for m in range(1, system.projectile.N_P + 1):
                 sigma = scan.sigma_au[i, m - 1]
@@ -321,9 +321,9 @@ def cmd_average(config: RunConfig, out) -> None:
     lines = _header_lines(config, "average")
     lines.append("channel_m,sigma_avg_au,sigma_perp_au,relative_correction,"
                  "relative_correction_error,sigma_avg_cm2,sigma_perp_cm2")
-    for system in systems:
+    averages = orientation_average(systems, rel_tol=config.tolerance)
+    for system, (avg, scan) in zip(systems, averages):
         lines += _energy_lines(system)
-        avg, scan = orientation_average(system, rel_tol=config.tolerance)
         for r, perp, perp_err in zip(avg, scan.sigma_perp, scan.perp_error):
             ratio = r.sigma_au / perp
             # First-order error of ratio - 1 from both quadrature errors.

@@ -6,8 +6,14 @@ p = W_ion(|Q|/Z_eff) the loss channels are binomial,
 
     P_m(b) = C(N_P, m) p^m (1 - p)^(N_P - m),
 
-and sigma^{m+}(theta, phi) = integral P_m(b) d^2b.  The azimuthal average is
-taken by symmetry (the full b-plane integral is invariant under rotations
+and sigma^{m+}(theta, phi) = integral P_m(b) d^2b.  Every kick scales as
+1/v, so F(b) = v |Q(b)| depends on the target and the orientation only:
+systems that share geometry, projectile and W_ion table and differ in
+energy are integrated together, one b-plane mesh per orientation with a
+column per (energy, channel), F evaluated once per point and
+p_E = W_ion(F / (v_E Z_eff)).  The mesh is refined until every column meets
+the relative tolerance, so each energy's sigma does.  The azimuthal average
+is taken by symmetry (the full b-plane integral is invariant under rotations
 about the beam): scans evaluate phi = 0 only, and phi_invariance_check, run
 by ``molstrip validate``, tests the symmetry numerically.  delta(theta)
 compares each orientation against the perpendicular one, and the chaotic
@@ -91,24 +97,47 @@ class DegenerateSystemError(ValueError):
     """A channel's sigma at theta = pi/2 is zero, so a ratio to it is undefined."""
 
 
+def _as_systems(systems) -> tuple[tuple[CollisionSystem, ...], bool]:
+    """``systems`` as a nonempty tuple, and whether a bare system was given.
+
+    ValueError unless they share geometry, projectile and table, so that one
+    b-plane mesh serves them all.
+    """
+    single = isinstance(systems, CollisionSystem)
+    systems = (systems,) if single else tuple(systems)
+    if not systems:
+        raise ValueError("at least one collision system is required")
+    first = systems[0]
+    for other in systems[1:]:
+        if ((other.geometry, other.projectile) != (first.geometry, first.projectile)
+                or other.table is not first.table):
+            raise ValueError("collision systems must share geometry, projectile and table")
+    return systems, single
+
+
 def _binomial_channels(p: np.ndarray, n: int) -> np.ndarray:
-    """Columns P_m for m = 1..n."""
+    """P_m for m = 1..n along a new last axis."""
     cols = [math.comb(n, m) * p**m * (1.0 - p) ** (n - m) for m in range(1, n + 1)]
-    return np.stack(cols, axis=1)
+    return np.stack(cols, axis=-1)
 
 
 def _loss_probability(projections, atoms, proj, v, table):
-    """p(b) = W_ion(|Q(b)| / Z_eff), the per-electron loss probability at b-plane points."""
-    z_eff = proj.Z_eff
+    """p(b) = W_ion(|Q(b)| / Z_eff), the per-electron loss probability at b-plane points.
+
+    ``v`` is one velocity, giving p of shape (n,), or a sequence, giving
+    (n, len(v)).  The kick is evaluated once per point, at v = 1, and scaled.
+    """
+    scale = np.asarray(v, dtype=float) * proj.Z_eff
 
     def p(points):
-        return table(total_kick_magnitude(projections, atoms, v, points) / z_eff)
+        return table(np.divide.outer(total_kick_magnitude(projections, atoms, 1.0, points), scale))
 
     return p
 
 
 def _outer_cutoff(projections, p_fn) -> float:
-    """Radius beyond which p is below CUTOFF_FRACTION of its peak.
+    """Radius beyond which p is below CUTOFF_FRACTION of its peak, for every
+    column of p (the largest of the columns' radii).
 
     Raises QuadratureError when p is still above that fraction at the last
     sample, 150 a.u. past the outermost atom, or when the b-plane coordinates
@@ -125,19 +154,19 @@ def _outer_cutoff(projections, p_fn) -> float:
 
     t = np.concatenate([np.geomspace(1e-4, 1.0, 40), np.linspace(1.1, 150.0, 600)])
     pts = u[None, :] * (outer + t)[:, None]
-    p = p_fn(pts)
-    peak = float(p.max())
-    if peak <= 0.0:
-        return outer + 1.0
-    if p[-1] > CUTOFF_FRACTION * peak:
+    p = p_fn(pts).reshape(len(t), -1)
+    peak = p.max(axis=0)
+    floor = CUTOFF_FRACTION * peak
+    if np.any(p[-1] > floor):
+        still = np.max(p[-1] / np.maximum(peak, sys.float_info.min))
         raise QuadratureError(
             f"outer cutoff not reached: at r = {outer + t[-1]:g} a.u. the integrand is "
-            f"still {p[-1] / peak:.3g} of its peak (cutoff {CUTOFF_FRACTION:g})",
+            f"still {still:.3g} of its peak (cutoff {CUTOFF_FRACTION:g})",
             values=None, errors=None, n_cells=0,
         )
-    above = np.nonzero(p > CUTOFF_FRACTION * peak)[0]
-    t_cut = t[above[-1]] if len(above) else 1.0
-    return outer + float(t_cut) + 1.0
+    # A column whose p vanishes everywhere has no entry above its floor of 0.
+    above = np.nonzero(np.any(p > floor, axis=1))[0]
+    return outer + (float(t[above[-1]]) if len(above) else 0.0) + 1.0
 
 
 def _canonical_frame(geometry: MoleculeGeometry, projections: np.ndarray):
@@ -155,19 +184,28 @@ def _canonical_frame(geometry: MoleculeGeometry, projections: np.ndarray):
 
 
 def cross_section_fixed(
-    system: CollisionSystem,
+    systems,
     theta: float,
     phi: float = 0.0,
     rel_tol: float = 1e-3,
     use_symmetry: bool = True,
-) -> list[CrossSectionResult]:
-    """sigma^{m+}(theta, phi) for every channel m = 1..N_P."""
-    geom, proj = system.geometry, system.projectile
+):
+    """sigma^{m+}(theta, phi) for every channel m = 1..N_P.
+
+    ``systems`` is one CollisionSystem, for which the channel list is
+    returned, or a sequence of systems that share geometry, projectile and
+    table, for which one channel list per system is returned.  Either way one
+    b-plane integral carries every (system, channel) column: the cutoff is
+    the largest over the systems, and every column meets ``rel_tol``.
+    """
+    systems, single = _as_systems(systems)
+    geom, proj = systems[0].geometry, systems[0].projectile
     projections = transverse_positions(geom, Orientation(theta, phi))
     quadrant = False
     if use_symmetry:
         projections, quadrant = _canonical_frame(geom, projections)
-    p_fn = _loss_probability(projections, geom.atoms, proj, system.velocity, system.table)
+    p_fn = _loss_probability(projections, geom.atoms, proj, [s.velocity for s in systems],
+                             systems[0].table)
     b_max = _outer_cutoff(projections, p_fn)
     # The integrand reaches b_max - outer past an atom.  An atom farther out lies in
     # an initial cell too wide for any node to see it, so edges at +- reach frame it.
@@ -176,15 +214,18 @@ def cross_section_fixed(
     if b_max > 2.0 * reach:
         seeds = np.concatenate([seeds, seeds - reach, seeds + reach])
     values, errors = integrate_b_plane(
-        lambda points: _binomial_channels(p_fn(points), proj.N_P),
+        lambda points: _binomial_channels(p_fn(points), proj.N_P).reshape(len(points), -1),
         half_width=b_max,
         rel_tol=rel_tol,
         quadrant=quadrant,
         x_splits=seeds[:, 0],
         y_splits=seeds[:, 1],
     )
-    return [CrossSectionResult(m=m, sigma_au=float(sigma), quad_error=float(err))
-            for m, (sigma, err) in enumerate(zip(values, errors), start=1)]
+    shape = (len(systems), proj.N_P)
+    per_system = [[CrossSectionResult(m=m, sigma_au=float(sigma), quad_error=float(err))
+                   for m, (sigma, err) in enumerate(zip(sigmas, errs), start=1)]
+                  for sigmas, errs in zip(values.reshape(shape), errors.reshape(shape))]
+    return per_system[0] if single else per_system
 
 
 def _check_perp(system: CollisionSystem, perp: list[CrossSectionResult]) -> None:
@@ -232,47 +273,59 @@ def check_theta_grid(theta_grid) -> np.ndarray:
     return theta_grid
 
 
-def delta_scan(system: CollisionSystem, theta_grid, rel_tol: float = 1e-3) -> OrientationScan:
+def delta_scan(systems, theta_grid, rel_tol: float = 1e-3):
     """sigma(theta) and delta(theta) over a grid in [0, pi/2].
 
-    delta is measured against sigma at theta = pi/2, computed once.  Raises
-    DegenerateSystemError, naming the energy and the channel, when a channel's
-    sigma at pi/2 is not positive.
+    ``systems`` is one CollisionSystem, giving one OrientationScan, or a
+    sequence sharing geometry, projectile and table, giving one scan per
+    system from one cross_section_fixed call per angle.  delta is measured
+    against sigma at theta = pi/2, computed once.  Raises
+    DegenerateSystemError, naming the energy and the channel, when a
+    channel's sigma at pi/2 is not positive.
     """
+    systems, single = _as_systems(systems)
     theta_grid = check_theta_grid(theta_grid)
-    perp = cross_section_fixed(system, math.pi / 2, rel_tol=rel_tol)
-    _check_perp(system, perp)
+    perp = cross_section_fixed(systems, math.pi / 2, rel_tol=rel_tol)
+    for system, channels in zip(systems, perp):
+        _check_perp(system, channels)
 
     # Row 0 is sigma at pi/2; a grid point at pi/2 reuses it.
     results = [perp] + [perp if np.isclose(th, math.pi / 2)
-                        else cross_section_fixed(system, float(th), rel_tol=rel_tol)
+                        else cross_section_fixed(systems, float(th), rel_tol=rel_tol)
                         for th in theta_grid]
-    sigma = np.array([[r.sigma_au for r in res] for res in results])
-    err = np.array([[r.quad_error for r in res] for res in results])
-    return OrientationScan(theta_grid=theta_grid, sigma_au=sigma[1:], quad_error=err[1:],
-                           delta=sigma[1:] / sigma[0] - 1.0, sigma_perp=sigma[0],
-                           perp_error=err[0])
+    # (system, 1 + n_theta, channel)
+    sigma = np.array([[[r.sigma_au for r in ch] for ch in res] for res in results]).swapaxes(0, 1)
+    err = np.array([[[r.quad_error for r in ch] for ch in res] for res in results]).swapaxes(0, 1)
+    scans = [OrientationScan(theta_grid=theta_grid, sigma_au=s[1:], quad_error=e[1:],
+                             delta=s[1:] / s[0] - 1.0, sigma_perp=s[0], perp_error=e[0])
+             for s, e in zip(sigma, err)]
+    return scans[0] if single else scans
 
 
-def orientation_average(
-    system: CollisionSystem, rel_tol: float = 1e-3,
-) -> tuple[list[CrossSectionResult], OrientationScan]:
+def orientation_average(systems, rel_tol: float = 1e-3):
     """Chaotic-orientation average: integral of sigma(theta) (1/2) sin(theta).
 
     Folding theta -> pi - theta and substituting cos(theta) = 1 - u^2 turn this
     into the integral of 2 u sigma over u in [0, 1], done by AVERAGE_NODES-point
-    Gauss-Legendre through delta_scan, whose scan (with sigma at pi/2) is
-    returned beside the average.  In u the nodes reach sigma's sharp feature
-    near theta = 0, which no node of the same rule in cos(theta) sampled: for
-    Fe24+ at 10 MeV/u, m = 2, tol 1e-3, the relative correction is 0.000940
-    against 0.000933 with 40 nodes (0.000525 in cos(theta)).
+    Gauss-Legendre through delta_scan.  Returns (channel list, scan), the scan
+    (with sigma at pi/2) being the one the average was taken over; for a
+    sequence of systems, one such pair per system.  In u the nodes reach
+    sigma's sharp feature near theta = 0, which no node of the same rule in
+    cos(theta) sampled: for Fe24+ at 10 MeV/u alone, m = 2, tol 1e-3, the
+    relative correction is 0.000940 against 0.000933 with 40 nodes (0.000525
+    in cos(theta)); on one mesh with 100 and 1000 MeV/u, 0.000943 against
+    0.000934 (0.000526).
     The reported error is the isotropic-weight sum of the per-node b-plane
     quadrature errors only; no estimate of the Gauss-Legendre truncation is
     made yet.
     """
+    systems, single = _as_systems(systems)
     x, w = np.polynomial.legendre.leggauss(AVERAGE_NODES)
     u = 0.5 * (x + 1.0)         # on [0, 1]; the weights become (w / 2) dc/du = w u
-    scan = delta_scan(system, 2.0 * np.arcsin(u / math.sqrt(2.0)), rel_tol=rel_tol)
-    avg, avg_err = (w * u) @ scan.sigma_au, (w * u) @ scan.quad_error
-    return [CrossSectionResult(m=m, sigma_au=float(sigma), quad_error=float(err))
-            for m, (sigma, err) in enumerate(zip(avg, avg_err), start=1)], scan
+    scans = delta_scan(systems, 2.0 * np.arcsin(u / math.sqrt(2.0)), rel_tol=rel_tol)
+    averages = []
+    for scan in scans:
+        avg, avg_err = (w * u) @ scan.sigma_au, (w * u) @ scan.quad_error
+        averages.append(([CrossSectionResult(m=m, sigma_au=float(sigma), quad_error=float(err))
+                          for m, (sigma, err) in enumerate(zip(avg, avg_err), start=1)], scan))
+    return averages[0] if single else averages

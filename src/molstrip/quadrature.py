@@ -13,9 +13,10 @@ the shortest leading run whose summed errors cover the excess
 ``total_error - tolerance`` of every component still above its tolerance.
 The run never exceeds the cells with a positive ratio, the ``_MAX_CELLS``
 budget (each split adds fifteen cells) or ``_BATCH`` cells.  Evaluation is
-batched, so the integrand receives whole point arrays, and cell creation
-order is fixed, which makes the final reduction deterministic regardless of
-scheduling.
+batched, so the integrand receives whole point arrays of at most
+``_CALL_CELLS`` cells (2176 points), which bounds its temporaries, and cell
+creation order is fixed, which makes the final reduction deterministic
+regardless of scheduling.
 
 A quadrant fast path integrates [0, W]^2 and multiplies by 4 for integrands
 with mirror symmetry in both axes (homonuclear diatomic with the bond
@@ -30,6 +31,7 @@ __all__ = ["integrate_b_plane", "QuadratureError"]
 
 _SPLIT = 4             # a refined cell becomes _SPLIT x _SPLIT children
 _BATCH = 256          # ceiling on the cells one sweep splits (272 evals each)
+_CALL_CELLS = 128     # cells per integrand call: bounds the integrand's temporaries
 _INITIAL_DIVISIONS = 8
 _MIN_CELL_SIZE = 1e-6  # cells narrower than this are never split
 _MAX_CELLS = 400_000   # cell budget of one integral
@@ -65,15 +67,18 @@ _CHILD_OFFSETS = np.array([(i, j) for i in range(_SPLIT) for j in range(_SPLIT)]
 
 
 def _eval_cells(integrand, rects: np.ndarray):
-    """Evaluate the rule pair on a (k, 4) array of [x0, y0, dx, dy] cells.
+    """Evaluate the rule pair on a (k, 4) array of [x0, y0, dx, dy] cells,
+    at most _CALL_CELLS cells per integrand call.
 
     Returns (value, err), both (k, m): the degree-7 estimate and _ERR_FACTOR
     times its gap to the degree-5 estimate.
     """
-    k = len(rects)
-    pts = (rects[:, None, 0:2] + rects[:, None, 2:4] * _NODES).reshape(-1, 2)
-    vals = np.asarray(integrand(pts), dtype=float).reshape(k, len(_NODES), -1)
-    est = (_WEIGHTS.T @ vals) * (rects[:, 2] * rects[:, 3])[:, None, None]
+    est = []
+    for part in np.split(rects, range(_CALL_CELLS, len(rects), _CALL_CELLS)):
+        pts = (part[:, None, 0:2] + part[:, None, 2:4] * _NODES).reshape(-1, 2)
+        vals = np.asarray(integrand(pts), dtype=float).reshape(len(part), len(_NODES), -1)
+        est.append((_WEIGHTS.T @ vals) * (part[:, 2] * part[:, 3])[:, None, None])
+    est = np.concatenate(est)
     return est[:, 0], _ERR_FACTOR * np.abs(est[:, 1])
 
 
@@ -90,8 +95,9 @@ def _excess_cover(sorted_err: np.ndarray, excess: np.ndarray) -> int:
 def _initial_edges(lo: float, hi: float, splits) -> np.ndarray:
     edges = np.linspace(lo, hi, _INITIAL_DIVISIONS + 1)
     interior = [s for s in splits if lo < s < hi]
-    edges = np.unique(np.concatenate([edges, np.asarray(interior, dtype=float)]))
-    return edges
+    # Sorted and deduplicated; np.unique would import numpy.ma.
+    edges = np.sort(np.concatenate([edges, np.asarray(interior, dtype=float)]))
+    return edges[np.concatenate([[True], edges[1:] != edges[:-1]])]
 
 
 def integrate_b_plane(

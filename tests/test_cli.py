@@ -523,14 +523,16 @@ class TestEntryPoint:
         assert result.returncode == 0
         assert "s,w_ion" in result.stdout
 
-    def test_commands_load_no_scipy(self, config_path, tmp_path, child_env):
+    def test_commands_load_neither_scipy_nor_numpy_ma(self, config_path, tmp_path, child_env):
         # The CLI evaluates everything in numpy: importing scipy.special alone
         # cost about 0.3 s and 25 MB at start-up.  scipy, mpmath and
-        # molstrip.verification serve only the test oracles.
+        # molstrip.verification serve only the test oracles.  numpy.ma, which
+        # np.unique imports, cost about 1 MB.
         code = ("import sys, molstrip.cli\n"
                 "def loaded():\n"
                 "    return sorted(m for m in sys.modules if m.startswith(('scipy', 'mpmath'))\n"
-                "                  or m == 'molstrip.verification')\n"
+                "                  or m in ('molstrip.verification', 'numpy.ma')\n"
+                "                  or m.startswith('numpy.ma.'))\n"
                 "print(loaded())\n"
                 "for i, command in enumerate(['scan-theta', 'average', 'table', 'validate']):\n"
                 "    code = molstrip.cli.main([command, '--config', sys.argv[1],\n"

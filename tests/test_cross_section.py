@@ -210,6 +210,65 @@ class TestDeltaScan:
             delta_scan(system, [0.0, math.pi / 2])
 
 
+class TestSharedMesh:
+    """Systems that differ only in energy are integrated on one b-plane mesh."""
+
+    ENERGIES = (10.0, 100.0, 1000.0)
+
+    @pytest.fixture(scope="class")
+    def systems(self, make_system):
+        return [make_system(2, e) for e in self.ENERGIES]
+
+    @pytest.mark.parametrize("theta", [0.0, 0.6, math.pi / 2])
+    def test_joint_call_matches_one_system_calls(self, systems, theta):
+        joint = cross_section_fixed(systems, theta, rel_tol=1e-3)
+        assert len(joint) == len(systems)
+        for system, channels in zip(systems, joint):
+            alone = cross_section_fixed(system, theta, rel_tol=1e-3)
+            assert [r.m for r in channels] == [r.m for r in alone] == [1, 2]
+            for a, b in zip(channels, alone):
+                assert abs(a.sigma_au - b.sigma_au) <= a.quad_error + b.quad_error
+                assert a.quad_error <= 1e-3 * a.sigma_au
+
+    @pytest.mark.parametrize("theta", [0.0, 0.5, math.pi / 2])
+    def test_joint_errors_bound_error_against_gauss_legendre(self, systems, theta):
+        for tol in (1e-2, 1e-3):
+            for energy, channels in zip(self.ENERGIES,
+                                        cross_section_fixed(systems, theta, rel_tol=tol)):
+                refs = TestErrorHonesty.GAUSS_LEGENDRE_REFERENCE[energy, theta]
+                for r, ref in zip(channels, refs):
+                    assert abs(r.sigma_au - ref) <= r.quad_error, (energy, tol, r.m)
+
+    def test_one_system_is_a_sequence_of_one(self, systems):
+        assert cross_section_fixed([systems[1]], 0.6, rel_tol=1e-2) == [
+            cross_section_fixed(systems[1], 0.6, rel_tol=1e-2)]
+
+    def test_scans_and_averages_come_per_system(self, systems):
+        grid = [0.0, math.pi / 2]
+        scans = delta_scan(systems, grid, rel_tol=1e-2)
+        perp = cross_section_fixed(systems, math.pi / 2, rel_tol=1e-2)
+        assert len(scans) == len(systems)
+        for scan, channels in zip(scans, perp):
+            assert np.array_equal(scan.sigma_perp, [r.sigma_au for r in channels])
+            assert np.array_equal(scan.delta[-1], [0.0, 0.0])
+        averages = orientation_average(systems, rel_tol=1e-2)
+        assert [len(avg) for avg, _ in averages] == [2, 2, 2]
+        assert [scan.sigma_au.shape for _, scan in averages] == [(20, 2)] * 3
+
+    def test_degenerate_perpendicular_sigma_names_its_energy(self, systems):
+        # A speed of 1e200 a.u. scales every kick to s ~ 1e-200, so p and sigma are 0.
+        dead = replace(systems[1], params=replace(systems[1].params, velocity_au=1e200))
+        with pytest.raises(cross_section.DegenerateSystemError,
+                           match="sigma\\^1\\+ at theta = pi/2 vanishes at 100 MeV/u"):
+            delta_scan([systems[0], dead, systems[2]], [0.0], rel_tol=1e-2)
+
+    def test_systems_must_share_geometry_projectile_and_table(self, systems, make_system):
+        with pytest.raises(ValueError, match="share geometry, projectile and table"):
+            cross_section_fixed([systems[0], make_system(1, 100.0)], 0.0)
+        with pytest.raises(ValueError, match="at least one"):
+            delta_scan([], [0.0])
+
+
 class TestPhiInvarianceProperty:
     def test_five_random_azimuth_pairs(self, make_system):
         system = make_system(1, 10.0)

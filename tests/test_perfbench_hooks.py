@@ -127,9 +127,9 @@ def fixed_calls(monkeypatch):
     return calls
 
 
-def _run(tmp_path, command):
+def _run(tmp_path, command, config=CONFIG):
     path = tmp_path / "run.json"
-    path.write_text(json.dumps(CONFIG))
+    path.write_text(json.dumps(config))
     assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "out.csv")]) == 0
 
 
@@ -148,3 +148,39 @@ def test_average_calls_each_node_once_on_the_symmetric_path(tmp_path, fixed_call
     u = 0.5 * (np.polynomial.legendre.leggauss(20)[0] + 1.0)
     nodes = 2.0 * np.arcsin(u / math.sqrt(2.0))
     _assert_symmetric_path(fixed_calls, [math.pi / 2, *nodes])
+
+
+# Three energies share one b-plane mesh per orientation.
+CONFIG_3E = {**CONFIG, "energies_mev_u": [10.0, 100.0, 1000.0]}
+
+
+def test_three_energy_scan_calls_each_theta_once(tmp_path, fixed_calls):
+    _run(tmp_path, "scan-theta", CONFIG_3E)
+    _assert_symmetric_path(fixed_calls, np.linspace(0.0, math.pi / 2, 3))
+
+
+def test_three_energy_average_calls_each_node_once(tmp_path, fixed_calls):
+    _run(tmp_path, "average", CONFIG_3E)
+    u = 0.5 * (np.polynomial.legendre.leggauss(20)[0] + 1.0)
+    nodes = 2.0 * np.arcsin(u / math.sqrt(2.0))
+    _assert_symmetric_path(fixed_calls, [math.pi / 2, *nodes])
+
+
+def test_shared_mesh_evaluates_at_most_half_the_points(tmp_path, monkeypatch):
+    points = []
+    original = cross_section.integrate_b_plane
+
+    def counting(integrand, **kwargs):
+        def counted(p):
+            points.append(len(p))
+            return integrand(p)
+
+        return original(counted, **kwargs)
+
+    monkeypatch.setattr(cross_section, "integrate_b_plane", counting)
+    _run(tmp_path, "scan-theta", CONFIG_3E)
+    shared = sum(points)
+    points.clear()
+    for energy in CONFIG_3E["energies_mev_u"]:
+        _run(tmp_path, "scan-theta", {**CONFIG, "energies_mev_u": [energy]})
+    assert shared <= 0.5 * sum(points)

@@ -348,16 +348,16 @@ def cmd_validate(config: RunConfig, out) -> int:
     # A failed azimuthal-invariance check means the phi = 0 scans are wrong for
     # this target, so it exits 3 where a regime check only warns.
     systems = _build_systems(config)
+    phi_checks = cross_section.phi_invariance_check(systems, config.tolerance)
     out.write(f"molstrip {__version__} validate\n")
     failed = []
-    for system in systems:
+    for system, phi_check in zip(systems, phi_checks):
         params = system.params
         out.write(
             f"\nenergy {_fmt(params.energy_mev_u)} MeV/u: "
             f"v = {_fmt(params.velocity_au)} a.u., gamma = {_fmt(params.gamma)}\n"
         )
         regime = validate_regime(params, config.projectile, config.geometry)
-        phi_check = cross_section.phi_invariance_check(system, config.tolerance)
         for check in regime + [phi_check]:
             status = "pass" if check.passed else "WARN" if check in regime else "FAIL"
             out.write(

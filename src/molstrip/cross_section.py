@@ -15,11 +15,12 @@ p_E = W_ion(F / (v_E Z_eff)).  The mesh is refined until every column meets
 the relative tolerance, so each energy's sigma does.  The azimuthal average
 is taken by symmetry (the full b-plane integral is invariant under rotations
 about the beam): scans evaluate phi = 0 only, and phi_invariance_check, run
-by ``molstrip validate``, tests the symmetry numerically.  delta(theta)
-compares each orientation against the perpendicular one, and the chaotic
-average integrates sigma(theta) with the isotropic weight over [0, pi/2],
-using the theta -> pi - theta symmetry, by Gauss-Legendre in
-u = sqrt(1 - cos(theta)), whose nodes crowd towards theta = 0.
+by ``molstrip validate``, tests the symmetry numerically with two full-plane
+integrals that carry every energy.  delta(theta) compares each orientation
+against the perpendicular one, and the chaotic average integrates sigma(theta)
+with the isotropic weight over [0, pi/2], using the theta -> pi - theta
+symmetry, by Gauss-Legendre in u = sqrt(1 - cos(theta)), whose nodes crowd
+towards theta = 0.
 """
 
 from __future__ import annotations
@@ -147,7 +148,7 @@ def _outer_cutoff(projections, p_fn) -> float:
     outer = float(np.max(np.hypot(projections[:, 0], projections[:, 1])))
     if np.spacing(outer + 150.0) > MIN_IMPACT_RADIUS:
         raise QuadratureError(f"b-plane coordinates {outer:g} a.u. off the beam axis do not "
-                              f"resolve {MIN_IMPACT_RADIUS:g} a.u.", None, None, 0)
+                              f"resolve {MIN_IMPACT_RADIUS:g} a.u.")
     direction = projections[np.argmax(np.hypot(projections[:, 0], projections[:, 1]))]
     norm = np.hypot(*direction)
     u = direction / norm if norm > 0 else np.array([1.0, 0.0])
@@ -161,9 +162,7 @@ def _outer_cutoff(projections, p_fn) -> float:
         still = np.max(p[-1] / np.maximum(peak, sys.float_info.min))
         raise QuadratureError(
             f"outer cutoff not reached: at r = {outer + t[-1]:g} a.u. the integrand is "
-            f"still {still:.3g} of its peak (cutoff {CUTOFF_FRACTION:g})",
-            values=None, errors=None, n_cells=0,
-        )
+            f"still {still:.3g} of its peak (cutoff {CUTOFF_FRACTION:g})")
     # A column whose p vanishes everywhere has no entry above its floor of 0.
     above = np.nonzero(np.any(p > floor, axis=1))[0]
     return outer + (float(t[above[-1]]) if len(above) else 0.0) + 1.0
@@ -178,8 +177,6 @@ def _canonical_frame(geometry: MoleculeGeometry, projections: np.ndarray):
     if not geometry.is_homonuclear_diatomic:
         return projections, False
     d = float(np.hypot(*projections[0]))
-    if d == 0.0:
-        return np.zeros_like(projections), True
     return np.array([[d, 0.0], [-d, 0.0]]), True
 
 
@@ -228,40 +225,46 @@ def cross_section_fixed(
     return per_system[0] if single else per_system
 
 
-def _check_perp(system: CollisionSystem, perp: list[CrossSectionResult]) -> None:
+def _check_perp(systems, perp) -> None:
     """Raise DegenerateSystemError, naming energy and channel, for a sigma at pi/2 <= 0."""
-    for r in perp:
-        if not r.sigma_au > 0:
-            raise DegenerateSystemError(
-                f"degenerate system: sigma^{r.m}+ at theta = pi/2 vanishes at "
-                f"{system.params.energy_mev_u:.9g} MeV/u, so no ratio to it is defined")
+    for system, channels in zip(systems, perp):
+        for r in channels:
+            if not r.sigma_au > 0:
+                raise DegenerateSystemError(
+                    f"degenerate system: sigma^{r.m}+ at theta = pi/2 vanishes at "
+                    f"{system.params.energy_mev_u:.9g} MeV/u, so no ratio to it is defined")
 
 
-def phi_invariance_check(system: CollisionSystem, rel_tol: float) -> RegimeCheck:
+def phi_invariance_check(systems, rel_tol: float):
     """Check numerically that sigma at theta = pi/2 does not depend on the azimuth phi.
 
     The scans evaluate phi = 0 only and take it as the azimuthal average.  This
     integrates two azimuths over the full b-plane, without the symmetric fast
-    path; the value is the largest channel gap over its allowance
+    path, each in one cross_section_fixed call for every system.  ``systems``
+    is one CollisionSystem, giving one RegimeCheck, or a sequence sharing
+    geometry, projectile and table, giving one check per system.  A check's
+    value is the largest channel gap over its allowance
     3 (err_a + err_b) + 1e-12 |sigma|, and it must not exceed 1.  A vanishing
-    sigma, which would pass vacuously, raises DegenerateSystemError.
+    sigma, which would pass vacuously, raises DegenerateSystemError naming
+    its energy.
     """
+    systems, single = _as_systems(systems)
     theta, tol = math.pi / 2, max(rel_tol, 1e-3)
-    a = cross_section_fixed(system, theta, 0.7, rel_tol=tol, use_symmetry=False)
-    _check_perp(system, a)
-    b = cross_section_fixed(system, theta, 2.3, rel_tol=tol, use_symmetry=False)
-    ratio = 0.0
-    for ra, rb in zip(a, b):
-        allowance = 3.0 * (ra.quad_error + rb.quad_error) + 1e-12 * abs(ra.sigma_au)
-        ratio = max(ratio, abs(ra.sigma_au - rb.sigma_au) / max(allowance, sys.float_info.min))
-    passed = ratio <= 1.0
-    return RegimeCheck(
-        "azimuth", "azimuthal invariance (max gap/allowance)", ratio, "<= 1", passed,
-        "" if passed else (
-            f"sigma at phi = 0.7 and 2.3 (theta = {theta:.6g}) differ by {ratio:.3g} times "
-            "the allowance: the phi = 0 shortcut does not hold"
-        ),
-    )
+    a = cross_section_fixed(systems, theta, 0.7, rel_tol=tol, use_symmetry=False)
+    _check_perp(systems, a)
+    b = cross_section_fixed(systems, theta, 2.3, rel_tol=tol, use_symmetry=False)
+    checks = []
+    for channels_a, channels_b in zip(a, b):
+        ratio = 0.0
+        for ra, rb in zip(channels_a, channels_b):
+            allowance = 3.0 * (ra.quad_error + rb.quad_error) + 1e-12 * abs(ra.sigma_au)
+            ratio = max(ratio, abs(ra.sigma_au - rb.sigma_au) / max(allowance, sys.float_info.min))
+        passed = ratio <= 1.0
+        checks.append(RegimeCheck(
+            "azimuth", "azimuthal invariance (max gap/allowance)", ratio, "<= 1", passed,
+            "" if passed else f"sigma at phi = 0.7 and 2.3 (theta = {theta:.6g}) differ by "
+            f"{ratio:.3g} times the allowance: the phi = 0 shortcut does not hold"))
+    return checks[0] if single else checks
 
 
 def check_theta_grid(theta_grid) -> np.ndarray:
@@ -286,8 +289,7 @@ def delta_scan(systems, theta_grid, rel_tol: float = 1e-3):
     systems, single = _as_systems(systems)
     theta_grid = check_theta_grid(theta_grid)
     perp = cross_section_fixed(systems, math.pi / 2, rel_tol=rel_tol)
-    for system, channels in zip(systems, perp):
-        _check_perp(system, channels)
+    _check_perp(systems, perp)
 
     # Row 0 is sigma at pi/2; a grid point at pi/2 reuses it.
     results = [perp] + [perp if np.isclose(th, math.pi / 2)

@@ -11,12 +11,11 @@ Each sweep splits only the cells the tolerance needs (excess cover): with the
 cells ranked by their worst per-component error-to-tolerance ratio, it splits
 the shortest leading run whose summed errors cover the excess
 ``total_error - tolerance`` of every component still above its tolerance.
-The run never exceeds the cells with a positive ratio, the ``_MAX_CELLS``
-budget (each split adds fifteen cells) or ``_BATCH`` cells.  Evaluation is
-batched, so the integrand receives whole point arrays of at most
-``_CALL_CELLS`` cells (2176 points), which bounds its temporaries, and cell
-creation order is fixed, which makes the final reduction deterministic
-regardless of scheduling.
+The run never exceeds the cells with a positive ratio or the ``_MAX_CELLS``
+budget (each split adds fifteen cells).  Evaluation is batched, so the
+integrand receives whole point arrays of at most ``_CALL_CELLS`` cells (2176
+points), which bounds its temporaries, and cell creation order is fixed,
+which makes the final reduction deterministic regardless of scheduling.
 
 A quadrant fast path integrates [0, W]^2 and multiplies by 4 for integrands
 with mirror symmetry in both axes (homonuclear diatomic with the bond
@@ -30,7 +29,6 @@ import numpy as np
 __all__ = ["integrate_b_plane", "QuadratureError"]
 
 _SPLIT = 4             # a refined cell becomes _SPLIT x _SPLIT children
-_BATCH = 256          # ceiling on the cells one sweep splits (272 evals each)
 _CALL_CELLS = 128     # cells per integrand call: bounds the integrand's temporaries
 _INITIAL_DIVISIONS = 8
 _MIN_CELL_SIZE = 1e-6  # cells narrower than this are never split
@@ -40,13 +38,8 @@ _ERR_FACTOR = 3.0      # safety factor on the degree-7 minus degree-5 gap
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive refinement failed to converge; carries the best estimate."""
-
-    def __init__(self, message, values, errors, n_cells):
-        super().__init__(message)
-        self.values = values
-        self.errors = errors
-        self.n_cells = n_cells
+    """The b-plane integral cannot meet its tolerance; the message says why
+    (for a failed refinement, the achieved error and the cell count)."""
 
 
 def _genz_malik() -> tuple[np.ndarray, np.ndarray]:
@@ -143,7 +136,7 @@ def integrate_b_plane(
         score[~refinable] = -1.0
         order = np.argsort(-score, kind="stable")
         n_refine = min(
-            _excess_cover(err[order[:_BATCH]], tot_err - scale),
+            _excess_cover(err[order], tot_err - scale),
             int(np.count_nonzero(score > 0)),
             (_MAX_CELLS - n_cells) // (_SPLIT**2 - 1),
         )
@@ -151,9 +144,7 @@ def integrate_b_plane(
             achieved = float(np.max(tot_err / np.maximum(np.abs(totals), _ABS_TOL)))
             raise QuadratureError(
                 f"b-plane quadrature did not reach rel_tol={rel_tol:g} "
-                f"(achieved {achieved:.3g} with {n_cells} cells)",
-                multiplier * totals, multiplier * tot_err, n_cells,
-            )
+                f"(achieved {achieved:.3g} with {n_cells} cells)")
 
         worst = order[:n_refine]
         keep = np.ones(len(rects), dtype=bool)

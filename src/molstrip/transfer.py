@@ -51,7 +51,10 @@ _H = (math.log(200.0) - _U0) / 999
 # atom lies 2^33 = 8.6e9 a.u. off the beam axis, so no run that proceeds asks
 # for the kick farther than about 2.1e10 a.u. from an atom.
 _MAX_REACH = 1e11
-_CHUNK = 8192       # points per pass of total_kick_magnitude: bounds its temporaries
+# Points per pass of total_kick_magnitude: bounds its temporaries.  The Monte
+# Carlo oracle's 65,536-point blocks, taken whole, made a verify solve 0.78-0.79 s
+# against 0.67-0.70 s and its peak RSS 73.5 against 72.5 MB (2-vCPU VM).
+_CHUNK = 8192
 
 
 def _check_positive(value: float, name: str) -> None:

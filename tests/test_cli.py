@@ -461,31 +461,44 @@ class TestValidate:
         assert run_cli(["validate", "--config", cfg]) == 0
         assert "[WARN]" in capsys.readouterr().out
 
-    def test_every_energy_checks_azimuthal_invariance(self, config_path, capsys):
+    def test_every_energy_checks_azimuthal_invariance(self, config_path, capsys, monkeypatch):
+        # Two full-plane integrals, one per azimuth, carry all three energies.
+        integrals = []
+        honest = cross_section.integrate_b_plane
+
+        def counted(integrand, **kwargs):
+            integrals.append(kwargs["half_width"])
+            return honest(integrand, **kwargs)
+
+        monkeypatch.setattr(cross_section, "integrate_b_plane", counted)
         cfg = config_path({"energies_mev_u": [10.0, 100.0, 1000.0]})
         assert run_cli(["validate", "--config", cfg]) == 0
+        assert len(integrals) == 2
         report = capsys.readouterr().out
         assert [b.count("azimuthal invariance") for b in report.split("\nenergy ")[1:]] == [1] * 3
         assert report.count("[pass] azimuthal invariance") == 3
 
     def test_phi_dependent_sigma_exits_3(self, config_path, tmp_path, capsys, monkeypatch):
-        from molstrip import cross_section
-
         honest = cross_section.cross_section_fixed
 
-        def skewed(system, theta, phi=0.0, rel_tol=1e-3, use_symmetry=True):
-            results = honest(system, theta, phi, rel_tol, use_symmetry)
-            return [replace(r, sigma_au=r.sigma_au * (1.0 + 0.1 * phi)) for r in results]
+        def skewed(systems, theta, phi=0.0, rel_tol=1e-3, use_symmetry=True):
+            # sigma of the 10 MeV/u system alone grows with phi.
+            results = honest(systems, theta, phi, rel_tol=rel_tol, use_symmetry=use_symmetry)
+            return [[replace(r, sigma_au=r.sigma_au * (1.0 + 0.1 * phi)) for r in channels]
+                    if system.params.energy_mev_u == 10.0 else channels
+                    for system, channels in zip(systems, results)]
 
         monkeypatch.setattr(cross_section, "cross_section_fixed", skewed)
-        assert run_cli(["validate", "--config", config_path()]) == EXIT_NO_CONVERGENCE
+        cfg = config_path({"energies_mev_u": [10.0, 100.0, 1000.0]})
+        assert run_cli(["validate", "--config", cfg]) == EXIT_NO_CONVERGENCE
         captured = capsys.readouterr()
-        assert "[FAIL] azimuthal invariance" in captured.out
-        assert "azimuthal invariance check failed at 10 MeV/u" in captured.err
+        blocks = captured.out.split("\nenergy ")[1:]
+        assert ["[FAIL] azimuthal invariance" in b for b in blocks] == [True, False, False]
+        assert captured.err == "azimuthal invariance check failed at 10 MeV/u\n"
 
         # The failing report is still written to the output file.
         out = tmp_path / "report.txt"
-        code = run_cli(["validate", "--config", config_path(), "--out", str(out)])
+        code = run_cli(["validate", "--config", cfg, "--out", str(out)])
         assert code == EXIT_NO_CONVERGENCE
         assert "[FAIL] azimuthal invariance" in out.read_text()
         assert capsys.readouterr().out == ""
@@ -501,6 +514,27 @@ class TestShippedConfigs:
         assert run_cli(["validate", "--config", str(path)]) == 0
         report = capsys.readouterr().out
         assert report.count("[pass]") == 12 and "[WARN]" not in report
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+class TestShippedOutputs:
+    """``scan-theta`` and ``average`` on the shipped configs reproduce
+    ``tests/golden/<config>_<command>.csv`` byte for byte.
+
+    A change that moves these numbers on purpose regenerates the files, with
+    ``molstrip <command> --config configs/<config>.json --out
+    tests/golden/<config>_<command>.csv`` for each pair, and lists every moved
+    value, old -> new, in CHANGES.md.
+    """
+
+    @pytest.mark.parametrize("command", ["scan-theta", "average"])
+    @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.stem)
+    def test_matches_golden_file(self, path, command, tmp_path):
+        out = tmp_path / "out.csv"
+        assert run_cli([command, "--config", str(path), "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / f"{path.stem}_{command}.csv").read_bytes()
 
 
 class TestDeterminism:

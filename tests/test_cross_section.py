@@ -18,9 +18,10 @@ from molstrip.cross_section import (
     cross_section_fixed,
     delta_scan,
     orientation_average,
+    phi_invariance_check,
 )
 from molstrip.form_factor import ProjectileSpec
-from molstrip.kinematics import velocity_from_energy
+from molstrip.kinematics import RegimeCheck, velocity_from_energy
 from molstrip.quadrature import QuadratureError, integrate_b_plane
 
 N2_BOND_LENGTH = 2.07
@@ -255,12 +256,27 @@ class TestSharedMesh:
         assert [len(avg) for avg, _ in averages] == [2, 2, 2]
         assert [scan.sigma_au.shape for _, scan in averages] == [(20, 2)] * 3
 
+    def test_phi_checks_come_per_system(self, systems, monkeypatch):
+        integrals = []
+        honest = cross_section.integrate_b_plane
+        monkeypatch.setattr(cross_section, "integrate_b_plane",
+                            lambda f, **kw: integrals.append(kw) or honest(f, **kw))
+        checks = phi_invariance_check(systems, 1e-2)
+        assert len(integrals) == 2 and not any(kw["quadrant"] for kw in integrals)
+        assert [(type(c), c.name, c.passed) for c in checks] == [
+            (RegimeCheck, "azimuth", True)] * 3
+        check = phi_invariance_check(systems[1], 1e-2)
+        assert isinstance(check, RegimeCheck) and check.passed
+        assert 0.0 <= check.value <= 1.0
+
     def test_degenerate_perpendicular_sigma_names_its_energy(self, systems):
         # A speed of 1e200 a.u. scales every kick to s ~ 1e-200, so p and sigma are 0.
         dead = replace(systems[1], params=replace(systems[1].params, velocity_au=1e200))
-        with pytest.raises(cross_section.DegenerateSystemError,
-                           match="sigma\\^1\\+ at theta = pi/2 vanishes at 100 MeV/u"):
-            delta_scan([systems[0], dead, systems[2]], [0.0], rel_tol=1e-2)
+        for run in (lambda joint: delta_scan(joint, [0.0], rel_tol=1e-2),
+                    lambda joint: phi_invariance_check(joint, 1e-2)):
+            with pytest.raises(cross_section.DegenerateSystemError,
+                               match="sigma\\^1\\+ at theta = pi/2 vanishes at 100 MeV/u"):
+                run([systems[0], dead, systems[2]])
 
     def test_systems_must_share_geometry_projectile_and_table(self, systems, make_system):
         with pytest.raises(ValueError, match="share geometry, projectile and table"):

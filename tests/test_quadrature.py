@@ -1,6 +1,7 @@
 """Adaptive 2-D quadrature over the impact-parameter plane."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -86,6 +87,13 @@ class TestVectorIntegrands:
         assert values[1] == pytest.approx(2.0 * math.pi, rel=1e-5)
 
 
+def failure_report(exc: QuadratureError) -> tuple[float, int]:
+    """The achieved relative error and the cell count a refinement failure states."""
+    match = re.search(r"achieved (\S+) with (\d+) cells", str(exc))
+    assert match, str(exc)
+    return float(match[1]), int(match[2])
+
+
 class TestFailureModes:
     def test_domain_validation(self):
         with pytest.raises(ValueError):
@@ -98,10 +106,9 @@ class TestFailureModes:
         monkeypatch.setattr(quadrature, "_MAX_CELLS", 500)
         with pytest.raises(QuadratureError) as excinfo:
             integrate_b_plane(needle, half_width=1.0, rel_tol=1e-10)
-        err = excinfo.value
-        assert err.n_cells >= 64
-        assert np.all(np.asarray(err.values) > 0)
-        assert np.all(np.asarray(err.errors) > 0)
+        achieved, n_cells = failure_report(excinfo.value)
+        assert n_cells >= 64
+        assert 1e-10 < achieved < math.inf
 
     def test_nonconvergence_respects_max_cells(self, monkeypatch):
         def needle(pts):
@@ -111,7 +118,7 @@ class TestFailureModes:
             monkeypatch.setattr(quadrature, "_MAX_CELLS", max_cells)
             with pytest.raises(QuadratureError) as excinfo:
                 integrate_b_plane(needle, half_width=1.0, rel_tol=1e-10)
-            assert excinfo.value.n_cells <= max_cells
+            assert failure_report(excinfo.value)[1] <= max_cells
 
 
 class TestDeterminism:

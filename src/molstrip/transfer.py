@@ -52,8 +52,8 @@ _H = (math.log(200.0) - _U0) / 999
 # for the kick farther than about 2.1e10 a.u. from an atom.
 _MAX_REACH = 1e11
 # Points per pass of total_kick_magnitude: bounds its temporaries.  The Monte
-# Carlo oracle's 65,536-point blocks, taken whole, made a verify solve 0.78-0.79 s
-# against 0.67-0.70 s and its peak RSS 73.5 against 72.5 MB (2-vCPU VM).
+# Carlo oracle's 65,536-point blocks, taken whole, made a verify solve 0.63 s
+# against 0.58 s and its peak RSS 72.2 against 70.7 MB (medians of 5, 2-vCPU VM).
 _CHUNK = 8192
 
 

@@ -57,15 +57,19 @@ def mc_cross_section(
 ) -> list[McEstimate]:
     """Monte-Carlo sigma^{m+}(theta) at phi = 0, one estimate per channel.
 
-    Proposal: pick an atom uniformly, then an exponential radial step around
+    Proposal: pick an atom uniformly, then an exponential radial step r around
     its projection with rate equal to the atom's softest screening exponent
     (heavier-tailed than the integrand, whose kick falls off at least twice
     as fast).  Sampling proceeds in fixed-size blocks with seeds spawned from
-    the master seed, summed in block order: bit-reproducible for a given seed
-    and extensible (the first blocks of a longer run coincide).
+    the master seed, each drawing atoms, radii and angles in that order, summed
+    in block order: bit-reproducible for a given seed and extensible (the first
+    blocks of a longer run coincide).  A block's points are two contiguous
+    coordinate rows, which the kick reads as their (N, 2) transpose.  In the
+    proposal density the sampled atom's distance is r itself.
     """
-    if n_samples < 10**4:
-        raise ValueError(f"n_samples must be >= 1e4, got {n_samples}")
+    for name, value, low in (("n_samples", n_samples, 10**4), ("seed", seed, 0)):
+        if not isinstance(value, (int, np.integer)) or value < low:
+            raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
     geom, proj = system.geometry, system.projectile
     projections = transverse_positions(geom, Orientation(theta))
     atoms = geom.atoms
@@ -76,32 +80,43 @@ def mc_cross_section(
     lam = min(
         min(al for al, a in zip(atom.alpha, atom.A) if a != 0.0) for atom in atoms
     )
+    px, py = projections.T.copy()
+    # Offsets of atom i from atom (i + k) % n_atoms, for k = 1 .. n_atoms - 1.
+    others = [(px - np.roll(px, -k), py - np.roll(py, -k)) for k in range(1, n_atoms)]
 
     n_blocks = math.ceil(n_samples / _MC_BLOCK)
     child_seeds = np.random.SeedSequence(seed).spawn(n_blocks)
-    total = np.zeros(n_p)
-    total_sq = np.zeros(n_p)
-    n_done = 0
+    total, total_sq = np.zeros((2, n_p))
     for blk in range(n_blocks):
-        size = min(_MC_BLOCK, n_samples - n_done)
+        size = min(_MC_BLOCK, n_samples - blk * _MC_BLOCK)
         rng = np.random.default_rng(child_seeds[blk])
         idx = rng.integers(0, n_atoms, size)
         r = rng.exponential(1.0 / lam, size)
-        ang = rng.uniform(0.0, 2.0 * math.pi, size)
-        pts = projections[idx] + np.column_stack([r * np.cos(ang), r * np.sin(ang)])
+        # The step r (cos, sin) from the sampled atom, by t = tan(angle / 2):
+        # numpy 2 vectorizes float64 tan, but not sin and cos.
+        t = np.tan(0.5 * rng.uniform(0.0, 2.0 * math.pi, size))
+        x, y = pts = np.empty((2, size))
+        np.divide(r, 1.0 + t * t, out=y)
+        np.multiply(1.0 - t * t, y, out=x)
+        y *= 2.0 * t
 
-        density = np.zeros(size)
-        for s_m in projections:
-            d = np.maximum(np.hypot(pts[:, 0] - s_m[0], pts[:, 1] - s_m[1]), 1e-12)
-            density += lam * np.exp(-lam * d) / (2.0 * math.pi * d)
-        density /= n_atoms
+        # sum_m exp(-lam d_m) / d_m in t's buffer, d_m >= 1e-12: d is r for
+        # the sampled atom, then the others' distances in r's buffer.
+        d = np.maximum(r, 1e-12, out=r)
+        density = np.divide(np.exp(-lam * d, out=t), d, out=t)
+        for ox, oy in others:
+            np.add(x, ox.take(idx), out=d)
+            np.sqrt(d * d + np.square(y + oy.take(idx)), out=d)
+            np.maximum(d, 1e-12, out=d)
+            density += np.exp(-lam * d) / d
+        inv_density = np.divide(2.0 * math.pi * n_atoms / lam, density, out=density)
 
-        q = total_kick_magnitude(projections, atoms, v, pts)
-        p = system.table(q / proj.Z_eff)
-        weights = _binomial_channels(p, n_p) / density[:, None]
-        total += weights.sum(axis=0)
-        total_sq += (weights * weights).sum(axis=0)
-        n_done += size
+        x += px.take(idx)
+        y += py.take(idx)
+        q = total_kick_magnitude(projections, atoms, v, pts.T)
+        w = _binomial_channels(system.table(q / proj.Z_eff), n_p)
+        total += inv_density @ w
+        total_sq += np.square(inv_density, out=inv_density) @ np.square(w, out=w)
 
     mean = total / n_samples
     var = np.maximum(total_sq / n_samples - mean * mean, 0.0)

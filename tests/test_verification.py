@@ -112,9 +112,71 @@ class TestContinuumOracle:
 
 
 class TestMonteCarlo:
+    # (value, std_error) per channel from the sampler that built each block's
+    # points with fancy indexing and column_stack and summed the weights along
+    # axis 0; the draws are the same, so only rounding may differ.
+    PINNED_N2 = [(0.0025821793071511387, 1.6984080666958585e-05),
+                 (0.00043025981190693416, 9.23681114994964e-06)]
+    PINNED_OCO = [(0.006441895746814048, 3.8226053748647856e-05),
+                  (0.0007154601013669504, 1.4638242584218242e-05),
+                  (0.0005229757664133108, 1.3669832322381309e-05)]
+
+    @pytest.fixture(scope="class")
+    def oco_system(self, hfs_table, make_system):
+        """Fe23+ at 100 MeV/u on O-C-O with one oxygen 0.3 a.u. off the axis."""
+        from molstrip.atomic_data import MoleculeGeometry
+
+        geometry = MoleculeGeometry(
+            atoms=(hfs_table[8], hfs_table[6], hfs_table[8]),
+            positions=((0.0, 0.0, 2.2), (0.0, 0.0, 0.0), (0.0, 0.3, -2.2)),
+        )
+        return make_system(3, 100.0, geometry=geometry)
+
     def test_rejects_small_sample_counts(self, make_system):
         with pytest.raises(ValueError):
             mc_cross_section(make_system(1, 10.0), 0.5, n_samples=100)
+
+    @pytest.mark.parametrize("kwargs,name", [
+        ({"n_samples": 2e4}, "n_samples"),
+        ({"n_samples": 10**4 - 1}, "n_samples"),
+        ({"seed": -1}, "seed"),
+        ({"seed": 1.5}, "seed"),
+    ], ids=["float_n_samples", "small_n_samples", "negative_seed", "float_seed"])
+    def test_bad_arguments_are_named(self, make_system, kwargs, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            mc_cross_section(make_system(1, 10.0), 0.5, **kwargs)
+
+    def test_pinned_diatomic(self, make_system):
+        # 100,000 samples: one full 65,536-point block and one partial block.
+        est = mc_cross_section(make_system(2, 100.0), 0.8, n_samples=100_000, seed=3)
+        got = [(e.value, e.std_error) for e in est]
+        for (value, err), (pin_value, pin_err) in zip(got, self.PINNED_N2, strict=True):
+            assert value == pytest.approx(pin_value, rel=1e-12)
+            assert err == pytest.approx(pin_err, rel=1e-12)
+
+    def test_pinned_off_axis_triatomic(self, oco_system):
+        from molstrip.cross_section import cross_section_fixed
+
+        est = mc_cross_section(oco_system, 0.6, n_samples=10**5, seed=5)
+        for e, (pin_value, pin_err) in zip(est, self.PINNED_OCO, strict=True):
+            assert e.value == pytest.approx(pin_value, rel=1e-12)
+            assert e.std_error == pytest.approx(pin_err, rel=1e-12)
+        quad = cross_section_fixed(oco_system, 0.6, rel_tol=1e-3)
+        for q, e in zip(quad, est, strict=True):
+            assert abs(q.sigma_au - e.value) <= 3.0 * (q.quad_error + e.std_error)
+
+    def test_peak_memory_bound(self, make_system):
+        # Two full blocks.  The sampler that built points with fancy indexing
+        # and column_stack peaked at 8.6 MB; its temporaries must not grow.
+        system = make_system(2, 100.0)
+        mc_cross_section(system, 0.8, n_samples=10**4)     # kick profiles cached
+        tracemalloc.start()
+        try:
+            mc_cross_section(system, 0.8, n_samples=2 * 65_536)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 9 * 2**20
 
     def test_deterministic_under_fixed_seed(self, make_system):
         system = make_system(2, 10.0)

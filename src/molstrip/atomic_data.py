@@ -96,6 +96,8 @@ class MoleculeGeometry:
         for i, p in enumerate(self.positions):
             if len(p) != 3:
                 raise ValueError(f"atoms[{i}].position: expected 3 coordinates, got {len(p)}")
+            if not all(math.isfinite(c) for c in p):
+                raise ValueError(f"atoms[{i}].position: coordinates must be finite, got {p}")
         pos = np.asarray(self.positions, dtype=float)
         for i in range(len(pos)):
             for j in range(i + 1, len(pos)):
@@ -161,26 +163,35 @@ def transverse_positions(geom: MoleculeGeometry, orient: Orientation) -> np.ndar
     return lab[:, :2].copy()
 
 
+_COLUMNS = ("Z", "A1", "A2", "A3", "alpha1", "alpha2", "alpha3")
+
+
 def _parse_row(row: dict, line_no: int) -> tuple[int, HfsAtom]:
+    if None in row:                     # csv.DictReader files extra fields here
+        raise HfsTableError(f"line {line_no}: {len(row[None])} field(s) beyond the "
+                            f"{len(_COLUMNS)} columns")
     try:
         z_raw = row["Z"]
         z = float(z_raw)
         a = tuple(float(row[k]) for k in ("A1", "A2", "A3"))
         alpha = tuple(float(row[k]) for k in ("alpha1", "alpha2", "alpha3"))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:   # a short row leaves None fields
         raise HfsTableError(f"line {line_no}: malformed entry ({exc})") from exc
     try:
         atom = HfsAtom(Z=z, A=a, alpha=alpha)
     except ValueError as exc:
         raise HfsTableError(f"line {line_no} (Z={z_raw}): {exc}") from exc
-    return int(round(z)), atom
+    if not z.is_integer():
+        raise HfsTableError(f"line {line_no} (Z={z_raw}): Z must be an integer")
+    return int(z), atom
 
 
 def load_hfs_table(path) -> dict[int, HfsAtom]:
     """Load a CSV of HFS screening coefficients keyed by atomic number.
 
-    Expected header: ``Z,A1,A2,A3,alpha1,alpha2,alpha3``.  An empty file
-    yields an empty map; any invalid entry raises HfsTableError naming it.
+    Expected header: ``Z,A1,A2,A3,alpha1,alpha2,alpha3``, and seven fields
+    a row with an integer Z.  An empty file yields an empty map; any invalid
+    entry raises HfsTableError naming it.
     """
     path = Path(path)
     try:
@@ -195,6 +206,9 @@ def _parse_hfs_csv(text: str) -> dict[int, HfsAtom]:
     if not lines:
         return {}
     reader = csv.DictReader(lines)
+    if sorted(reader.fieldnames) != sorted(_COLUMNS):
+        raise HfsTableError(f"line 1: the header must name {','.join(_COLUMNS)} once each, "
+                            f"got {','.join(reader.fieldnames)}")
     table: dict[int, HfsAtom] = {}
     for line_no, row in enumerate(reader, start=2):
         z, atom = _parse_row(row, line_no)

@@ -111,6 +111,8 @@ def integrate_b_plane(
     """
     if half_width <= 0:
         raise ValueError(f"half_width must be positive, got {half_width}")
+    if not 0.0 < rel_tol < 1.0:         # nan fails too
+        raise ValueError(f"rel_tol must be finite and in (0, 1), got {rel_tol}")
 
     lo, multiplier = (0.0, 4.0) if quadrant else (-half_width, 1.0)
     xe = _initial_edges(lo, half_width, x_splits)

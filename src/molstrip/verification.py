@@ -188,6 +188,9 @@ def _coulomb_series_start(ls, eta, rho, logc, n_terms):
 _CHUNK = 64   # radial nodes per accumulation of the overlap integrals
 _K_NODES_PER_PANEL = 10   # Gauss-Legendre nodes per ejected-momentum panel
 _ORACLE_R_MAX = 30.0      # radial cutoff of the overlap integrals (a.u.)
+# Largest s accepted.  The (l_max + 1, n_r) tables grow as s^2: at s = 30 each
+# is 193 x 28,500 doubles (44 MB, three alive at once), at s = 1000 it would be 36 GB.
+_ORACLE_S_MAX = 30.0
 
 
 def _coulomb_overlaps(k_nodes, l_max, r, weight):
@@ -299,9 +302,11 @@ def continuum_ionization_oracle(s: float) -> float:
     W = sum_l (2l+1) integral dk |I_l(k)|^2 with
     I_l(k) = sqrt(2/pi) integral F_l(-1/k, kr) j_l(s r) R_10(r) r dr,
     the Coulomb waves normalized on the momentum scale.  Accuracy ~1e-4.
+    ValueError unless 0 < s <= _ORACLE_S_MAX (30), checked before any table
+    is allocated.
     """
-    if not s > 0:
-        raise ValueError(f"s must be positive, got {s}")
+    if not 0.0 < s <= _ORACLE_S_MAX:    # nan fails too
+        raise ValueError(f"s must be positive and at most {_ORACLE_S_MAX:g}, got {s}")
     k_nodes, k_weights = _k_nodes(s)
     k_max = float(k_nodes.max())
     l_max = int(12 + 6.0 * s)
@@ -340,7 +345,7 @@ def bessel_reference(x: float, order: int) -> float:
     """K_order(x) from mpmath's ``besselk`` at 40 significant digits.
 
     mpmath evaluates K with its own hypergeometric and asymptotic series,
-    independent of the series and continued fraction in ``special_functions``.
+    independent of the trapezoid sum in ``special_functions``.
     Relative accuracy far beyond 1e-14; test use only.
     """
     x = _check_bessel_args(x, order)

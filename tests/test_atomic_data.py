@@ -129,6 +129,15 @@ class TestMoleculeGeometry:
                 positions=((0.0, 0.0, 1.0), (0.0, 0.0, 1.0)),
             )
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_position_names_the_atom(self, nitrogen, bad):
+        # Used to be accepted, then fail in the kick with a message naming no atom.
+        with pytest.raises(ValueError, match=r"atoms\[1\]\.position: coordinates must be finite"):
+            MoleculeGeometry(
+                atoms=(nitrogen, nitrogen),
+                positions=((0.0, 0.0, 1.0), (0.0, 0.0, bad)),
+            )
+
     def test_diatomic_constructor(self, nitrogen):
         geom = MoleculeGeometry.diatomic(nitrogen, nitrogen, N2_BOND_LENGTH)
         pos = np.asarray(geom.positions)
@@ -221,6 +230,37 @@ class TestHfsTableLoading:
         path.write_text(self.HEADER + "8,0.5,0.3,0.2,1.0,2.0,3.0\n" + row + "\n")
         with pytest.raises(HfsTableError, match="line 3 .*must be finite"):
             load_hfs_table(path)
+
+    # A row "7.4,..." used to load as the entry for Z = 7 with atom.Z = 7.4,
+    # and extra fields or columns were silently dropped.
+    @pytest.mark.parametrize("rows,message", [
+        ("7.4,0.5,0.3,0.2,1.0,2.0,3.0", r"line 2 \(Z=7.4\): Z must be an integer"),
+        ("6.6,0.5,0.3,0.2,1.0,2.0,3.0\n7,0.5,0.3,0.2,1.0,2.0,3.0",
+         r"line 2 \(Z=6.6\): Z must be an integer"),
+        ("8,0.5,0.3,0.2,1.0,2.0,3.0\n7,0.5,0.3,0.2,1.0,2.0,3.0,9.0",
+         r"line 3: 1 field\(s\) beyond the 7 columns"),
+    ])
+    def test_malformed_row_rejected(self, tmp_path, rows, message):
+        path = tmp_path / "atoms.csv"
+        path.write_text(self.HEADER + rows + "\n")
+        with pytest.raises(HfsTableError, match=message):
+            load_hfs_table(path)
+
+    @pytest.mark.parametrize("header", ["Z,A1,A2,A3,alpha1,alpha2,alpha3,beta",
+                                        "Z,A1,A2,A3,alpha1,alpha2,Z",
+                                        "Z,A1,A2,A3,alpha1,alpha2"])
+    def test_header_must_name_the_seven_columns(self, tmp_path, header):
+        path = tmp_path / "atoms.csv"
+        path.write_text(header + "\n7,0.5,0.3,0.2,1.0,2.0,3.0\n")
+        with pytest.raises(HfsTableError, match="line 1: the header must name Z,A1,A2,A3,"):
+            load_hfs_table(path)
+
+    def test_integral_float_z_and_column_order_accepted(self, tmp_path):
+        path = tmp_path / "atoms.csv"
+        path.write_text("alpha1,alpha2,alpha3,A1,A2,A3,Z\n1.0,2.0,3.0,0.5,0.3,0.2,7.0\n")
+        table = load_hfs_table(path)
+        assert list(table) == [7]
+        assert table[7] == HfsAtom(Z=7.0, A=(0.5, 0.3, 0.2), alpha=(1.0, 2.0, 3.0))
 
     def test_duplicate_z_rejected(self, tmp_path):
         path = tmp_path / "atoms.csv"

@@ -296,6 +296,17 @@ class TestExitCodes:
         assert out == ""
         assert re.search(rf"hfs_table: line 2 .*{field} must be finite", err)
 
+    def test_non_integer_hfs_z(self, config_path, tmp_path, capsys):
+        # Used to load as the Z = 7 entry with its kick scaled by 7.4.
+        atoms = tmp_path / "atoms.csv"
+        atoms.write_text("Z,A1,A2,A3,alpha1,alpha2,alpha3\n"
+                         "7.4,0.1741,0.8259,0.0,9.1943,1.6642,1.0\n")
+        cfg = config_path({"hfs_table": str(atoms)})
+        assert run_cli(["scan-theta", "--config", cfg]) == EXIT_CONFIG_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("config error: hfs_table: line 2 (Z=7.4): Z must be an integer\n")
+
     @pytest.mark.parametrize("command", ["scan-theta", "average", "validate"])
     def test_vanishing_perpendicular_sigma(self, config_path, capsys, command):
         # Z_eff = 1e200 scales every kick to s ~ 1e-200, so p and each sigma are 0.

@@ -185,6 +185,11 @@ class TestFixedOrientation:
         with pytest.raises(QuadratureError, match=r"outer cutoff not reached: at r = 150"):
             cross_section_fixed(system, 0.0, rel_tol=1e-3)
 
+    @pytest.mark.parametrize("rel_tol", [0.0, math.nan, math.inf])
+    def test_bad_rel_tol_is_a_value_error(self, make_system, rel_tol):
+        with pytest.raises(ValueError, match="rel_tol must be finite and in"):
+            cross_section_fixed(make_system(2, 100.0), 0.5, rel_tol=rel_tol)
+
 
 class TestDeltaScan:
     def test_delta_zero_at_perpendicular(self, make_system):

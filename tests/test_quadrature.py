@@ -99,6 +99,16 @@ class TestFailureModes:
         with pytest.raises(ValueError):
             integrate_b_plane(gaussian, half_width=0.0)
 
+    @pytest.mark.parametrize("rel_tol", [0.0, -1e-3, 1.0, 2.0, math.nan, math.inf, -math.inf])
+    def test_bad_rel_tol_is_named_before_any_evaluation(self, rel_tol):
+        # 0 and negative tolerances used to refine to the cell budget and nan
+        # to fail as a QuadratureError; inf returned an unrefined estimate.
+        def never(pts):
+            raise AssertionError("the integrand must not be evaluated")
+
+        with pytest.raises(ValueError, match=r"rel_tol must be finite and in \(0, 1\)"):
+            integrate_b_plane(never, half_width=1.0, rel_tol=rel_tol)
+
     def test_nonconvergence_carries_best_estimate(self, monkeypatch):
         def needle(pts):
             return 1.0 / (1e-8 + pts[:, 0] ** 2 + pts[:, 1] ** 2)[:, None]

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
+from molstrip import verification
 from molstrip.form_factor import elastic_form_factor, ionization_probability
 from molstrip.verification import (
     _simpson_weights,
@@ -62,6 +63,17 @@ class TestContinuumOracle:
             continuum_ionization_oracle(0.0)
         with pytest.raises(ValueError):
             continuum_ionization_oracle(-1.0)
+
+    @pytest.mark.parametrize("s", [math.nan, math.inf, 30.000001, 1000.0])
+    def test_rejects_nonfinite_or_too_large_s_before_allocating(self, s, monkeypatch):
+        # inf used to die in _k_nodes with an unnamed OverflowError, and a
+        # large finite s to allocate (l_max + 1) x n_r tables (36 GB at 1000).
+        def no_tables(*args, **kwargs):
+            raise AssertionError("no table may be built for a rejected s")
+
+        monkeypatch.setattr(verification, "_k_nodes", no_tables)
+        with pytest.raises(ValueError, match=r"s must be positive and at most 30, got"):
+            continuum_ionization_oracle(s)
 
     def test_small_kick_subset_bound(self):
         s = 0.01

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -29,7 +29,6 @@ __all__ = [
     "MoleculeGeometry",
     "Orientation",
     "HfsTableError",
-    "screening_function",
     "charge_density",
     "transverse_positions",
     "load_hfs_table",
@@ -130,13 +129,6 @@ class MoleculeGeometry:
         return best
 
 
-def screening_function(atom: HfsAtom, r: float) -> float:
-    """Phi(r) = sum_i A_i exp(-alpha_i r); equals 1 at r = 0, decays to 0."""
-    if not r >= 0:
-        raise ValueError(f"r must be non-negative, got {r}")
-    return float(sum(a * math.exp(-al * r) for a, al in zip(atom.A, atom.alpha)))
-
-
 def charge_density(atom: HfsAtom, r: float) -> float:
     """Electronic charge density rho(r) < 0; integrates to -Z over all space."""
     if not r > 0:
@@ -202,15 +194,19 @@ def load_hfs_table(path) -> dict[int, HfsAtom]:
 
 
 def _parse_hfs_csv(text: str) -> dict[int, HfsAtom]:
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-    if not lines:
+    kept = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1)
+            if ln.strip() and not ln.startswith("#")]
+    if not kept:
         return {}
+    # Messages name physical lines: the reader counts kept lines only.
+    line_nos, lines = zip(*kept)
     reader = csv.DictReader(lines)
     if sorted(reader.fieldnames) != sorted(_COLUMNS):
-        raise HfsTableError(f"line 1: the header must name {','.join(_COLUMNS)} once each, "
-                            f"got {','.join(reader.fieldnames)}")
+        raise HfsTableError(f"line {line_nos[0]}: the header must name {','.join(_COLUMNS)} "
+                            f"once each, got {','.join(reader.fieldnames)}")
     table: dict[int, HfsAtom] = {}
-    for line_no, row in enumerate(reader, start=2):
+    for row in reader:
+        line_no = line_nos[reader.line_num - 1]
         z, atom = _parse_row(row, line_no)
         if z in table:
             raise HfsTableError(f"line {line_no}: duplicate entry for Z={z}")

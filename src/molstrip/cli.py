@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__, cross_section
 from .atomic_data import HfsAtom, HfsTableError, MoleculeGeometry, builtin_hfs_table, load_hfs_table
 from .cross_section import AU_TO_CM2, CollisionSystem, delta_scan, orientation_average
-from .form_factor import TABLE_LIMITS, ProjectileSpec, build_ionization_table, check_table_params
+from .form_factor import TABLE_LIMITS, IonizationTable, ProjectileSpec, build_ionization_table
 from .kinematics import validate_regime, velocity_from_energy
 from .quadrature import QuadratureError
 from .transfer import kick_profile
@@ -61,12 +61,9 @@ CONFIG_FIELDS = frozenset({
 
 @dataclass
 class RunConfig:
-    projectile: ProjectileSpec
-    geometry: MoleculeGeometry
-    energies: list[float]
+    systems: list[CollisionSystem]     # one per energy, sharing geometry, projectile and table
     theta_grid: np.ndarray
     tolerance: float
-    table_params: dict
     output: str | None
     raw: dict
 
@@ -204,17 +201,16 @@ def _parse_theta_grid(spec) -> np.ndarray:
         raise ConfigError(f"theta_grid: {exc}") from exc
 
 
-def _parse_table(spec) -> dict:
+def _parse_table(spec) -> IonizationTable:
     if not isinstance(spec, dict):
         raise ConfigError("table: expected an object")
     _check_keys(spec, TABLE_LIMITS, "table.")
     params = {key: _number(f"table.{key}", spec.get(key, default), kind, minimum)
               for key, (kind, default, minimum, _) in TABLE_LIMITS.items()}
     try:
-        check_table_params(**params)
+        return build_ionization_table(**params)
     except ValueError as exc:
         raise ConfigError(f"table.{exc}") from exc
-    return params
 
 
 def _path(name: str, value) -> str | None:
@@ -247,11 +243,10 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
     if not isinstance(energies, (list, tuple)) or not energies:
         raise ConfigError("energies_mev_u: expected a nonempty list")
     energies = [_number("energies_mev_u", e) for e in energies]
-    for e in energies:
-        try:
-            velocity_from_energy(e)
-        except ValueError as exc:
-            raise ConfigError(f"energies_mev_u: {exc}") from exc
+    try:
+        params = [velocity_from_energy(e) for e in energies]
+    except ValueError as exc:
+        raise ConfigError(f"energies_mev_u: {exc}") from exc
 
     tolerance = _number("tolerance", _get(merged, "tolerance", 1e-3))
     if not 1e-6 <= tolerance <= 1e-1:
@@ -259,22 +254,17 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
 
     _number("seed", _get(merged, "seed", 0), int)
 
+    projectile = _parse_projectile(_get(merged, "projectile", required=True))
+    geometry = _parse_target(_get(merged, "target", required=True), hfs)
+    theta_grid = _parse_theta_grid(merged.get("theta_grid"))
+    table = _parse_table(_get(merged, "table", {}))
     return RunConfig(
-        projectile=_parse_projectile(_get(merged, "projectile", required=True)),
-        geometry=_parse_target(_get(merged, "target", required=True), hfs),
-        energies=energies,
-        theta_grid=_parse_theta_grid(merged.get("theta_grid")),
+        systems=[CollisionSystem(geometry, projectile, p, table) for p in params],
+        theta_grid=theta_grid,
         tolerance=tolerance,
-        table_params=_parse_table(_get(merged, "table", {})),
         output=_path("output", merged.get("output")),
         raw=merged,
     )
-
-
-def _build_systems(config: RunConfig) -> list[CollisionSystem]:
-    table = build_ionization_table(**config.table_params)
-    return [CollisionSystem(config.geometry, config.projectile, velocity_from_energy(e), table)
-            for e in config.energies]
 
 
 def _fmt(x: float) -> str:
@@ -300,11 +290,10 @@ def _energy_lines(system: CollisionSystem) -> list[str]:
 
 
 def cmd_scan_theta(config: RunConfig, out) -> None:
-    systems = _build_systems(config)
     lines = _header_lines(config, "scan-theta")
     lines.append("theta_rad,channel_m,sigma_au,sigma_cm2,quad_error_au,delta")
-    scans = delta_scan(systems, config.theta_grid, rel_tol=config.tolerance)
-    for system, scan in zip(systems, scans):
+    scans = delta_scan(config.systems, config.theta_grid, rel_tol=config.tolerance)
+    for system, scan in zip(config.systems, scans):
         lines += _energy_lines(system)
         for i, theta in enumerate(scan.theta_grid):
             for m in range(1, system.projectile.N_P + 1):
@@ -317,12 +306,11 @@ def cmd_scan_theta(config: RunConfig, out) -> None:
 
 
 def cmd_average(config: RunConfig, out) -> None:
-    systems = _build_systems(config)
     lines = _header_lines(config, "average")
     lines.append("channel_m,sigma_avg_au,sigma_perp_au,relative_correction,"
                  "relative_correction_error,sigma_avg_cm2,sigma_perp_cm2")
-    averages = orientation_average(systems, rel_tol=config.tolerance)
-    for system, (avg, scan) in zip(systems, averages):
+    averages = orientation_average(config.systems, rel_tol=config.tolerance)
+    for system, (avg, scan) in zip(config.systems, averages):
         lines += _energy_lines(system)
         for r, perp, perp_err in zip(avg, scan.sigma_perp, scan.perp_error):
             ratio = r.sigma_au / perp
@@ -336,7 +324,7 @@ def cmd_average(config: RunConfig, out) -> None:
 
 
 def cmd_table(config: RunConfig, out) -> None:
-    table = build_ionization_table(**config.table_params)
+    table = config.systems[0].table
     lines = _header_lines(config, "table")
     lines.append("s,w_ion")
     for s, w in zip(table.s_grid, table.w_values):
@@ -347,17 +335,16 @@ def cmd_table(config: RunConfig, out) -> None:
 def cmd_validate(config: RunConfig, out) -> int:
     # A failed azimuthal-invariance check means the phi = 0 scans are wrong for
     # this target, so it exits 3 where a regime check only warns.
-    systems = _build_systems(config)
-    phi_checks = cross_section.phi_invariance_check(systems, config.tolerance)
+    phi_checks = cross_section.phi_invariance_check(config.systems, config.tolerance)
     out.write(f"molstrip {__version__} validate\n")
     failed = []
-    for system, phi_check in zip(systems, phi_checks):
+    for system, phi_check in zip(config.systems, phi_checks):
         params = system.params
         out.write(
             f"\nenergy {_fmt(params.energy_mev_u)} MeV/u: "
             f"v = {_fmt(params.velocity_au)} a.u., gamma = {_fmt(params.gamma)}\n"
         )
-        regime = validate_regime(params, config.projectile, config.geometry)
+        regime = validate_regime(params, system.projectile, system.geometry)
         for check in regime + [phi_check]:
             status = "pass" if check.passed else "WARN" if check in regime else "FAIL"
             out.write(

@@ -98,14 +98,11 @@ class DegenerateSystemError(ValueError):
     """A channel's sigma at theta = pi/2 is zero, so a ratio to it is undefined."""
 
 
-def _as_systems(systems) -> tuple[tuple[CollisionSystem, ...], bool]:
-    """``systems`` as a nonempty tuple, and whether a bare system was given.
-
-    ValueError unless they share geometry, projectile and table, so that one
-    b-plane mesh serves them all.
+def _as_systems(systems) -> tuple[CollisionSystem, ...]:
+    """``systems`` as a nonempty tuple; ValueError unless they share geometry,
+    projectile and table, so that one b-plane mesh serves them all.
     """
-    single = isinstance(systems, CollisionSystem)
-    systems = (systems,) if single else tuple(systems)
+    systems = tuple(systems)
     if not systems:
         raise ValueError("at least one collision system is required")
     first = systems[0]
@@ -113,7 +110,7 @@ def _as_systems(systems) -> tuple[tuple[CollisionSystem, ...], bool]:
         if ((other.geometry, other.projectile) != (first.geometry, first.projectile)
                 or other.table is not first.table):
             raise ValueError("collision systems must share geometry, projectile and table")
-    return systems, single
+    return systems
 
 
 def _binomial_channels(p: np.ndarray, n: int) -> np.ndarray:
@@ -195,7 +192,8 @@ def cross_section_fixed(
     b-plane integral carries every (system, channel) column: the cutoff is
     the largest over the systems, and every column meets ``rel_tol``.
     """
-    systems, single = _as_systems(systems)
+    single = isinstance(systems, CollisionSystem)
+    systems = _as_systems([systems] if single else systems)
     geom, proj = systems[0].geometry, systems[0].projectile
     projections = transverse_positions(geom, Orientation(theta, phi))
     quadrant = False
@@ -240,15 +238,14 @@ def phi_invariance_check(systems, rel_tol: float):
 
     The scans evaluate phi = 0 only and take it as the azimuthal average.  This
     integrates two azimuths over the full b-plane, without the symmetric fast
-    path, each in one cross_section_fixed call for every system.  ``systems``
-    is one CollisionSystem, giving one RegimeCheck, or a sequence sharing
-    geometry, projectile and table, giving one check per system.  A check's
-    value is the largest channel gap over its allowance
-    3 (err_a + err_b) + 1e-12 |sigma|, and it must not exceed 1.  A vanishing
+    path, each in one cross_section_fixed call for all of ``systems``, which
+    share geometry, projectile and table.  It returns one RegimeCheck per
+    system, whose value is the largest channel gap over its allowance
+    3 (err_a + err_b) + 1e-12 |sigma| and must not exceed 1.  A vanishing
     sigma, which would pass vacuously, raises DegenerateSystemError naming
     its energy.
     """
-    systems, single = _as_systems(systems)
+    systems = _as_systems(systems)
     theta, tol = math.pi / 2, max(rel_tol, 1e-3)
     a = cross_section_fixed(systems, theta, 0.7, rel_tol=tol, use_symmetry=False)
     _check_perp(systems, a)
@@ -264,7 +261,7 @@ def phi_invariance_check(systems, rel_tol: float):
             "azimuth", "azimuthal invariance (max gap/allowance)", ratio, "<= 1", passed,
             "" if passed else f"sigma at phi = 0.7 and 2.3 (theta = {theta:.6g}) differ by "
             f"{ratio:.3g} times the allowance: the phi = 0 shortcut does not hold"))
-    return checks[0] if single else checks
+    return checks
 
 
 def check_theta_grid(theta_grid) -> np.ndarray:
@@ -279,14 +276,13 @@ def check_theta_grid(theta_grid) -> np.ndarray:
 def delta_scan(systems, theta_grid, rel_tol: float = 1e-3):
     """sigma(theta) and delta(theta) over a grid in [0, pi/2].
 
-    ``systems`` is one CollisionSystem, giving one OrientationScan, or a
-    sequence sharing geometry, projectile and table, giving one scan per
-    system from one cross_section_fixed call per angle.  delta is measured
-    against sigma at theta = pi/2, computed once.  Raises
-    DegenerateSystemError, naming the energy and the channel, when a
-    channel's sigma at pi/2 is not positive.
+    ``systems`` is a sequence sharing geometry, projectile and table; it
+    returns one OrientationScan per system from one cross_section_fixed call
+    per angle.  delta is measured against sigma at theta = pi/2, computed
+    once.  Raises DegenerateSystemError, naming the energy and the channel,
+    when a channel's sigma at pi/2 is not positive.
     """
-    systems, single = _as_systems(systems)
+    systems = _as_systems(systems)
     theta_grid = check_theta_grid(theta_grid)
     perp = cross_section_fixed(systems, math.pi / 2, rel_tol=rel_tol)
     _check_perp(systems, perp)
@@ -298,10 +294,9 @@ def delta_scan(systems, theta_grid, rel_tol: float = 1e-3):
     # (system, 1 + n_theta, channel)
     sigma = np.array([[[r.sigma_au for r in ch] for ch in res] for res in results]).swapaxes(0, 1)
     err = np.array([[[r.quad_error for r in ch] for ch in res] for res in results]).swapaxes(0, 1)
-    scans = [OrientationScan(theta_grid=theta_grid, sigma_au=s[1:], quad_error=e[1:],
-                             delta=s[1:] / s[0] - 1.0, sigma_perp=s[0], perp_error=e[0])
-             for s, e in zip(sigma, err)]
-    return scans[0] if single else scans
+    return [OrientationScan(theta_grid=theta_grid, sigma_au=s[1:], quad_error=e[1:],
+                            delta=s[1:] / s[0] - 1.0, sigma_perp=s[0], perp_error=e[0])
+            for s, e in zip(sigma, err)]
 
 
 def orientation_average(systems, rel_tol: float = 1e-3):
@@ -309,19 +304,17 @@ def orientation_average(systems, rel_tol: float = 1e-3):
 
     Folding theta -> pi - theta and substituting cos(theta) = 1 - u^2 turn this
     into the integral of 2 u sigma over u in [0, 1], done by AVERAGE_NODES-point
-    Gauss-Legendre through delta_scan.  Returns (channel list, scan), the scan
-    (with sigma at pi/2) being the one the average was taken over; for a
-    sequence of systems, one such pair per system.  In u the nodes reach
-    sigma's sharp feature near theta = 0, which no node of the same rule in
-    cos(theta) sampled: for Fe24+ at 10 MeV/u alone, m = 2, tol 1e-3, the
-    relative correction is 0.000940 against 0.000933 with 40 nodes (0.000525
-    in cos(theta)); on one mesh with 100 and 1000 MeV/u, 0.000943 against
-    0.000934 (0.000526).
+    Gauss-Legendre through delta_scan.  Returns one (channel list, scan) pair
+    per system, the scan (with sigma at pi/2) being the one the average was
+    taken over.  In u the nodes reach sigma's sharp feature near theta = 0,
+    which no node of the same rule in cos(theta) sampled: for Fe24+ at
+    10 MeV/u alone, m = 2, tol 1e-3, the relative correction is 0.000940
+    against 0.000933 with 40 nodes (0.000525 in cos(theta)); on one mesh with
+    100 and 1000 MeV/u, 0.000943 against 0.000934 (0.000526).
     The reported error is the isotropic-weight sum of the per-node b-plane
     quadrature errors only; no estimate of the Gauss-Legendre truncation is
     made yet.
     """
-    systems, single = _as_systems(systems)
     x, w = np.polynomial.legendre.leggauss(AVERAGE_NODES)
     u = 0.5 * (x + 1.0)         # on [0, 1]; the weights become (w / 2) dc/du = w u
     scans = delta_scan(systems, 2.0 * np.arcsin(u / math.sqrt(2.0)), rel_tol=rel_tol)
@@ -330,4 +323,4 @@ def orientation_average(systems, rel_tol: float = 1e-3):
         avg, avg_err = (w * u) @ scan.sigma_au, (w * u) @ scan.quad_error
         averages.append(([CrossSectionResult(m=m, sigma_au=float(sigma), quad_error=float(err))
                           for m, (sigma, err) in enumerate(zip(avg, avg_err), start=1)], scan))
-    return averages[0] if single else averages
+    return averages

@@ -36,7 +36,6 @@ __all__ = [
     "elastic_form_factor",
     "ionization_probability",
     "build_ionization_table",
-    "check_table_params",
 ]
 
 DEFAULT_N_MAX = 20
@@ -278,10 +277,8 @@ class IonizationTable:
     def s_grid(self) -> np.ndarray:
         return np.linspace(0.0, TABLE_S_MAX, len(self.w_values))
 
-    def __call__(self, s):
+    def __call__(self, s) -> np.ndarray:
         s = np.asarray(s, dtype=float)
-        scalar = s.ndim == 0
-        s = np.atleast_1d(s)
         s_max = TABLE_S_MAX
         out = np.full_like(s, np.nan)
         inside = (s >= 0.0) & (s <= s_max)
@@ -290,15 +287,7 @@ class IonizationTable:
         if big.any():
             out[big] = 1.0 - _survival_batch(s[big], self.n_max)
         np.minimum(np.maximum(out, 0.0, out=out), 1.0, out=out)
-        return float(out[0]) if scalar else out
-
-
-def check_table_params(s_max: float, n_points: int, n_max: int) -> None:
-    """Raise ValueError, led by the parameter's name, for a table outside TABLE_LIMITS."""
-    for name, value in (("s_max", s_max), ("n_points", n_points), ("n_max", n_max)):
-        minimum, maximum = TABLE_LIMITS[name][2:]
-        if not minimum <= value <= maximum:
-            raise ValueError(f"{name} must lie in [{minimum:g}, {maximum:g}], got {value}")
+        return out
 
 
 def build_ionization_table(
@@ -306,8 +295,14 @@ def build_ionization_table(
     n_points: int = TABLE_LIMITS["n_points"][1],
     n_max: int = TABLE_LIMITS["n_max"][1],
 ) -> IonizationTable:
-    """Tabulate W_ion on a uniform grid [0, TABLE_S_MAX] for hot-loop interpolation."""
-    check_table_params(s_max, n_points, n_max)
+    """Tabulate W_ion on a uniform grid [0, TABLE_S_MAX] for hot-loop interpolation.
+
+    ValueError, led by the parameter's name, for a parameter outside TABLE_LIMITS.
+    """
+    for name, value in (("s_max", s_max), ("n_points", n_points), ("n_max", n_max)):
+        minimum, maximum = TABLE_LIMITS[name][2:]
+        if not minimum <= value <= maximum:
+            raise ValueError(f"{name} must lie in [{minimum:g}, {maximum:g}], got {value}")
     # Rounding in the shell sum must not break the monotone invariant.
     s = np.linspace(0.0, TABLE_S_MAX, n_points)
     w = np.maximum.accumulate(1.0 - _survival_batch(s, n_max))

@@ -109,8 +109,8 @@ def integrate_b_plane(
     on cell corners, keeping singular points off quadrature nodes).  Returns
     (values, errors), each of length m.
     """
-    if half_width <= 0:
-        raise ValueError(f"half_width must be positive, got {half_width}")
+    if not 0.0 < half_width < np.inf:   # nan fails too
+        raise ValueError(f"half_width must be positive and finite, got {half_width}")
     if not 0.0 < rel_tol < 1.0:         # nan fails too
         raise ValueError(f"rel_tol must be finite and in (0, 1), got {rel_tol}")
 
@@ -124,7 +124,6 @@ def integrate_b_plane(
         for y0, y1 in zip(ye[:-1], ye[1:])
     ])
     high, err = _eval_cells(integrand, rects)
-    n_cells = len(rects)
 
     while True:
         totals = high.sum(axis=0)
@@ -140,13 +139,13 @@ def integrate_b_plane(
         n_refine = min(
             _excess_cover(err[order], tot_err - scale),
             int(np.count_nonzero(score > 0)),
-            (_MAX_CELLS - n_cells) // (_SPLIT**2 - 1),
+            (_MAX_CELLS - len(rects)) // (_SPLIT**2 - 1),
         )
         if n_refine <= 0:
             achieved = float(np.max(tot_err / np.maximum(np.abs(totals), _ABS_TOL)))
             raise QuadratureError(
                 f"b-plane quadrature did not reach rel_tol={rel_tol:g} "
-                f"(achieved {achieved:.3g} with {n_cells} cells)")
+                f"(achieved {achieved:.3g} with {len(rects)} cells)")
 
         worst = order[:n_refine]
         keep = np.ones(len(rects), dtype=bool)
@@ -163,6 +162,5 @@ def integrate_b_plane(
         rects = np.concatenate([rects[keep], children])
         high = np.concatenate([high[keep], child_high])
         err = np.concatenate([err[keep], child_err])
-        n_cells += (_SPLIT**2 - 1) * n_refine
 
     return multiplier * totals, multiplier * tot_err

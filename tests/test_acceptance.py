@@ -42,7 +42,7 @@ def test_criterion_1_multiplicity_effect_band(make_system, capsys):
     failures = []
     grid = np.linspace(0.0, math.pi / 2, 13)
     for energy in ENERGIES:
-        scan = delta_scan(make_system(1, energy), grid, rel_tol=1e-3)
+        scan = delta_scan([make_system(1, energy)], grid, rel_tol=1e-3)[0]
         delta = scan.delta[:, 0]
         if not 0.3 <= delta[0] <= 1.2:
             failures.append(f"E={energy}: delta(0)={delta[0]:.3f} outside [0.3, 1.2]")
@@ -61,8 +61,7 @@ def test_criterion_2_channel_ordering(make_system, capsys):
     grid = [0.0, math.pi / 2]
     for n_electrons in (2, 3):
         for energy in ENERGIES:
-            scan = delta_scan(make_system(n_electrons, energy), grid,
-                              rel_tol=1e-3)
+            scan = delta_scan([make_system(n_electrons, energy)], grid, rel_tol=1e-3)[0]
             delta0 = scan.delta[0]
             if not np.all(np.diff(delta0) > 0):
                 failures.append(
@@ -76,7 +75,7 @@ def test_criterion_3_chaotic_average(make_system, capsys):
     failures = []
     for energy in ENERGIES:
         system = make_system(1, energy)
-        avg, scan = orientation_average(system, rel_tol=1e-4)
+        avg, scan = orientation_average([system], rel_tol=1e-4)[0]
         perp = scan.sigma_perp[0]
         rel = abs(avg[0].sigma_au - perp) / perp
         if rel >= 0.005:

@@ -1,4 +1,4 @@
-"""Target data model: screening, density, geometry projection, table loading."""
+"""Target data model: HFS atoms, density, geometry projection, table loading."""
 
 import math
 
@@ -16,7 +16,6 @@ from molstrip.atomic_data import (
     builtin_hfs_table,
     charge_density,
     load_hfs_table,
-    screening_function,
     transverse_positions,
 )
 
@@ -47,29 +46,6 @@ class TestHfsAtomInvariants:
             HfsAtom(Z=7, A=(0.5, bad, 0.2), alpha=(1.0, 2.0, 3.0))
         with pytest.raises(ValueError, match="alpha must be finite"):
             HfsAtom(Z=7, A=(0.5, 0.3, 0.2), alpha=(1.0, 2.0, bad))
-
-
-class TestScreeningFunction:
-    def test_unity_at_origin(self, synthetic_atom, nitrogen):
-        assert screening_function(synthetic_atom, 0.0) == pytest.approx(1.0, abs=1e-12)
-        assert screening_function(nitrogen, 0.0) == pytest.approx(1.0, abs=1e-6)
-
-    def test_decays_to_zero(self, synthetic_atom):
-        assert screening_function(synthetic_atom, 100.0) < 1e-12
-
-    def test_synthetic_atom_closed_form(self, synthetic_atom):
-        expected = 0.5 * math.exp(-10.0) + 0.3 * math.exp(-4.0) + 0.2 * math.exp(-1.0)
-        assert screening_function(synthetic_atom, 1.0) == pytest.approx(expected, rel=1e-14)
-
-    def test_negative_r_rejected(self, synthetic_atom):
-        for r in (-0.1, math.nan):
-            with pytest.raises(ValueError, match="r must be non-negative"):
-                screening_function(synthetic_atom, r)
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.floats(min_value=0.0, max_value=20.0), st.floats(min_value=1e-6, max_value=5.0))
-    def test_strictly_decreasing(self, synthetic_atom, r, dr):
-        assert screening_function(synthetic_atom, r + dr) < screening_function(synthetic_atom, r)
 
 
 class TestChargeDensity:
@@ -229,6 +205,20 @@ class TestHfsTableLoading:
         path = tmp_path / "atoms.csv"
         path.write_text(self.HEADER + "8,0.5,0.3,0.2,1.0,2.0,3.0\n" + row + "\n")
         with pytest.raises(HfsTableError, match="line 3 .*must be finite"):
+            load_hfs_table(path)
+
+    # Comment and blank lines are counted: messages name the file's own lines.
+    @pytest.mark.parametrize("text,message", [
+        ("# HFS fits\n# Salvat\n" + HEADER + "7,0.5,0.3,0.1,1.0,2.0,3.0\n",
+         r"line 4 \(Z=7\): screening amplitudes must sum to 1"),
+        (HEADER + "8,0.5,0.3,0.2,1.0,2.0,3.0\n# next\n\n7,x,0.3,0.2,1.0,2.0,3.0\n",
+         r"line 5: malformed entry"),
+        ("# HFS fits\n\nZ,A1,A2,A3,alpha1,alpha2\n", r"line 3: the header must name"),
+    ], ids=["comments-before-header", "comment-and-blank-between-rows", "header-after-comments"])
+    def test_messages_name_physical_lines(self, tmp_path, text, message):
+        path = tmp_path / "atoms.csv"
+        path.write_text(text)
+        with pytest.raises(HfsTableError, match=message):
             load_hfs_table(path)
 
     # A row "7.4,..." used to load as the entry for Z = 7 with atom.Z = 7.4,

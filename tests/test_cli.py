@@ -56,10 +56,10 @@ def data_rows(text):
 
 class TestConfigLoading:
     def test_valid_config(self, config_path):
-        cfg = load_config(config_path())
-        assert cfg.projectile.N_P == 1
-        assert cfg.geometry.is_homonuclear_diatomic
-        assert cfg.energies == [10.0]
+        (system,) = load_config(config_path()).systems
+        assert system.projectile.N_P == 1
+        assert system.geometry.is_homonuclear_diatomic
+        assert system.params.energy_mev_u == 10.0
 
     @pytest.mark.parametrize(
         "overrides,field",
@@ -145,16 +145,15 @@ class TestConfigLoading:
         err = capsys.readouterr().err
         if accepted:
             assert code == 0
-            assert delta_scan(make_system(1, 10.0), [theta]).delta[0, 0] == 0.0
+            assert delta_scan([make_system(1, 10.0)], [theta])[0].delta[0, 0] == 0.0
         else:
             assert code == EXIT_CONFIG_ERROR and "theta_grid" in err
             with pytest.raises(ValueError, match="theta grid"):
-                delta_scan(make_system(1, 10.0), [theta])
+                delta_scan([make_system(1, 10.0)], [theta])
 
     def test_table_defaults_and_types(self, config_path):
-        cfg = load_config(config_path({"table": {"s_max": 20}}))
-        assert cfg.table_params == {"s_max": 20.0, "n_points": 400, "n_max": 20}
-        assert isinstance(cfg.table_params["s_max"], float)
+        table = load_config(config_path({"table": {"s_max": 20}})).systems[0].table
+        assert (len(table.w_values), table.n_max, table.s_grid[-1]) == (400, 20, 20.0)
 
     def test_reserved_and_execution_fields_accepted(self, config_path):
         cfg = load_config(config_path({"seed": 7, "output": None}))
@@ -172,7 +171,7 @@ class TestConfigLoading:
             "projectile": {"Z": 26, "N_P": 2, "Z_eff": 25.3},
             "target": {"diatomic": {"Z": 7, "bond_length": 2.0}},
         }))
-        assert cfg.projectile.Z_eff == pytest.approx(25.3)
+        assert cfg.systems[0].projectile.Z_eff == pytest.approx(25.3)
 
     def test_custom_hfs_table(self, config_path, tmp_path):
         table = tmp_path / "atoms.csv"
@@ -180,7 +179,7 @@ class TestConfigLoading:
             "Z,A1,A2,A3,alpha1,alpha2,alpha3\n7,0.1741,0.8259,0.0,9.1943,1.6642,1.0\n"
         )
         cfg = load_config(config_path({"hfs_table": str(table)}))
-        assert cfg.geometry.atoms[0].Z == 7
+        assert cfg.systems[0].geometry.atoms[0].Z == 7
 
 
 class TestExitCodes:
@@ -229,7 +228,8 @@ class TestExitCodes:
 
     def test_tiny_energy_with_a_speed_loads(self, config_path):
         # 1e-12 MeV/u is a speed of 6.5e-6 a.u.
-        assert load_config(config_path({"energies_mev_u": [1e-12]})).energies == [1e-12]
+        (system,) = load_config(config_path({"energies_mev_u": [1e-12]})).systems
+        assert system.params.energy_mev_u == 1e-12
 
     def test_theta_list_past_the_cap_fails_before_the_run(self, config_path, capsys,
                                                           monkeypatch):
@@ -521,7 +521,8 @@ class TestShippedConfigs:
 
     @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.name)
     def test_loads_and_validates_cleanly(self, path, capsys):
-        assert load_config(path).energies == [10.0, 100.0, 1000.0]
+        systems = load_config(path).systems
+        assert [s.params.energy_mev_u for s in systems] == [10.0, 100.0, 1000.0]
         assert run_cli(["validate", "--config", str(path)]) == 0
         report = capsys.readouterr().out
         assert report.count("[pass]") == 12 and "[WARN]" not in report

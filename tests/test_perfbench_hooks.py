@@ -107,7 +107,7 @@ def _benchmark_tables():
 def test_cli_accepts_the_benchmark_table_settings(name):
     table = _benchmark_tables()[name]
     assert table.keys() == form_factor.TABLE_LIMITS.keys()
-    form_factor.check_table_params(**table)
+    form_factor.build_ionization_table(**table)
 
 
 @pytest.fixture
@@ -184,3 +184,18 @@ def test_shared_mesh_evaluates_at_most_half_the_points(tmp_path, monkeypatch):
     for energy in CONFIG_3E["energies_mev_u"]:
         _run(tmp_path, "scan-theta", {**CONFIG, "energies_mev_u": [energy]})
     assert shared <= 0.5 * sum(points)
+
+
+@pytest.mark.parametrize("command", ["scan-theta", "average", "table", "validate"])
+def test_each_command_builds_one_table_through_the_cli_name(tmp_path, monkeypatch, command):
+    # The benchmark counts table builds by rebinding cli.build_ionization_table.
+    builds = []
+    original = cli.build_ionization_table
+
+    def counting(*args, **kwargs):
+        builds.append(kwargs)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_ionization_table", counting)
+    _run(tmp_path, command, CONFIG_3E)
+    assert builds == [CONFIG["table"]]

@@ -96,8 +96,13 @@ def failure_report(exc: QuadratureError) -> tuple[float, int]:
 
 class TestFailureModes:
     def test_domain_validation(self):
-        with pytest.raises(ValueError):
-            integrate_b_plane(gaussian, half_width=0.0)
+        # nan and inf used to fail as a QuadratureError, "achieved nan with 64 cells".
+        def never(pts):
+            raise AssertionError("the integrand must not be evaluated")
+
+        for half_width in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="half_width must be positive and finite"):
+                integrate_b_plane(never, half_width=half_width)
 
     @pytest.mark.parametrize("rel_tol", [0.0, -1e-3, 1.0, 2.0, math.nan, math.inf, -math.inf])
     def test_bad_rel_tol_is_named_before_any_evaluation(self, rel_tol):

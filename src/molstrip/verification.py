@@ -10,11 +10,14 @@ Three deliberately different routes back the production code:
   bound-state-complement route in ``form_factor``.  One outward Numerov
   sweep steps every (k node, partial wave) pair at once and accumulates the
   radial overlap integrals as it goes, so memory stays O(n_k l_max) beyond
-  the (l, r) tables.
+  the one (r, l) table of weighted j_l(s r).  Its special functions are
+  numpy: j_l by Miller's downward recurrence, and the Coulomb normalization
+  C_l from |Gamma(l+1+i eta)|^2 as a finite product.
 * ``bessel_reference`` — McDonald functions K0 and K1 from mpmath at 40
   digits, checking ``special_functions``.
 
-These favor transparency over speed and are meant for tests.
+These favor transparency over speed and are meant for tests.  They need
+numpy and mpmath only; no module of the package imports scipy.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
-from scipy import special as sp
 
 from .atomic_data import Orientation, transverse_positions
 from .cross_section import CollisionSystem, _binomial_channels
@@ -129,13 +131,22 @@ def mc_cross_section(
 # ---------------------------------------------------------------------------
 
 
-def _coulomb_amplitude_log(l, eta):
-    """log C_l(eta): regular Coulomb wave F_l ~ C_l rho^{l+1} at the origin.
+def _coulomb_amplitude_log(eta, l_max):
+    """log C_l(eta), F_l ~ C_l rho^{l+1} at the origin: (len(eta), l_max + 1).
 
-    Elementwise over broadcast ``l`` and ``eta`` arrays.
+    C_l = 2^l e^{-pi eta/2} |Gamma(l+1+i eta)| / (2l+1)! (DLMF 33.2.5), with
+    |Gamma(l+1+i eta)|^2 = (pi|eta| / sinh pi|eta|) prod_{n<=l} (n^2 + eta^2)
+    (DLMF 5.4.3 and the recurrence).  With x = pi|eta| the first factor's log
+    is ln 2x - x - log1p(-e^{-2x}), finite where sinh x overflows; the
+    product is a cumulative sum of logs along l.
     """
-    lg = sp.loggamma(l + 1.0 + 1j * eta)
-    return l * math.log(2.0) - 0.5 * math.pi * eta + lg.real - sp.gammaln(2 * l + 2)
+    ls = np.arange(l_max + 1)
+    x = math.pi * np.abs(eta)[:, None]
+    log_gamma = np.zeros((len(eta), l_max + 1))
+    np.cumsum(np.log(ls[1:] ** 2.0 + eta[:, None] ** 2), axis=1, out=log_gamma[:, 1:])
+    log_gamma += np.log(2.0 * x) - x - np.log1p(-np.exp(-2.0 * x))
+    log_fact = np.array([math.lgamma(2.0 * l + 2.0) for l in ls])
+    return ls * math.log(2.0) - 0.5 * math.pi * eta[:, None] + 0.5 * log_gamma - log_fact
 
 
 def _start_indices(k_nodes, logc, h, n_r):
@@ -153,14 +164,12 @@ def _start_indices(k_nodes, logc, h, n_r):
        ~3e-5 per unit l, while the skipped inner tail is suppressed by
        exp(-0.65 l) and contributes nothing.
     """
-    start = np.empty(logc.shape, dtype=int)
-    for a, k in enumerate(k_nodes):
-        for li in range(logc.shape[1]):
-            rho_min = math.exp((-250.0 - logc[a, li]) / (li + 1.0))
-            j_pref = int(math.ceil(rho_min / (k * h)))
-            j_turn = int(0.4 * li / (k * h)) if li >= 20 else 0
-            start[a, li] = min(max(1, 2 * li, j_pref, j_turn), n_r - 2)
-    return start
+    ls = np.arange(logc.shape[1])
+    kh = k_nodes[:, None] * h
+    j_pref = np.ceil(np.exp((-250.0 - logc) / (ls + 1.0)) / kh)
+    j_turn = np.where(ls >= 20, np.trunc(0.4 * ls / kh), 0.0)
+    start = np.maximum(np.maximum(2 * ls, 1), np.maximum(j_pref, j_turn))
+    return np.minimum(start, n_r - 2).astype(int)
 
 
 def _coulomb_series_start(ls, eta, rho, logc, n_terms):
@@ -188,8 +197,8 @@ def _coulomb_series_start(ls, eta, rho, logc, n_terms):
 _CHUNK = 64   # radial nodes per accumulation of the overlap integrals
 _K_NODES_PER_PANEL = 10   # Gauss-Legendre nodes per ejected-momentum panel
 _ORACLE_R_MAX = 30.0      # radial cutoff of the overlap integrals (a.u.)
-# Largest s accepted.  The (l_max + 1, n_r) tables grow as s^2: at s = 30 each
-# is 193 x 28,500 doubles (44 MB, three alive at once), at s = 1000 it would be 36 GB.
+# Largest s accepted.  The (n_r, l_max + 1) tables grow as s^2: at s = 30 each
+# is 28,500 x 193 doubles (44 MB, two alive at once), at s = 1000 it would be 36 GB.
 _ORACLE_S_MAX = 30.0
 
 
@@ -210,26 +219,33 @@ def _coulomb_overlaps(k_nodes, l_max, r, weight):
     ls = np.arange(l_max + 1, dtype=float)
     k = k_nodes[:, None]
     eta = -1.0 / k
-    logc = _coulomb_amplitude_log(ls, eta)
+    logc = _coulomb_amplitude_log(eta[:, 0], l_max)
     start = _start_indices(k_nodes, logc, h, n_r)
-    rho = k * r[np.stack([start - 1, start])]
+    nodes = np.stack([start - 1, start])
+    rho = k * r[nodes]
     n_terms = max(60, int(1.5 * float(rho[1].max())) + 20)
     seed_values = _coulomb_series_start(ls, eta, rho, logc, n_terms)
-    seeds = {}
-    for (a, li), j0 in np.ndenumerate(start):
-        seeds.setdefault(j0 - 1, []).append((a, li, seed_values[0, a, li]))
-        seeds.setdefault(j0, []).append((a, li, seed_values[1, a, li]))
+    # The series values in radial-node order, each with its flat (k, l)
+    # position; node j seeds the run at[j]:at[j + 1].
+    nodes = nodes.ravel()
+    order = np.argsort(nodes, kind="stable")
+    seed_pos, seed_val = order % start.size, seed_values.ravel()[order]
+    at = np.searchsorted(nodes[order], np.arange(n_r + 1)).tolist()
+
+    def seed(u, j):
+        if at[j] < at[j + 1]:
+            np.put(u, seed_pos[at[j]:at[j + 1]], seed_val[at[j]:at[j + 1]])
 
     # Numerov for u'' = g u:  (1 - t_{n+1}) u_{n+1} = 2 (1 + 5 t_n) u_n
     #                         - (1 - t_{n-1}) u_{n-1},  t = h^2 g / 12
     c12 = h * h / 12.0
     k2 = k * k
-    cent = ls * (ls + 1.0) / r[:, None] ** 2 - 2.0 / r[:, None]
+    cent = ls * (ls + 1.0) / r[:, None] ** 2
+    cent -= 2.0 / r[:, None]
     buf = np.zeros((_CHUNK, len(k_nodes), l_max + 1))
     overlaps = np.zeros((len(k_nodes), l_max + 1))
-    for j in (0, 1):
-        for a, li, v in seeds.get(j, ()):
-            buf[j, a, li] = v
+    seed(buf[0], 0)
+    seed(buf[1], 1)
     u_prev, u_cur = buf[0], buf[1]
     t_cur = c12 * (cent[1] - k2)
     one_p_prev, one_p_cur = 1.0 - c12 * (cent[0] - k2), 1.0 - t_cur
@@ -240,8 +256,7 @@ def _coulomb_overlaps(k_nodes, l_max, r, weight):
         u_next = buf[j % _CHUNK]
         np.divide(2.0 * (1.0 + 5.0 * t_cur) * u_cur - one_p_prev * u_prev, one_p_next,
                   out=u_next)
-        for a, li, v in seeds.get(j, ()):
-            u_next[a, li] = v
+        seed(u_next, j)
         if j % _CHUNK == _CHUNK - 1:
             overlaps += np.einsum("jkl,jl->kl", buf, weight[j + 1 - _CHUNK:j + 1])
         u_prev, u_cur = u_cur, u_next
@@ -296,6 +311,49 @@ def _k_nodes(s: float):
     return np.concatenate(ks), np.concatenate(ws)
 
 
+def _oracle_grids(s: float):
+    """Momentum nodes and weights, l_max and radial nodes of the W_ion(s) sums."""
+    k_nodes, k_weights = _k_nodes(s)
+    h = min(0.04 / max(float(k_nodes.max()), 1.0), 0.008)
+    r = h * np.arange(1, int(_ORACLE_R_MAX / h) + 2)
+    return k_nodes, k_weights, int(12 + 6.0 * s), r
+
+
+def _spherical_jn_table(l_max: int, x: np.ndarray) -> np.ndarray:
+    """j_l(x) for l = 0 .. l_max at every x > 0, as a (len(x), l_max + 1) array.
+
+    Miller's algorithm (DLMF 3.6(iii)): j_{l-1} = (2l+1)/x j_l - j_{l+1}
+    (DLMF 10.51.1) is stable downward for j_l, so it runs from f_{N+1} = 0,
+    f_N = 1 with N = max(l_max, x_max) + 20 + 4 x_max^{1/3}, and each x's
+    values are scaled to j0 = sin x / x or j1 = (j0 - cos x) / x, whichever
+    is larger there.  A row is multiplied by 1e-250 whenever a value passes
+    1e250.  x is read as at least 1e-40, which moves no j_l by more than
+    1e-40 and keeps one step's growth, at most (2N+1)/x, below 1e58, so
+    nothing overflows.
+    """
+    x = np.maximum(x, 1e-40)
+    x_max = float(x.max())
+    n_start = int(max(l_max, x_max) + 20.0 + 4.0 * x_max ** (1.0 / 3.0)) + 1
+    table = np.empty((len(x), l_max + 1))
+    inv_x = 1.0 / x
+    f_next, f = np.zeros_like(x), np.ones_like(x)
+    for l in range(n_start, 0, -1):
+        f_next, f = f, (2.0 * l + 1.0) * inv_x * f - f_next
+        if np.abs(f).max() > 1e250:
+            big = np.abs(f) > 1e250
+            np.multiply(f, 1e-250, out=f, where=big)
+            np.multiply(f_next, 1e-250, out=f_next, where=big)
+            if l <= l_max:
+                table[big, l:] *= 1e-250
+        if l <= l_max + 1:
+            table[:, l - 1] = f
+    j0 = np.sin(x) / x
+    j1 = (j0 - np.cos(x)) / x
+    first = np.abs(j0) >= np.abs(j1)
+    table *= (np.where(first, j0, j1) / np.where(first, table[:, 0], table[:, 1]))[:, None]
+    return table
+
+
 def continuum_ionization_oracle(s: float) -> float:
     """W_ion(s) from the direct continuum route.
 
@@ -307,17 +365,11 @@ def continuum_ionization_oracle(s: float) -> float:
     """
     if not 0.0 < s <= _ORACLE_S_MAX:    # nan fails too
         raise ValueError(f"s must be positive and at most {_ORACLE_S_MAX:g}, got {s}")
-    k_nodes, k_weights = _k_nodes(s)
-    k_max = float(k_nodes.max())
-    l_max = int(12 + 6.0 * s)
-
-    h = min(0.04 / max(k_max, 1.0), 0.008)
-    n_r = int(_ORACLE_R_MAX / h) + 1
-    r = h * np.arange(1, n_r + 1)
-
-    jl = sp.spherical_jn(np.arange(l_max + 1)[:, None], s * r[None, :])
-    weight = jl * (2.0 * np.exp(-r) * r)[None, :]   # j_l(sr) R_10(r) r
-    weight = np.ascontiguousarray((weight * _simpson_weights(n_r, h)).T)
+    k_nodes, k_weights, l_max, r = _oracle_grids(s)
+    # j_l(s r) R_10(r) r times Simpson's weights, in the (r, l) layout the
+    # sweep reads.
+    weight = _spherical_jn_table(l_max, s * r)
+    weight *= (2.0 * np.exp(-r) * r * _simpson_weights(len(r), r[0]))[:, None]
 
     integrals = _coulomb_overlaps(k_nodes, l_max, r, weight)
     amp_sq = (k_weights[:, None] * integrals * integrals).sum(axis=0)

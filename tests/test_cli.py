@@ -571,9 +571,9 @@ class TestEntryPoint:
 
     def test_commands_load_neither_scipy_nor_numpy_ma(self, config_path, tmp_path, child_env):
         # The CLI evaluates everything in numpy: importing scipy.special alone
-        # cost about 0.3 s and 25 MB at start-up.  scipy, mpmath and
-        # molstrip.verification serve only the test oracles.  numpy.ma, which
-        # np.unique imports, cost about 1 MB.
+        # cost about 0.3 s and 25 MB at start-up.  mpmath and
+        # molstrip.verification serve only the test oracles, and scipy only
+        # the tests.  numpy.ma, which np.unique imports, cost about 1 MB.
         code = ("import sys, molstrip.cli\n"
                 "def loaded():\n"
                 "    return sorted(m for m in sys.modules if m.startswith(('scipy', 'mpmath'))\n"

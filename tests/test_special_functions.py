@@ -1,7 +1,10 @@
-"""McDonald functions K0/K1: accuracy, asymptotes, identities, domain."""
+"""McDonald functions K0/K1: accuracy, asymptotes, identities, domain;
+the package's imports and declared dependencies."""
 
 import ast
 import math
+import re
+import sys
 from pathlib import Path
 
 import mpmath as mp
@@ -162,62 +165,56 @@ class TestArrays:
             assert isinstance(out, np.ndarray) and out.shape == (0,)
 
 
-def _scipy_kernel_uses(tree):
-    """Lines that reach scipy.special's k0/k1/k0e/k1e in a parsed module."""
-    kernels = {"k0", "k1", "k0e", "k1e"}
-    aliases = set()      # local names bound to the scipy.special module
-    lines = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module == "scipy":
-            aliases.update(a.asname or a.name for a in node.names if a.name == "special")
-        elif isinstance(node, ast.ImportFrom) and node.module == "scipy.special":
-            lines += [node.lineno for a in node.names if a.name in kernels]
-        elif isinstance(node, ast.Import):
-            aliases.update(a.asname for a in node.names if a.name == "scipy.special" and a.asname)
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and node.attr in kernels:
-            owner = node.value
-            if isinstance(owner, ast.Name) and owner.id in aliases:
-                lines.append(node.lineno)
-            elif (isinstance(owner, ast.Attribute) and owner.attr == "special"
-                  and isinstance(owner.value, ast.Name) and owner.value.id == "scipy"):
-                lines.append(node.lineno)
-    return lines
-
-
 def _imported_modules(tree):
-    """Every module an import statement in a parsed module names."""
+    """Every module an absolute import statement in a parsed module names."""
     names = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names]
-    return names + [n.module or "" for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
+    return names + [n.module for n in ast.walk(tree)
+                    if isinstance(n, ast.ImportFrom) and n.level == 0]
 
 
 class TestOneKernel:
-    """The package evaluates K0/K1 in numpy; scipy serves only the oracles."""
+    """The package, its oracles included, evaluates everything in numpy and
+    mpmath; scipy serves only the tests, as a reference."""
 
     SRC = Path(__file__).resolve().parents[1] / "src" / "molstrip"
 
     def test_detector_sees_every_spelling(self):
+        # Relative imports name package modules and are left out.
         code = ("from scipy import special as sp\nimport scipy.special as ss\n"
                 "from scipy.special import k1e\nimport scipy\n"
-                "sp.k0(1.0); ss.k1(1.0); scipy.special.k0e(1.0); sp.zeta(3, 2)\n")
-        assert sorted(_scipy_kernel_uses(ast.parse(code))) == [3, 5, 5, 5]
+                "from . import cli\nfrom .transfer import x\n")
         assert _imported_modules(ast.parse(code)) == ["scipy.special", "scipy", "scipy",
                                                       "scipy.special"]
 
-    def test_only_verification_imports_scipy(self):
+    def test_no_module_imports_scipy(self):
         modules = sorted(self.SRC.glob("*.py"))
-        assert self.SRC / "transfer.py" in modules
+        assert {self.SRC / "transfer.py", self.SRC / "verification.py"} <= set(modules)
         trees = {p.name: ast.parse(p.read_text()) for p in modules}
         importers = sorted(name for name, tree in trees.items()
                            if any(m.split(".")[0] == "scipy" for m in _imported_modules(tree)))
-        assert importers == ["verification.py"]
-        # The oracles' K0/K1 come from mpmath, not from scipy's kernels either.
-        assert {name: lines for name, tree in trees.items()
-                if (lines := _scipy_kernel_uses(tree))} == {}
+        assert importers == []
 
-    def test_transfer_does_not_import_scipy(self):
-        tree = ast.parse((self.SRC / "transfer.py").read_text())
-        assert not [m for m in _imported_modules(tree) if m.split(".")[0] == "scipy"]
+
+class TestDependencies:
+    """pyproject.toml declares what the package and its tests import."""
+
+    ROOT = Path(__file__).resolve().parents[1]
+
+    @staticmethod
+    def _names(requirements):
+        return {re.match(r"[A-Za-z0-9_.-]+", req).group().lower().replace("-", "_")
+                for req in requirements}
+
+    def test_runtime_dependencies_are_the_third_party_imports(self):
+        tomllib = pytest.importorskip("tomllib")
+        project = tomllib.loads((self.ROOT / "pyproject.toml").read_text())["project"]
+        imported = {m.split(".")[0] for p in (self.ROOT / "src" / "molstrip").glob("*.py")
+                    for m in _imported_modules(ast.parse(p.read_text()))}
+        third_party = imported - set(sys.stdlib_module_names)
+        assert third_party == {"numpy", "mpmath"}
+        assert self._names(project["dependencies"]) == third_party
+        assert {"scipy", "pytest", "hypothesis"} <= self._names(
+            project["optional-dependencies"]["test"])
 
 
 @settings(max_examples=60, deadline=None)

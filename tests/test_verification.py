@@ -1,12 +1,15 @@
 """Independent oracles: Monte-Carlo integration, continuum route, Bessel refs."""
 
 import math
+import subprocess
+import sys
 import tracemalloc
 
 import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import simpson
+from scipy.special import gammaln, loggamma, spherical_jn
 
 from molstrip import verification
 from molstrip.form_factor import elastic_form_factor, ionization_probability
@@ -121,6 +124,69 @@ class TestContinuumOracle:
     @pytest.mark.slow
     def test_saturates_at_large_kick(self):
         assert continuum_ionization_oracle(30.0) == pytest.approx(1.0, abs=1e-3)
+
+
+class TestOracleKernels:
+    """The continuum oracle's numpy j_l and log C_l against scipy, on the
+    oracle's own grids; scipy is the reference here only."""
+
+    @pytest.mark.parametrize("s", [0.01, 1.0, 3.0, pytest.param(30.0, marks=pytest.mark.slow)])
+    def test_spherical_jn_matches_scipy(self, s):
+        _, _, l_max, r = verification._oracle_grids(s)
+        x = s * r
+        table = verification._spherical_jn_table(l_max, x)
+        assert table.shape == (len(r), l_max + 1)
+        worst = max(np.abs(table[:, l] - spherical_jn(l, x)).max() for l in range(l_max + 1))
+        assert worst <= 1e-14
+
+    def test_spherical_jn_tiny_and_large_arguments(self):
+        # Below 1e-40 x is read as 1e-40; values that pass 1e250 on the way
+        # down are rescaled, so nothing overflows.
+        x = np.array([1e-300, 1e-45, 1e-9, 1e-3, 0.5, 40.0, 200.0])
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            table = verification._spherical_jn_table(60, x)
+        assert np.array_equal(table[:2, 0], [1.0, 1.0])
+        ref = spherical_jn(np.arange(61), x[:, None])
+        assert np.abs(table - ref).max() <= 1e-14
+
+    @pytest.mark.parametrize("s", [1.0, 30.0])
+    def test_coulomb_log_normalization_matches_scipy(self, s):
+        k_nodes, _, l_max, _ = verification._oracle_grids(s)
+        eta = -1.0 / k_nodes
+        ls = np.arange(l_max + 1)
+        # log C_l with scipy's gamma functions; l ln 2 - pi eta / 2 is the
+        # same on both sides.
+        ref = (ls * math.log(2.0) - 0.5 * math.pi * eta[:, None]
+               + loggamma(ls + 1.0 + 1j * eta[:, None]).real - gammaln(2 * ls + 2))
+        got = verification._coulomb_amplitude_log(eta, l_max)
+        # |log C_l| reaches 957 at s = 30, where one ulp is 1.1e-13 and scipy
+        # itself lies 5.7e-13 from a 40-digit mpmath value: past |log C_l| = 50
+        # the bound grows as 2e-15 |log C_l|.
+        assert np.abs(got - ref).max() <= max(1e-13, 2e-15 * np.abs(ref).max())
+
+
+def test_oracles_load_no_scipy(child_env):
+    # The oracles are numpy and mpmath; importing scipy.special used to add
+    # about 25 MB and 0.35 s to every verification run.
+    code = ("import sys\n"
+            "from molstrip import verification\n"
+            "from molstrip.atomic_data import MoleculeGeometry, builtin_hfs_table\n"
+            "from molstrip.cross_section import CollisionSystem\n"
+            "from molstrip.form_factor import ProjectileSpec, build_ionization_table\n"
+            "from molstrip.kinematics import velocity_from_energy\n"
+            "def loaded():\n"
+            "    return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+            "print(loaded())\n"
+            "verification.continuum_ionization_oracle(0.3)\n"
+            "n = builtin_hfs_table()[7]\n"
+            "system = CollisionSystem(MoleculeGeometry.diatomic(n, n, 2.07), ProjectileSpec(26.0, 1),\n"
+            "                         velocity_from_energy(10.0), build_ionization_table())\n"
+            "verification.mc_cross_section(system, 0.5, n_samples=10**4)\n"
+            "print(loaded())\n")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=child_env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["[]", "[]"]
 
 
 class TestMonteCarlo:

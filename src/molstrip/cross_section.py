@@ -133,22 +133,22 @@ def _loss_probability(projections, atoms, proj, v, table):
     return p
 
 
-def _outer_cutoff(projections, p_fn) -> float:
-    """Radius beyond which p is below CUTOFF_FRACTION of its peak, for every
-    column of p (the largest of the columns' radii).
+def _outer_cutoff(projections, p_fn) -> tuple[float, float]:
+    """(b_max, outer): the radius beyond which p is below CUTOFF_FRACTION of its
+    peak for every column of p (the largest of the columns' radii), and the
+    outermost atom's distance from the beam axis, along whose ray p is probed.
 
     Raises QuadratureError when p is still above that fraction at the last
     sample, 150 a.u. past the outermost atom, or when the b-plane coordinates
     there do not resolve MIN_IMPACT_RADIUS, where the kick is clamped.
     """
-    projections = np.asarray(projections, dtype=float)
-    outer = float(np.max(np.hypot(projections[:, 0], projections[:, 1])))
+    radii = np.hypot(projections[:, 0], projections[:, 1])
+    i = int(np.argmax(radii))
+    outer = float(radii[i])
     if np.spacing(outer + 150.0) > MIN_IMPACT_RADIUS:
         raise QuadratureError(f"b-plane coordinates {outer:g} a.u. off the beam axis do not "
                               f"resolve {MIN_IMPACT_RADIUS:g} a.u.")
-    direction = projections[np.argmax(np.hypot(projections[:, 0], projections[:, 1]))]
-    norm = np.hypot(*direction)
-    u = direction / norm if norm > 0 else np.array([1.0, 0.0])
+    u = projections[i] / outer if outer > 0 else np.array([1.0, 0.0])
 
     t = np.concatenate([np.geomspace(1e-4, 1.0, 40), np.linspace(1.1, 150.0, 600)])
     pts = u[None, :] * (outer + t)[:, None]
@@ -162,19 +162,7 @@ def _outer_cutoff(projections, p_fn) -> float:
             f"still {still:.3g} of its peak (cutoff {CUTOFF_FRACTION:g})")
     # A column whose p vanishes everywhere has no entry above its floor of 0.
     above = np.nonzero(np.any(p > floor, axis=1))[0]
-    return outer + (float(t[above[-1]]) if len(above) else 0.0) + 1.0
-
-
-def _canonical_frame(geometry: MoleculeGeometry, projections: np.ndarray):
-    """For a homonuclear diatomic, rotate projections onto the x axis.
-
-    Returns (projections, quadrant), quadrant being whether the integrand is
-    mirror-symmetric in both axes.
-    """
-    if not geometry.is_homonuclear_diatomic:
-        return projections, False
-    d = float(np.hypot(*projections[0]))
-    return np.array([[d, 0.0], [-d, 0.0]]), True
+    return outer + (float(t[above[-1]]) if len(above) else 0.0) + 1.0, outer
 
 
 def cross_section_fixed(
@@ -196,16 +184,18 @@ def cross_section_fixed(
     systems = _as_systems([systems] if single else systems)
     geom, proj = systems[0].geometry, systems[0].projectile
     projections = transverse_positions(geom, Orientation(theta, phi))
-    quadrant = False
-    if use_symmetry:
-        projections, quadrant = _canonical_frame(geom, projections)
+    # With the bond of a homonuclear diatomic on the x axis, the integrand is
+    # mirror-symmetric in both axes.
+    quadrant = use_symmetry and geom.is_homonuclear_diatomic
+    if quadrant:
+        d = float(np.hypot(*projections[0]))
+        projections = np.array([[d, 0.0], [-d, 0.0]])
     p_fn = _loss_probability(projections, geom.atoms, proj, [s.velocity for s in systems],
                              systems[0].table)
-    b_max = _outer_cutoff(projections, p_fn)
+    b_max, outer = _outer_cutoff(projections, p_fn)
     # The integrand reaches b_max - outer past an atom.  An atom farther out lies in
     # an initial cell too wide for any node to see it, so edges at +- reach frame it.
-    seeds = np.asarray(projections, dtype=float)
-    reach = b_max - float(np.max(np.hypot(seeds[:, 0], seeds[:, 1])))
+    seeds, reach = projections, b_max - outer
     if b_max > 2.0 * reach:
         seeds = np.concatenate([seeds, seeds - reach, seeds + reach])
     values, errors = integrate_b_plane(

@@ -21,8 +21,8 @@ rounds to 0, both are exactly 0.
 
 The domain contract is used throughout the package: strictly positive finite
 arguments, and the hard zero above (the integrand tails then vanish naturally
-instead of raising).  A scalar gives a float and an array gives an array; one
-bad element rejects the whole call.
+instead of raising).  The result has the shape of x, so a scalar gives a 0-d
+array; one bad element rejects the whole call.
 
 Against the 40-digit mpmath reference in ``molstrip.verification``, on 200
 log-spaced x in [1e-8, 700] plus x = 1e-9, x = 2 and their neighbouring
@@ -86,15 +86,11 @@ def _k0_k1(x, name: str) -> tuple[np.ndarray, np.ndarray]:
     return k0.reshape(x.shape), k1.reshape(x.shape)
 
 
-def _one(values: np.ndarray):
-    return float(values) if values.ndim == 0 else values
-
-
 def bessel_k0(x):
-    """K0(x) for x > 0; returns 0.0 beyond the underflow threshold."""
-    return _one(_k0_k1(x, "bessel_k0")[0])
+    """K0(x) for x > 0, shaped as x; 0.0 beyond the underflow threshold."""
+    return _k0_k1(x, "bessel_k0")[0]
 
 
 def bessel_k1(x):
-    """K1(x) for x > 0; returns 0.0 beyond the underflow threshold."""
-    return _one(_k0_k1(x, "bessel_k1")[1])
+    """K1(x) for x > 0, shaped as x; 0.0 beyond the underflow threshold."""
+    return _k0_k1(x, "bessel_k1")[1]

@@ -85,12 +85,10 @@ def kick_magnitude(atom: HfsAtom, v: float, r: np.ndarray) -> np.ndarray:
 class KickProfile:
     """One atom's S1(r) / r, S1 = sum_i alpha_i A_i K1(alpha_i r), tabulated in u = ln r.
 
-    ``z`` is ln(S1 / r) as a quintic Hermite in t = (u - u0) / h with exact
-    z', z'' at the nodes u0 + i h.
+    ``z`` is ln(S1 / r) as a quintic Hermite in t = (u - _U0) / _H with exact
+    z', z'' at the nodes _U0 + i _H.
     """
 
-    u0: float
-    h: float
     r_hi: float
     z: _HermiteSteps = field(repr=False)
 
@@ -99,9 +97,9 @@ class KickProfile:
         past r_hi; in place."""
         beyond = r2 > self.r_hi**2
         t = np.clip(r2, MIN_IMPACT_RADIUS**2, self.r_hi**2, out=r2)
-        np.log(t, out=t)                # t = (ln(r2) / 2 - u0) / h
-        t -= 2.0 * self.u0
-        t /= 2.0 * self.h
+        np.log(t, out=t)                # t = (ln(r2) / 2 - _U0) / _H
+        t -= 2.0 * _U0
+        t /= 2.0 * _H
         np.exp(self.z(t), out=t)
         np.copyto(t, 0.0, where=beyond)
         return t
@@ -132,7 +130,7 @@ def kick_profile(atom: HfsAtom) -> KickProfile:
     z = np.log(s1 / r)
     z1 = _H * (p - 2.0)
     z2 = _H * _H * (p + r * (r * s2 - s0) / s1 - p * p)
-    return KickProfile(u0=_U0, h=_H, r_hi=float(r[-1]), z=_HermiteSteps.fit(z, z1, z2))
+    return KickProfile(r_hi=float(r[-1]), z=_HermiteSteps.fit(z, z1, z2))
 
 
 def total_kick_magnitude(projections, atoms, v: float, points: np.ndarray) -> np.ndarray:

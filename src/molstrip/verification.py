@@ -7,12 +7,12 @@ Three deliberately different routes back the production code:
 * ``continuum_ionization_oracle`` — W_ion(s) by direct integration of the
   squared 1s -> continuum matrix elements over all ejected-electron momenta
   (partial-wave Coulomb waves propagated by Numerov), checking the
-  bound-state-complement route in ``form_factor``.  One outward Numerov
-  sweep steps every (k node, partial wave) pair at once and accumulates the
-  radial overlap integrals as it goes, so memory stays O(n_k l_max) beyond
-  the one (r, l) table of weighted j_l(s r).  Its special functions are
-  numpy: j_l by Miller's downward recurrence, and the Coulomb normalization
-  C_l from |Gamma(l+1+i eta)|^2 as a finite product.
+  bound-state-complement route in ``form_factor``, for s in [1e-3, 30].  One
+  outward Numerov sweep steps every (k node, partial wave) pair at once and
+  accumulates the radial overlap integrals as it goes, so memory stays
+  O(n_k l_max) beyond the one (r, l) table of weighted j_l(s r).  Its
+  special functions are numpy: j_l by Miller's downward recurrence, and the
+  Coulomb normalization C_l from |Gamma(l+1+i eta)|^2 as a finite product.
 * ``bessel_reference`` — McDonald functions K0 and K1 from mpmath at 40
   digits, checking ``special_functions``.
 
@@ -194,11 +194,16 @@ def _coulomb_series_start(ls, eta, rho, logc, n_terms):
     return np.where(log_pref > -290.0, np.exp(np.maximum(log_pref, -290.0)) * series, 0.0)
 
 
-_CHUNK = 64   # radial nodes per accumulation of the overlap integrals
+_CHUNK = 64   # radial nodes per chunk of the oracle's Numerov sweep
 _K_NODES_PER_PANEL = 10   # Gauss-Legendre nodes per ejected-momentum panel
 _ORACLE_R_MAX = 30.0      # radial cutoff of the overlap integrals (a.u.)
-# Largest s accepted.  The (n_r, l_max + 1) tables grow as s^2: at s = 30 each
-# is 28,500 x 193 doubles (44 MB, two alive at once), at s = 1000 it would be 36 GB.
+# Smallest s accepted.  W_ion ~ 0.2834 s^2 falls towards the oracle's floor of
+# 1.283e-12 (the l = 0 wave's numerical overlap with the 1s state), which is
+# 4.5e-6 of W at s = 1e-3 and 4.5e-4 at 1e-4; below about 1e-5 only the floor
+# is left.
+_ORACLE_S_MIN = 1e-3
+# Largest s accepted.  The (n_r, l_max + 1) table grows as s^2: at s = 30 it
+# is 28,500 x 193 doubles (44 MB), at s = 1000 it would be 36 GB.
 _ORACLE_S_MAX = 30.0
 
 
@@ -211,8 +216,9 @@ def _coulomb_overlaps(k_nodes, l_max, r, weight):
     as one (n_k, l_max+1) array; each element is seeded from the series at
     its own start index and stays zero before it, since the recurrence maps
     two zero steps to zero.  ``weight`` is (n_r, l_max+1) with the
-    quadrature weights folded in; the sums are accumulated every _CHUNK
-    nodes, so no (n_k, l, n_r) array is formed.
+    quadrature weights folded in.  The sweep walks the radial grid one _CHUNK
+    of nodes at a time, building that chunk's centrifugal rows and adding its
+    sums, so no (n_k, l, n_r) or (n_r, l) array is formed.
     """
     n_r = len(r)
     h = r[1] - r[0]
@@ -240,30 +246,27 @@ def _coulomb_overlaps(k_nodes, l_max, r, weight):
     #                         - (1 - t_{n-1}) u_{n-1},  t = h^2 g / 12
     c12 = h * h / 12.0
     k2 = k * k
-    cent = ls * (ls + 1.0) / r[:, None] ** 2
-    cent -= 2.0 / r[:, None]
     buf = np.zeros((_CHUNK, len(k_nodes), l_max + 1))
     overlaps = np.zeros((len(k_nodes), l_max + 1))
     seed(buf[0], 0)
     seed(buf[1], 1)
     u_prev, u_cur = buf[0], buf[1]
-    t_cur = c12 * (cent[1] - k2)
-    one_p_prev, one_p_cur = 1.0 - c12 * (cent[0] - k2), 1.0 - t_cur
-    for i in range(1, n_r - 1):
-        j = i + 1
-        t_next = c12 * (cent[j] - k2)
-        one_p_next = 1.0 - t_next
-        u_next = buf[j % _CHUNK]
-        np.divide(2.0 * (1.0 + 5.0 * t_cur) * u_cur - one_p_prev * u_prev, one_p_next,
-                  out=u_next)
-        seed(u_next, j)
-        if j % _CHUNK == _CHUNK - 1:
-            overlaps += np.einsum("jkl,jl->kl", buf, weight[j + 1 - _CHUNK:j + 1])
-        u_prev, u_cur = u_cur, u_next
-        t_cur, one_p_prev, one_p_cur = t_next, one_p_cur, one_p_next
-    n_tail = n_r % _CHUNK
-    if n_tail:
-        overlaps += np.einsum("jkl,jl->kl", buf[:n_tail], weight[n_r - n_tail:])
+    one_p_cur = None
+    for lo in range(0, n_r, _CHUNK):
+        # The chunk's rows of l(l+1)/r^2 - 2/r; nodes 0 and 1 only prime t.
+        cent = ls * (ls + 1.0) / r[lo:lo + _CHUNK, None] ** 2
+        cent -= 2.0 / r[lo:lo + _CHUNK, None]
+        for j, row in enumerate(cent, start=lo):
+            t_next = c12 * (row - k2)
+            one_p_next = 1.0 - t_next
+            if j > 1:
+                u_next = buf[j - lo]
+                np.divide(2.0 * (1.0 + 5.0 * t_cur) * u_cur - one_p_prev * u_prev, one_p_next,
+                          out=u_next)
+                seed(u_next, j)
+                u_prev, u_cur = u_cur, u_next
+            t_cur, one_p_prev, one_p_cur = t_next, one_p_cur, one_p_next
+        overlaps += np.einsum("jkl,jl->kl", buf[:len(cent)], weight[lo:lo + _CHUNK])
     return overlaps
 
 
@@ -360,11 +363,11 @@ def continuum_ionization_oracle(s: float) -> float:
     W = sum_l (2l+1) integral dk |I_l(k)|^2 with
     I_l(k) = sqrt(2/pi) integral F_l(-1/k, kr) j_l(s r) R_10(r) r dr,
     the Coulomb waves normalized on the momentum scale.  Accuracy ~1e-4.
-    ValueError unless 0 < s <= _ORACLE_S_MAX (30), checked before any table
-    is allocated.
+    ValueError unless _ORACLE_S_MIN <= s <= _ORACLE_S_MAX, i.e. s in
+    [1e-3, 30], checked before any table is allocated.
     """
-    if not 0.0 < s <= _ORACLE_S_MAX:    # nan fails too
-        raise ValueError(f"s must be positive and at most {_ORACLE_S_MAX:g}, got {s}")
+    if not _ORACLE_S_MIN <= s <= _ORACLE_S_MAX:     # nan fails too
+        raise ValueError(f"s must lie within [{_ORACLE_S_MIN:g}, {_ORACLE_S_MAX:g}], got {s}")
     k_nodes, k_weights, l_max, r = _oracle_grids(s)
     # j_l(s r) R_10(r) r times Simpson's weights, in the (r, l) layout the
     # sweep reads.

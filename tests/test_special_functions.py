@@ -147,9 +147,12 @@ class TestArrays:
     """An array in gives an array out, from the same pass as a scalar."""
 
     def test_scalar_gives_float(self):
+        # A scalar gives a 0-d float64 array, bitwise the array route's element.
         for x in (2.0, 3, np.float64(0.25), np.array(1.5)):
-            assert type(bessel_k0(x)) is float
-            assert type(bessel_k1(x)) is float
+            for kernel in (bessel_k0, bessel_k1):
+                out = kernel(x)
+                assert isinstance(out, np.ndarray) and out.shape == ()
+                assert out == kernel(np.array([float(x), 7.25]))[0]
         assert bessel_k1(np.array(1.5)) == bessel_k1(np.array([1.5, 7.25]))[0]
 
     def test_shape_kept(self):

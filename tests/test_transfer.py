@@ -215,7 +215,7 @@ class TestKickProfile:
 
     def test_soft_fit_reaches_600_over_alpha_min(self):
         profile = kick_profile(self.SOFT)
-        assert 6000.0 <= profile.r_hi < 6000.0 * math.exp(profile.h)
+        assert 6000.0 <= profile.r_hi < 6000.0 * math.exp(transfer._H)
         rel, _ = self._max_rel_error_to_r_hi(self.SOFT)
         assert rel <= 5e-12                        # 3.6e-12 measured
 
@@ -237,7 +237,7 @@ class TestKickProfile:
         # alpha_min r = 1000 at r = 200: K1 is 0 there, so the table stops at the
         # first node past 600 / 5, where K1(alpha_min r) is still a normal double.
         profile = kick_profile(self.STIFF)
-        assert 120.0 <= profile.r_hi < 120.0 * math.exp(profile.h)
+        assert 120.0 <= profile.r_hi < 120.0 * math.exp(transfer._H)
         assert sp.k1(5.0 * profile.r_hi) > np.finfo(float).tiny
         rel, _ = self._max_rel_error_to_r_hi(self.STIFF, 20_000)
         assert rel <= 5e-12                        # 2.8e-12 measured
@@ -246,11 +246,11 @@ class TestKickProfile:
         # The nodes on [MIN_IMPACT_RADIUS, 200] a.u. are the same 1,000 for every
         # atom; only how far they continue depends on the fit.
         step = (math.log(200.0) - math.log(MIN_IMPACT_RADIUS)) / 999
+        assert (transfer._U0, transfer._H) == (math.log(MIN_IMPACT_RADIUS), step)
         for atom in [*hfs_table.values(), self.SOFT, self.STIFF]:
             profile = kick_profile(atom)
-            assert (profile.u0, profile.h) == (math.log(MIN_IMPACT_RADIUS), step), atom.Z
             nodes = profile.z.coef.shape[1] + 1
-            assert profile.r_hi == pytest.approx(math.exp(profile.u0 + (nodes - 1) * step),
+            assert profile.r_hi == pytest.approx(math.exp(transfer._U0 + (nodes - 1) * step),
                                                  rel=1e-15), atom.Z
         assert {kick_profile(atom).z.coef.shape[1] + 1 for atom in hfs_table.values()} \
             == {1022, 1028, 1031, 1037}
@@ -261,7 +261,7 @@ class TestKickProfile:
         atom = HfsAtom(Z=7.0, A=(0.1741, 0.8259, 0.0), alpha=(9.1943, 1e-300, 1.0))
         profile = kick_profile(atom)
         assert profile.z.coef.shape[1] + 1 <= 2050
-        assert 1e11 <= profile.r_hi < 1e11 * math.exp(profile.h)
+        assert 1e11 <= profile.r_hi < 1e11 * math.exp(transfer._H)
         q = _single_atom_kick(atom, self.V, [[1e10, 0.0], [2e11, 0.0]])
         assert q[0] == pytest.approx(kick_magnitude(atom, self.V, 1e10), rel=5e-12)
         assert q[1] == 0.0

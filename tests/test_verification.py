@@ -75,7 +75,18 @@ class TestContinuumOracle:
             raise AssertionError("no table may be built for a rejected s")
 
         monkeypatch.setattr(verification, "_k_nodes", no_tables)
-        with pytest.raises(ValueError, match=r"s must be positive and at most 30, got"):
+        with pytest.raises(ValueError, match=r"s must lie within \[0.001, 30\], got"):
+            continuum_ionization_oracle(s)
+
+    @pytest.mark.parametrize("s", [1e-4, 1e-8, 1e-300])
+    def test_rejects_s_below_its_floor_before_allocating(self, s, monkeypatch):
+        # Below s = 1e-3 the oracle's own floor of 1.283e-12 is more than 4.5e-6
+        # of W_ion ~ 0.2834 s^2; below about 1e-5 it returned that floor for any s.
+        def no_tables(*args, **kwargs):
+            raise AssertionError("no table may be built for a rejected s")
+
+        monkeypatch.setattr(verification, "_k_nodes", no_tables)
+        with pytest.raises(ValueError, match=rf"s must lie within \[0.001, 30\], got {s!r}$"):
             continuum_ionization_oracle(s)
 
     def test_small_kick_subset_bound(self):
@@ -120,6 +131,20 @@ class TestContinuumOracle:
         finally:
             tracemalloc.stop()
         assert peak <= 16 * 2**20
+
+    def test_centrifugal_rows_built_per_chunk(self):
+        # The sweep builds each radial chunk's l(l+1)/r^2 - 2/r rows as it
+        # reaches them: at s = 3 the peak is 5.9 MiB, against 7.8 MiB with the
+        # whole (n_r, l) table.  The momentum nodes are built once first, so
+        # numpy.polynomial's one-time import (1.6 MiB) is not counted.
+        verification._k_nodes(3.0)
+        tracemalloc.start()
+        try:
+            continuum_ionization_oracle(3.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6.8 * 2**20
 
     @pytest.mark.slow
     def test_saturates_at_large_kick(self):

@@ -51,9 +51,9 @@ _H = (math.log(200.0) - _U0) / 999
 # atom lies 2^33 = 8.6e9 a.u. off the beam axis, so no run that proceeds asks
 # for the kick farther than about 2.1e10 a.u. from an atom.
 _MAX_REACH = 1e11
-# Points per pass of total_kick_magnitude: bounds its temporaries.  The Monte
-# Carlo oracle's 65,536-point blocks, taken whole, made a verify solve 0.63 s
-# against 0.58 s and its peak RSS 72.2 against 70.7 MB (medians of 5, 2-vCPU VM).
+# Points per pass of total_kick_magnitude, and per slice of the Monte Carlo
+# oracle's blocks: each temporary is 64 KiB, whatever the batch.  One pass per
+# 65,536-point block made a verify solve 0.63 against 0.58 s (medians, 2 vCPUs).
 _CHUNK = 8192
 
 

@@ -3,7 +3,8 @@
 Three deliberately different routes back the production code:
 
 * ``mc_cross_section`` — importance-sampled Monte-Carlo estimate of the
-  impact-parameter integral, checking the adaptive quadrature.
+  impact-parameter integral, checking the adaptive quadrature; it draws by
+  blocks and computes by kick-sized chunks, so its memory stays a few MB.
 * ``continuum_ionization_oracle`` — W_ion(s) by direct integration of the
   squared 1s -> continuum matrix elements over all ejected-electron momenta
   (partial-wave Coulomb waves propagated by Numerov), checking the
@@ -12,12 +13,14 @@ Three deliberately different routes back the production code:
   accumulates the radial overlap integrals as it goes, so memory stays
   O(n_k l_max) beyond the one (r, l) table of weighted j_l(s r).  Its
   special functions are numpy: j_l by Miller's downward recurrence, and the
-  Coulomb normalization C_l from |Gamma(l+1+i eta)|^2 as a finite product.
+  Coulomb normalization C_l from |Gamma(l+1+i eta)|^2 as a finite product;
+  its momentum panels take a constant 10-node Gauss-Legendre rule.
 * ``bessel_reference`` — McDonald functions K0 and K1 from mpmath at 40
   digits, checking ``special_functions``.
 
 These favor transparency over speed and are meant for tests.  They need
-numpy and mpmath only; no module of the package imports scipy.
+numpy and mpmath only; no module of the package imports scipy, and the
+first two oracles load neither numpy.polynomial nor numpy.ma.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import numpy as np
 
 from .atomic_data import Orientation, transverse_positions
 from .cross_section import CollisionSystem, _binomial_channels
-from .transfer import total_kick_magnitude
+from .transfer import _CHUNK as _KICK_CHUNK, total_kick_magnitude
 
 __all__ = [
     "McEstimate",
@@ -63,11 +66,13 @@ def mc_cross_section(
     its projection with rate equal to the atom's softest screening exponent
     (heavier-tailed than the integrand, whose kick falls off at least twice
     as fast).  Sampling proceeds in fixed-size blocks with seeds spawned from
-    the master seed, each drawing atoms, radii and angles in that order, summed
-    in block order: bit-reproducible for a given seed and extensible (the first
-    blocks of a longer run coincide).  A block's points are two contiguous
-    coordinate rows, which the kick reads as their (N, 2) transpose.  In the
-    proposal density the sampled atom's distance is r itself.
+    the master seed, each drawing all its atoms, radii and angles in that
+    order; the points, kicks, weights and sums are then formed one kick-sized
+    chunk at a time and summed in order.  Results are bit-reproducible for a
+    given seed and extensible (the first blocks of a longer run coincide).  A
+    chunk's points are two contiguous coordinate rows, which the kick reads as
+    their (N, 2) transpose.  In the proposal density the sampled atom's
+    distance is r itself.
     """
     for name, value, low in (("n_samples", n_samples, 10**4), ("seed", seed, 0)):
         if not isinstance(value, (int, np.integer)) or value < low:
@@ -89,36 +94,45 @@ def mc_cross_section(
     n_blocks = math.ceil(n_samples / _MC_BLOCK)
     child_seeds = np.random.SeedSequence(seed).spawn(n_blocks)
     total, total_sq = np.zeros((2, n_p))
+    radii, angles = np.empty((2, min(_MC_BLOCK, n_samples)))
     for blk in range(n_blocks):
         size = min(_MC_BLOCK, n_samples - blk * _MC_BLOCK)
         rng = np.random.default_rng(child_seeds[blk])
-        idx = rng.integers(0, n_atoms, size)
-        r = rng.exponential(1.0 / lam, size)
-        # The step r (cos, sin) from the sampled atom, by t = tan(angle / 2):
-        # numpy 2 vectorizes float64 tan, but not sin and cos.
-        t = np.tan(0.5 * rng.uniform(0.0, 2.0 * math.pi, size))
-        x, y = pts = np.empty((2, size))
-        np.divide(r, 1.0 + t * t, out=y)
-        np.multiply(1.0 - t * t, y, out=x)
-        y *= 2.0 * t
+        sampled = rng.integers(0, n_atoms, size)
+        # numpy draws exponential(1/lam) as (1/lam) E and uniform(0, 2 pi) as
+        # 0 + 2 pi U, so these are those radii bit for bit and half those
+        # angles (halving is exact), in buffers reused by every block.
+        radius = rng.standard_exponential(out=radii[:size])
+        radius *= 1.0 / lam
+        half_angle = rng.random(out=angles[:size])
+        half_angle *= math.pi
+        for lo in range(0, size, _KICK_CHUNK):
+            idx, r, t = (a[lo:lo + _KICK_CHUNK] for a in (sampled, radius, half_angle))
+            # The step r (cos, sin) from the sampled atom, by t = tan(angle / 2)
+            # in the angle's buffer: numpy 2 vectorizes float64 tan, not sin and cos.
+            np.tan(t, out=t)
+            x, y = pts = np.empty((2, len(r)))
+            np.divide(r, 1.0 + t * t, out=y)
+            np.multiply(1.0 - t * t, y, out=x)
+            y *= 2.0 * t
 
-        # sum_m exp(-lam d_m) / d_m in t's buffer, d_m >= 1e-12: d is r for
-        # the sampled atom, then the others' distances in r's buffer.
-        d = np.maximum(r, 1e-12, out=r)
-        density = np.divide(np.exp(-lam * d, out=t), d, out=t)
-        for ox, oy in others:
-            np.add(x, ox.take(idx), out=d)
-            np.sqrt(d * d + np.square(y + oy.take(idx)), out=d)
-            np.maximum(d, 1e-12, out=d)
-            density += np.exp(-lam * d) / d
-        inv_density = np.divide(2.0 * math.pi * n_atoms / lam, density, out=density)
+            # sum_m exp(-lam d_m) / d_m in t's buffer, d_m >= 1e-12: d is r for
+            # the sampled atom, then the others' distances in r's buffer.
+            d = np.maximum(r, 1e-12, out=r)
+            density = np.divide(np.exp(-lam * d, out=t), d, out=t)
+            for ox, oy in others:
+                np.add(x, ox.take(idx), out=d)
+                np.sqrt(d * d + np.square(y + oy.take(idx)), out=d)
+                np.maximum(d, 1e-12, out=d)
+                density += np.exp(-lam * d) / d
+            inv_density = np.divide(2.0 * math.pi * n_atoms / lam, density, out=density)
 
-        x += px.take(idx)
-        y += py.take(idx)
-        q = total_kick_magnitude(projections, atoms, v, pts.T)
-        w = _binomial_channels(system.table(q / proj.Z_eff), n_p)
-        total += inv_density @ w
-        total_sq += np.square(inv_density, out=inv_density) @ np.square(w, out=w)
+            x += px.take(idx)
+            y += py.take(idx)
+            q = total_kick_magnitude(projections, atoms, v, pts.T)
+            w = _binomial_channels(system.table(q / proj.Z_eff), n_p)
+            total += inv_density @ w
+            total_sq += np.square(inv_density, out=inv_density) @ np.square(w, out=w)
 
     mean = total / n_samples
     var = np.maximum(total_sq / n_samples - mean * mean, 0.0)
@@ -195,7 +209,14 @@ def _coulomb_series_start(ls, eta, rho, logc, n_terms):
 
 
 _CHUNK = 64   # radial nodes per chunk of the oracle's Numerov sweep
-_K_NODES_PER_PANEL = 10   # Gauss-Legendre nodes per ejected-momentum panel
+# The 10-node Gauss-Legendre rule of each ejected-momentum panel, equal bit for
+# bit to numpy.polynomial.legendre.leggauss(10) without importing it.
+_GL_X = np.array([-0.9739065285171717, -0.8650633666889845, -0.6794095682990244,
+                  -0.4333953941292472, -0.14887433898163122, 0.14887433898163122,
+                  0.4333953941292472, 0.6794095682990244, 0.8650633666889845, 0.9739065285171717])
+_GL_W = np.array([0.06667134430868814, 0.1494513491505804, 0.219086362515982,
+                  0.2692667193099965, 0.2955242247147528, 0.2955242247147528,
+                  0.2692667193099965, 0.219086362515982, 0.1494513491505804, 0.06667134430868814])
 _ORACLE_R_MAX = 30.0      # radial cutoff of the overlap integrals (a.u.)
 # Smallest s accepted.  W_ion ~ 0.2834 s^2 falls towards the oracle's floor of
 # 1.283e-12 (the l = 0 wave's numerical overlap with the 1s state), which is
@@ -296,22 +317,15 @@ def _k_nodes(s: float):
     """
     peak_lo = max(3.0, s - 6.0)
     mid = (
-        np.linspace(3.0, peak_lo, max(2, int(math.ceil((peak_lo - 3.0) / 2.0)) + 1))
+        np.linspace(3.0, peak_lo, max(2, int(math.ceil((peak_lo - 3.0) / 2.0)) + 1))[:-1]
         if peak_lo > 3.0
         else np.empty(0)
     )
-    edges = np.concatenate([
-        np.linspace(0.0, 3.0, 7),
-        mid,
-        np.linspace(peak_lo, s + 8.0, 12),
-    ])
-    edges = np.unique(edges[edges >= 0.0])
-    x, w = np.polynomial.legendre.leggauss(_K_NODES_PER_PANEL)
-    ks, ws = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        ks.append(0.5 * (b - a) * x + 0.5 * (a + b))
-        ws.append(0.5 * (b - a) * w)
-    return np.concatenate(ks), np.concatenate(ws)
+    # Each run of edges stops short of the next run's first edge, so the
+    # edges come sorted and distinct without np.unique (which imports numpy.ma).
+    edges = np.concatenate([np.linspace(0.0, 3.0, 7)[:-1], mid, np.linspace(peak_lo, s + 8.0, 12)])
+    a, b = edges[:-1, None], edges[1:, None]
+    return (0.5 * (b - a) * _GL_X + 0.5 * (a + b)).ravel(), (0.5 * (b - a) * _GL_W).ravel()
 
 
 def _oracle_grids(s: float):

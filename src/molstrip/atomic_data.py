@@ -57,7 +57,7 @@ class HfsAtom:
         if self.Z < 1:
             raise ValueError(f"nuclear charge must be >= 1, got {self.Z}")
         if len(self.A) != 3 or len(self.alpha) != 3:
-            raise ValueError("exactly 3 screening terms are required")
+            raise ValueError("A and alpha: exactly 3 screening terms are required")
         if any(a <= 0 for a in self.alpha):
             raise ValueError(f"all alpha_i must be positive, got {self.alpha}")
         if abs(sum(self.A) - 1.0) > SUM_A_TOLERANCE:

@@ -143,47 +143,42 @@ def _parse_target(spec, hfs: dict[int, HfsAtom]) -> MoleculeGeometry:
             raise ConfigError(f"hfs_table: {exc}") from exc
         return hfs[z]
 
-    try:
-        if "diatomic" in spec:
-            _check_keys(spec, ("diatomic",), "target.")
-            d = spec["diatomic"]
-            if not isinstance(d, dict):
-                raise ConfigError("target.diatomic: expected an object")
-            _check_keys(d, ("Z", "bond_length"), "target.diatomic.")
-            atom = atom_for("target.diatomic", d)
-            bond = _number("target.diatomic.bond_length", d.get("bond_length"))
-            try:
-                return MoleculeGeometry.diatomic(atom, atom, bond)
-            except ValueError as exc:
-                raise ConfigError(f"target.diatomic.bond_length: {exc}") from exc
-        _check_keys(spec, ("atoms",), "target.")
-        entries = spec.get("atoms")
-        if not isinstance(entries, list):
-            raise ConfigError("target.atoms: expected a list of objects")
-        atoms, positions = [], []
-        for i, a in enumerate(entries):
-            name = f"target.atoms[{i}]"
-            if not isinstance(a, dict):
-                raise ConfigError(f"{name}: expected an object, got {a!r}")
-            _check_keys(a, ("Z", "position"), name + ".")
-            atoms.append(atom_for(name, a))
-            pos = a.get("position")
-            if not isinstance(pos, list) or len(pos) != 3:
-                raise ConfigError(f"{name}.position: expected 3 numbers, got {pos!r}")
-            positions.append(tuple(_number(f"{name}.position", x) for x in pos))
+    if "diatomic" in spec:
+        _check_keys(spec, ("diatomic",), "target.")
+        d = spec["diatomic"]
+        if not isinstance(d, dict):
+            raise ConfigError("target.diatomic: expected an object")
+        _check_keys(d, ("Z", "bond_length"), "target.diatomic.")
+        atom = atom_for("target.diatomic", d)
+        bond = _number("target.diatomic.bond_length", d.get("bond_length"))
         try:
-            return MoleculeGeometry(atoms=tuple(atoms), positions=tuple(positions))
+            return MoleculeGeometry.diatomic(atom, atom, bond)
         except ValueError as exc:
-            raise ConfigError(f"target.{exc}") from exc
-    except ConfigError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"target: {exc}") from exc
+            raise ConfigError(f"target.diatomic.bond_length: {exc}") from exc
+    _check_keys(spec, ("atoms",), "target.")
+    entries = spec.get("atoms")
+    if not isinstance(entries, list):
+        raise ConfigError("target.atoms: expected a list of objects")
+    atoms, positions = [], []
+    for i, a in enumerate(entries):
+        name = f"target.atoms[{i}]"
+        if not isinstance(a, dict):
+            raise ConfigError(f"{name}: expected an object, got {a!r}")
+        _check_keys(a, ("Z", "position"), name + ".")
+        atoms.append(atom_for(name, a))
+        pos = a.get("position")
+        if not isinstance(pos, list) or len(pos) != 3:
+            raise ConfigError(f"{name}.position: expected 3 numbers, got {pos!r}")
+        positions.append(tuple(_number(f"{name}.position", x) for x in pos))
+    try:
+        return MoleculeGeometry(atoms=tuple(atoms), positions=tuple(positions))
+    except ValueError as exc:
+        raise ConfigError(f"target.{exc}") from exc
 
 
 def _parse_theta_grid(spec) -> np.ndarray:
     if spec is None:
-        spec = {"points": 31}
+        spec = {}
     if isinstance(spec, dict):
         _check_keys(spec, ("points",), "theta_grid.")
         n = _number("theta_grid.points", _get(spec, "points", 31), int, 1)
@@ -359,18 +354,21 @@ def cmd_validate(config: RunConfig, out) -> int:
     return EXIT_NO_CONVERGENCE if failed else 0
 
 
+COMMANDS = {
+    "scan-theta": (cmd_scan_theta, "cross sections and delta over an orientation grid"),
+    "average": (cmd_average, "chaotic-orientation averaged cross sections"),
+    "table": (cmd_table, "dump the scaled-kick ionization probability table"),
+    "validate": (cmd_validate, "report the validity-regime diagnostics"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="molstrip",
         description="Electron-loss cross sections of fast ions on molecules",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in [
-        ("scan-theta", "cross sections and delta over an orientation grid"),
-        ("average", "chaotic-orientation averaged cross sections"),
-        ("table", "dump the scaled-kick ionization probability table"),
-        ("validate", "report the validity-regime diagnostics"),
-    ]:
+    for name, (_, helptext) in COMMANDS.items():
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--out", default=None, help="output path (default: config 'output' or stdout)")
@@ -408,12 +406,7 @@ def main(argv=None) -> int:
     if reason:
         return _cannot_write(field, out_path, reason)
 
-    command = {
-        "scan-theta": cmd_scan_theta,
-        "average": cmd_average,
-        "table": cmd_table,
-        "validate": cmd_validate,
-    }[args.command]
+    command = COMMANDS[args.command][0]
 
     # The command writes into a buffer, so a failed run leaves an existing
     # output file as it was.

@@ -74,7 +74,7 @@ class ProjectileSpec:
         if not self.Z_nucleus < np.inf:
             raise ValueError(f"Z_nucleus must be finite, got {self.Z_nucleus}")
         if self.z_eff is not None and not 0 < self.z_eff < np.inf:
-            raise ValueError(f"z_eff must be positive and finite, got {self.z_eff}")
+            raise ValueError(f"Z_eff must be positive and finite, got {self.z_eff}")
 
     @property
     def Z_eff(self) -> float:
@@ -124,8 +124,7 @@ def _shell_constants(n_max: int) -> tuple:
 
     Returns n^2, (n-1)^2, (n+1)^2, 2^8 n^7, (n^2-1)/3 and n-3 for n = 2..n_max,
     then the Rydberg-tail weights m^3 for the last three shells m and
-    zeta(3, n_max + 1) from ``_zeta3``.  Each array is computed by the same
-    operations as inline, so cached and inline evaluation agree bitwise.
+    zeta(3, n_max + 1) from ``_zeta3``.
     """
     n = np.arange(2.0, n_max + 1.0)
     consts = (n * n, (n - 1.0) ** 2, (n + 1.0) ** 2, 2.0**8 * n**7,

@@ -16,7 +16,8 @@ chi is exposed as a diagnostic only; the cross-section path uses the kicks.
 atom, which ``kick_profile`` builds from its own K0 and K1 sums and which is 0
 past its end (alpha_min r > 600, or r > 1e11 a.u.).  The direct sum
 ``kick_magnitude`` and the phase ``eikonal_phase_single`` are the references
-that judge the table (5e-12 relative).
+that judge the table (5e-12 relative).  ``total_kick_magnitude`` takes all its
+points in one pass; ``verification`` slices the Monte Carlo blocks for it.
 """
 
 from __future__ import annotations
@@ -51,10 +52,6 @@ _H = (math.log(200.0) - _U0) / 999
 # atom lies 2^33 = 8.6e9 a.u. off the beam axis, so no run that proceeds asks
 # for the kick farther than about 2.1e10 a.u. from an atom.
 _MAX_REACH = 1e11
-# Points per pass of total_kick_magnitude, and per slice of the Monte Carlo
-# oracle's blocks: each temporary is 64 KiB, whatever the batch.  One pass per
-# 65,536-point block made a verify solve 0.63 against 0.58 s (medians, 2 vCPUs).
-_CHUNK = 8192
 
 
 def _check_positive(value: float, name: str) -> None:
@@ -144,20 +141,16 @@ def total_kick_magnitude(projections, atoms, v: float, points: np.ndarray) -> np
         raise ValueError("b-plane points must be finite")
     terms = [(s_m, kick_profile(atom), 2.0 * atom.Z / v)
              for s_m, atom in zip(np.asarray(projections, dtype=float), atoms)]
-    out = np.empty(len(points))
-    for lo in range(0, len(points), _CHUNK):
-        chunk = points[lo:lo + _CHUNK]
-        qx, qy = np.zeros((2, len(chunk)))
-        for s_m, profile, scale in terms:
-            dx = chunk[:, 0] - s_m[0]
-            dy = chunk[:, 1] - s_m[1]
-            w = dx * dx                 # r^2, then |q_m| / r in place
-            w += dy * dy
-            profile(w)
-            w *= scale
-            dx *= w
-            dy *= w
-            qx += dx
-            qy += dy
-        np.hypot(qx, qy, out=out[lo:lo + len(chunk)])
-    return out
+    qx, qy = np.zeros((2, len(points)))
+    for s_m, profile, scale in terms:
+        dx = points[:, 0] - s_m[0]
+        dy = points[:, 1] - s_m[1]
+        w = dx * dx                     # r^2, then |q_m| / r in place
+        w += dy * dy
+        profile(w)
+        w *= scale
+        dx *= w
+        dy *= w
+        qx += dx
+        qy += dy
+    return np.hypot(qx, qy)

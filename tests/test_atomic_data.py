@@ -35,6 +35,10 @@ class TestHfsAtomInvariants:
         with pytest.raises(ValueError, match="charge"):
             HfsAtom(Z=0.5, A=(1.0, 0.0, 0.0), alpha=(1.0, 1.0, 1.0))
 
+    def test_three_terms_required(self):
+        with pytest.raises(ValueError, match="A and alpha: exactly 3 screening terms"):
+            HfsAtom(Z=7, A=(0.5, 0.5), alpha=(1.0, 2.0))
+
     def test_sum_tolerance_accepts_rounding(self):
         HfsAtom(Z=7, A=(0.5, 0.3, 0.2 + 5e-7), alpha=(1.0, 2.0, 3.0))
 
@@ -104,6 +108,14 @@ class TestMoleculeGeometry:
                 atoms=(nitrogen, nitrogen),
                 positions=((0.0, 0.0, 1.0), (0.0, 0.0, 1.0)),
             )
+
+    def test_one_position_per_atom(self, nitrogen):
+        with pytest.raises(ValueError, match="atoms: one position per atom"):
+            MoleculeGeometry(atoms=(nitrogen, nitrogen), positions=((0.0, 0.0, 1.0),))
+
+    def test_three_coordinates_per_position(self, nitrogen):
+        with pytest.raises(ValueError, match=r"atoms\[0\]\.position: expected 3 coordinates"):
+            MoleculeGeometry(atoms=(nitrogen,), positions=((0.0, 1.0),))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_nonfinite_position_names_the_atom(self, nitrogen, bad):

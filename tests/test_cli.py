@@ -18,7 +18,7 @@ from molstrip.cli import (
     load_config,
     main,
 )
-from molstrip import cross_section
+from molstrip import cli, cross_section
 from molstrip.cross_section import AU_TO_CM2, delta_scan
 
 BASE_CONFIG = {
@@ -124,11 +124,39 @@ class TestConfigLoading:
             ({"table": {"n_points": 10**400}}, "table.n_points"),
             ({"table": {"n_max": 10**20}}, "table.n_max"),
             ({"table": {"n_max": 10**400}}, "table.n_max"),
+            ({"projectile": 26}, "projectile: expected a preset name or an object"),
+            ({"projectile": {"N_P": 2}}, "projectile: missing field 'Z'"),
+            ({"projectile": {"Z": 26, "N_P": 5}}, "projectile: N_P must be 1..3"),
+            ({"projectile": {"Z": 3, "N_P": 3}}, "projectile: net charge"),
+            ({"projectile": {"Z": 26, "N_P": 2, "Z_eff": -1}}, "projectile: Z_eff"),
+            ({"target": 7}, "target: expected a preset name or an object"),
+            ({"target": {"atoms": [{"Z": 7, "position": [0.0, 0.0, 1.0]},
+                                   {"Z": 7, "position": [0.0, 0.0, 1.0]}]}},
+             "target.atoms[0] and atoms[1] coincide"),
+            ({"theta_grid": "31"}, "theta_grid: expected"),
         ],
     )
     def test_invalid_fields_are_named(self, config_path, overrides, field):
         with pytest.raises(ConfigError, match=re.escape(field)):
             load_config(config_path(overrides))
+
+    def test_config_must_be_an_object(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text(json.dumps([BASE_CONFIG]))
+        with pytest.raises(ConfigError, match="^config: expected a JSON object$"):
+            load_config(path)
+
+    @pytest.mark.parametrize("theta_grid", ["absent", {}])
+    def test_theta_grid_default(self, config_path, tmp_path, theta_grid):
+        if theta_grid == "absent":
+            path = tmp_path / "default.json"
+            path.write_text(json.dumps({k: v for k, v in BASE_CONFIG.items()
+                                        if k != "theta_grid"}))
+        else:
+            path = config_path({"theta_grid": theta_grid})
+        grid = load_config(path).theta_grid
+        assert len(grid) == 31
+        assert (grid[0], grid[-1]) == (0.0, math.pi / 2)
 
     def test_integer_past_the_parser_limit(self, tmp_path):
         # Python refuses to parse a JSON integer of more than 4300 digits.
@@ -356,6 +384,17 @@ class TestExitCodes:
         assert err == (f"config error: --out: cannot write {target!r}: "
                        "No such file or directory\n")
         assert not (tmp_path / "missing").exists()
+
+    def test_write_failing_after_the_check(self, config_path, tmp_path, capsys, monkeypatch):
+        # The pre-check passes, and the open itself fails: still exit 2, naming the path.
+        monkeypatch.setattr(cli, "_output_dir_error", lambda path: None)
+        target = str(tmp_path / "missing" / "x.csv")
+        assert run_cli(["table", "--config", config_path(), "--out", target]) \
+            == EXIT_CONFIG_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"config error: --out: cannot write {target!r}: "
+                       "No such file or directory\n")
 
     @pytest.mark.parametrize("field", ["--out", "output"])
     def test_directory_as_output_fails_before_the_run(self, config_path, tmp_path, capsys,

@@ -12,6 +12,7 @@ from scipy import special as sp
 
 from molstrip.form_factor import (
     TABLE_S_MAX,
+    IonizationTable,
     ProjectileSpec,
     _HermiteSteps,
     _shell_probabilities,
@@ -48,7 +49,7 @@ class TestProjectileSpec:
 
     def test_rejects_nonpositive_override(self):
         for z_eff in (0.0, float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="z_eff"):
+            with pytest.raises(ValueError, match="Z_eff"):
                 ProjectileSpec(26.0, 1, z_eff=z_eff)
 
 
@@ -307,6 +308,14 @@ class TestPchipMatchesScipy:
         assert np.isnan(mixed[:2]).all()
         assert mixed[2:4] == pytest.approx(expected(np.array([0.5, s_max])), rel=self.RTOL, abs=0.0)
         assert mixed[4] == ionization_probability(25.0, table.n_max)
+
+    def test_limited_end_slope(self):
+        # Secants +0.01 then -0.05: the three-point end slope 0.04 exceeds three
+        # times the first secant, so both limit it to 3 m0.
+        table = IonizationTable(w_values=np.array([0.9, 0.91, 0.86, 0.87, 0.88]), n_max=20)
+        s = np.linspace(0.0, TABLE_S_MAX, 100_001)
+        expected = self.reference(table)(s)
+        assert np.all(np.abs(table(s) - expected) <= self.RTOL * expected)
 
 
 def _survival_inline(s, n_max):

@@ -1,5 +1,6 @@
 """Screened momentum-transfer field: kicks, phase, gradient relation."""
 
+import json
 import math
 import subprocess
 import sys
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special as sp
 
-from molstrip import transfer
+from molstrip import cli, cross_section, quadrature, transfer, verification
 from molstrip.atomic_data import HfsAtom, MoleculeGeometry
 from molstrip.cross_section import cross_section_fixed
 from molstrip.special_functions import bessel_k1
@@ -286,7 +287,8 @@ class TestKickProfile:
         assert q.shape == (0,)
 
     def test_chunking_is_invisible(self, nitrogen):
-        chunk = transfer._CHUNK
+        # The Monte Carlo oracle relies on a block giving the values of its slices.
+        chunk = verification._MC_SLICE
         projections = [(1.035, 0.0), (-1.035, 0.0)]
         atoms = [nitrogen, nitrogen]
         pts = np.random.default_rng(3).uniform(-6.0, 6.0, (2 * chunk + 1, 2))
@@ -294,6 +296,35 @@ class TestKickProfile:
         parts = [total_kick_magnitude(projections, atoms, 10.0, pts[lo:lo + chunk])
                  for lo in (0, chunk, 2 * chunk)]
         assert np.array_equal(whole, np.concatenate(parts))
+
+    def test_call_sizes_stay_bounded(self, monkeypatch, tmp_path, make_system):
+        # One pass per call is cheap only while every caller bounds its batch.
+        kick_sizes, integrand_sizes = [], []
+
+        def kick(projections, atoms, v, points):
+            kick_sizes.append(len(points))
+            return total_kick_magnitude(projections, atoms, v, points)
+
+        def integrate(integrand, **kwargs):
+            def counted(points):
+                integrand_sizes.append(len(points))
+                return integrand(points)
+            return quadrature.integrate_b_plane(counted, **kwargs)
+
+        monkeypatch.setattr(cross_section, "total_kick_magnitude", kick)
+        monkeypatch.setattr(cross_section, "integrate_b_plane", integrate)
+        monkeypatch.setattr(verification, "total_kick_magnitude", kick)
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({
+            "projectile": "Fe24+", "target": "N2", "energies_mev_u": [10.0, 100.0, 1000.0],
+            "theta_grid": {"points": 3}, "tolerance": 1e-2,
+        }))
+        assert cli.main(["scan-theta", "--config", str(config),
+                         "--out", str(tmp_path / "scan.csv")]) == 0
+        verification.mc_cross_section(make_system(2, 100.0), 0.8, n_samples=70_000)
+        assert integrand_sizes and kick_sizes[-1] == 70_000 - verification._MC_BLOCK
+        assert max(kick_sizes) <= verification._MC_SLICE == 8192
+        assert max(integrand_sizes) <= quadrature._CALL_CELLS * 17 == 2176
 
     def test_one_profile_per_distinct_atom(self, hfs_table, make_system):
         # The profile does not depend on v: three energies of CO build two.

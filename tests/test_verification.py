@@ -89,6 +89,14 @@ class TestContinuumOracle:
         with pytest.raises(ValueError, match=rf"s must lie within \[0.001, 30\], got {s!r}$"):
             continuum_ionization_oracle(s)
 
+    def test_nonfinite_sum_raises(self, monkeypatch):
+        def nan_overlaps(k_nodes, l_max, r, weight):
+            return np.full((len(k_nodes), l_max + 1), np.nan)
+
+        monkeypatch.setattr(verification, "_coulomb_overlaps", nan_overlaps)
+        with pytest.raises(RuntimeError, match="failed to converge at s=0.3"):
+            continuum_ionization_oracle(0.3)
+
     def test_small_kick_subset_bound(self):
         s = 0.01
         w = continuum_ionization_oracle(s)

@@ -101,13 +101,13 @@ class MoleculeGeometry:
         for i in range(len(pos)):
             for j in range(i + 1, len(pos)):
                 if np.array_equal(pos[i], pos[j]):
-                    raise ValueError(f"atoms[{i}] and atoms[{j}] coincide")
+                    raise ValueError(f"atoms[{j}] coincides with atoms[{i}]")
 
     @classmethod
     def diatomic(cls, atom_a: HfsAtom, atom_b: HfsAtom, bond_length: float) -> "MoleculeGeometry":
         """Two atoms at +-L/2 on the body axis, midpoint at the origin."""
         if bond_length <= 0:
-            raise ValueError(f"bond length must be positive, got {bond_length}")
+            raise ValueError(f"bond_length must be positive, got {bond_length}")
         h = 0.5 * bond_length
         return cls(atoms=(atom_a, atom_b), positions=((0.0, 0.0, h), (0.0, 0.0, -h)))
 

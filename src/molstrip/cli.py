@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__, cross_section
-from .atomic_data import HfsAtom, HfsTableError, MoleculeGeometry, builtin_hfs_table, load_hfs_table
+from .atomic_data import HfsAtom, MoleculeGeometry, builtin_hfs_table, load_hfs_table
 from .cross_section import AU_TO_CM2, CollisionSystem, delta_scan, orientation_average
 from .form_factor import TABLE_LIMITS, IonizationTable, ProjectileSpec, build_ionization_table
 from .kinematics import validate_regime, velocity_from_energy
@@ -55,7 +55,7 @@ class ConfigError(ValueError):
 # accepted because the benchmark's generated configs write it.
 CONFIG_FIELDS = frozenset({
     "projectile", "target", "energies_mev_u", "theta_grid", "tolerance", "table",
-    "seed", "output", "hfs_table",
+    "seed", "hfs_table",
 })
 
 
@@ -64,16 +64,22 @@ class RunConfig:
     systems: list[CollisionSystem]     # one per energy, sharing geometry, projectile and table
     theta_grid: np.ndarray
     tolerance: float
-    output: str | None
     raw: dict
 
 
-def _get(cfg: dict, key: str, default=None, required=False):
-    if key in cfg:
-        return cfg[key]
-    if required:
-        raise ConfigError(f"missing required config field '{key}'")
-    return default
+def _required(spec: dict, key: str, prefix: str = ""):
+    if key not in spec:
+        raise ConfigError(f"{prefix}{key}: missing required field")
+    return spec[key]
+
+
+def _built(prefix: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, its ValueError re-raised as a ConfigError
+    led by ``prefix``: the one place a model's message becomes a config error."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{prefix}{exc}") from exc
 
 
 def _check_keys(spec: dict, known, prefix: str) -> None:
@@ -110,19 +116,13 @@ def _parse_projectile(spec) -> ProjectileSpec:
     if not isinstance(spec, dict):
         raise ConfigError("projectile: expected a preset name or an object")
     _check_keys(spec, ("Z", "N_P", "Z_eff"), "projectile.")
-    try:
-        z_eff = spec.get("Z_eff")
-        return ProjectileSpec(
-            Z_nucleus=_number("projectile.Z", spec["Z"]),
-            N_P=_number("projectile.N_P", spec["N_P"], int),
-            z_eff=None if z_eff is None else _number("projectile.Z_eff", z_eff),
-        )
-    except ConfigError:
-        raise
-    except KeyError as exc:
-        raise ConfigError(f"projectile: missing field {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"projectile: {exc}") from exc
+    z_eff = spec.get("Z_eff")
+    return _built(
+        "projectile.", ProjectileSpec,
+        Z_nucleus=_number("projectile.Z", _required(spec, "Z", "projectile.")),
+        N_P=_number("projectile.N_P", _required(spec, "N_P", "projectile."), int),
+        z_eff=None if z_eff is None else _number("projectile.Z_eff", z_eff),
+    )
 
 
 def _parse_target(spec, hfs: dict[int, HfsAtom]) -> MoleculeGeometry:
@@ -134,13 +134,10 @@ def _parse_target(spec, hfs: dict[int, HfsAtom]) -> MoleculeGeometry:
         raise ConfigError("target: expected a preset name or an object")
 
     def atom_for(name: str, entry: dict) -> HfsAtom:
-        z = _number(f"{name}.Z", entry.get("Z"), int)
+        z = _number(f"{name}.Z", _required(entry, "Z", name + "."), int)
         if z not in hfs:
             raise ConfigError(f"{name}.Z: no HFS coefficients for Z={z} in the atom table")
-        try:
-            kick_profile(hfs[z])      # cached: built once per distinct atom
-        except ValueError as exc:
-            raise ConfigError(f"hfs_table: {exc}") from exc
+        _built("hfs_table: ", kick_profile, hfs[z])      # cached: built once per distinct atom
         return hfs[z]
 
     if "diatomic" in spec:
@@ -150,13 +147,11 @@ def _parse_target(spec, hfs: dict[int, HfsAtom]) -> MoleculeGeometry:
             raise ConfigError("target.diatomic: expected an object")
         _check_keys(d, ("Z", "bond_length"), "target.diatomic.")
         atom = atom_for("target.diatomic", d)
-        bond = _number("target.diatomic.bond_length", d.get("bond_length"))
-        try:
-            return MoleculeGeometry.diatomic(atom, atom, bond)
-        except ValueError as exc:
-            raise ConfigError(f"target.diatomic.bond_length: {exc}") from exc
+        bond = _number("target.diatomic.bond_length",
+                       _required(d, "bond_length", "target.diatomic."))
+        return _built("target.diatomic.", MoleculeGeometry.diatomic, atom, atom, bond)
     _check_keys(spec, ("atoms",), "target.")
-    entries = spec.get("atoms")
+    entries = _required(spec, "atoms", "target.")
     if not isinstance(entries, list):
         raise ConfigError("target.atoms: expected a list of objects")
     atoms, positions = [], []
@@ -166,14 +161,11 @@ def _parse_target(spec, hfs: dict[int, HfsAtom]) -> MoleculeGeometry:
             raise ConfigError(f"{name}: expected an object, got {a!r}")
         _check_keys(a, ("Z", "position"), name + ".")
         atoms.append(atom_for(name, a))
-        pos = a.get("position")
+        pos = _required(a, "position", name + ".")
         if not isinstance(pos, list) or len(pos) != 3:
             raise ConfigError(f"{name}.position: expected 3 numbers, got {pos!r}")
         positions.append(tuple(_number(f"{name}.position", x) for x in pos))
-    try:
-        return MoleculeGeometry(atoms=tuple(atoms), positions=tuple(positions))
-    except ValueError as exc:
-        raise ConfigError(f"target.{exc}") from exc
+    return _built("target.", MoleculeGeometry, atoms=tuple(atoms), positions=tuple(positions))
 
 
 def _parse_theta_grid(spec) -> np.ndarray:
@@ -181,7 +173,7 @@ def _parse_theta_grid(spec) -> np.ndarray:
         spec = {}
     if isinstance(spec, dict):
         _check_keys(spec, ("points",), "theta_grid.")
-        n = _number("theta_grid.points", _get(spec, "points", 31), int, 1)
+        n = _number("theta_grid.points", spec.get("points", 31), int, 1)
         if n > MAX_THETA_POINTS:
             raise ConfigError(f"theta_grid.points must be <= {MAX_THETA_POINTS}, got {n}")
         return np.linspace(0.0, math.pi / 2, n)
@@ -190,10 +182,7 @@ def _parse_theta_grid(spec) -> np.ndarray:
     if len(spec) > MAX_THETA_POINTS:
         raise ConfigError(f"theta_grid: at most {MAX_THETA_POINTS} angles, got {len(spec)}")
     angles = [_number("theta_grid", t) for t in spec]
-    try:
-        return cross_section.check_theta_grid(angles)
-    except ValueError as exc:
-        raise ConfigError(f"theta_grid: {exc}") from exc
+    return _built("theta_grid: ", cross_section.check_theta_grid, angles)
 
 
 def _parse_table(spec) -> IonizationTable:
@@ -202,19 +191,11 @@ def _parse_table(spec) -> IonizationTable:
     _check_keys(spec, TABLE_LIMITS, "table.")
     params = {key: _number(f"table.{key}", spec.get(key, default), kind, minimum)
               for key, (kind, default, minimum, _) in TABLE_LIMITS.items()}
-    try:
-        return build_ionization_table(**params)
-    except ValueError as exc:
-        raise ConfigError(f"table.{exc}") from exc
+    return _built("table.", build_ionization_table, **params)
 
 
-def _path(name: str, value) -> str | None:
-    if value is not None and not isinstance(value, str):
-        raise ConfigError(f"{name}: expected a path string, got {value!r}")
-    return value
-
-
-def load_config(path, overrides: dict | None = None) -> RunConfig:
+def load_config(path, tolerance: float | None = None) -> RunConfig:
+    """The run ``path`` describes; a ``tolerance`` given replaces the config's."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -225,40 +206,35 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config: expected a JSON object")
     _check_keys(raw, CONFIG_FIELDS, "")
-    overrides = overrides or {}
-    merged = {**raw, **{k: v for k, v in overrides.items() if v is not None}}
+    if tolerance is not None:
+        raw = {**raw, "tolerance": tolerance}
 
-    hfs_path = _path("hfs_table", merged.get("hfs_table"))
-    try:
-        hfs = load_hfs_table(hfs_path) if hfs_path else builtin_hfs_table()
-    except HfsTableError as exc:
-        raise ConfigError(f"hfs_table: {exc}") from exc
+    hfs_path = raw.get("hfs_table")
+    if hfs_path is not None and not isinstance(hfs_path, str):
+        raise ConfigError(f"hfs_table: expected a path string, got {hfs_path!r}")
+    hfs = _built("hfs_table: ", load_hfs_table, hfs_path) if hfs_path else builtin_hfs_table()
 
-    energies = _get(merged, "energies_mev_u", required=True)
+    energies = _required(raw, "energies_mev_u")
     if not isinstance(energies, (list, tuple)) or not energies:
         raise ConfigError("energies_mev_u: expected a nonempty list")
     energies = [_number("energies_mev_u", e) for e in energies]
-    try:
-        params = [velocity_from_energy(e) for e in energies]
-    except ValueError as exc:
-        raise ConfigError(f"energies_mev_u: {exc}") from exc
+    params = [_built("energies_mev_u: ", velocity_from_energy, e) for e in energies]
 
-    tolerance = _number("tolerance", _get(merged, "tolerance", 1e-3))
+    tolerance = _number("tolerance", raw.get("tolerance", 1e-3))
     if not 1e-6 <= tolerance <= 1e-1:
         raise ConfigError(f"tolerance must lie in [1e-6, 1e-1], got {tolerance:g}")
 
-    _number("seed", _get(merged, "seed", 0), int)
+    _number("seed", raw.get("seed", 0), int)
 
-    projectile = _parse_projectile(_get(merged, "projectile", required=True))
-    geometry = _parse_target(_get(merged, "target", required=True), hfs)
-    theta_grid = _parse_theta_grid(merged.get("theta_grid"))
-    table = _parse_table(_get(merged, "table", {}))
+    projectile = _parse_projectile(_required(raw, "projectile"))
+    geometry = _parse_target(_required(raw, "target"), hfs)
+    theta_grid = _parse_theta_grid(raw.get("theta_grid"))
+    table = _parse_table(raw.get("table", {}))
     return RunConfig(
         systems=[CollisionSystem(geometry, projectile, p, table) for p in params],
         theta_grid=theta_grid,
         tolerance=tolerance,
-        output=_path("output", merged.get("output")),
-        raw=merged,
+        raw=raw,
     )
 
 
@@ -267,10 +243,7 @@ def _fmt(x: float) -> str:
 
 
 def _header_lines(config: RunConfig, command: str) -> list[str]:
-    # The output path does not affect the numbers; leaving it out keeps the
-    # file byte-identical wherever it is written.
-    echo_cfg = {k: v for k, v in config.raw.items() if k != "output"}
-    echo = json.dumps(echo_cfg, sort_keys=True, separators=(",", ":"))
+    echo = json.dumps(config.raw, sort_keys=True, separators=(",", ":"))
     return [f"# molstrip {__version__} {command}", f"# config = {echo}"]
 
 
@@ -371,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (_, helptext) in COMMANDS.items():
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", required=True, help="JSON run configuration")
-        p.add_argument("--out", default=None, help="output path (default: config 'output' or stdout)")
+        p.add_argument("--out", default=None, help="output path (default: stdout)")
         p.add_argument("--tolerance", type=float, default=None)
     return parser
 
@@ -388,23 +361,21 @@ def _output_dir_error(path: str) -> str | None:
     return os.strerror(errno.EACCES if os.path.isdir(directory) else errno.ENOENT)
 
 
-def _cannot_write(field: str, path: str, reason: str) -> int:
-    print(f"config error: {field}: cannot write {path!r}: {reason}", file=sys.stderr)
+def _cannot_write(path: str, reason: str) -> int:
+    print(f"config error: --out: cannot write {path!r}: {reason}", file=sys.stderr)
     return EXIT_CONFIG_ERROR
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = load_config(args.config, overrides={"tolerance": args.tolerance})
+        config = load_config(args.config, args.tolerance)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    out_path = args.out or config.output
-    field = "--out" if args.out else "output"
-    reason = out_path and _output_dir_error(out_path)
+    reason = args.out and _output_dir_error(args.out)
     if reason:
-        return _cannot_write(field, out_path, reason)
+        return _cannot_write(args.out, reason)
 
     command = COMMANDS[args.command][0]
 
@@ -420,14 +391,14 @@ def main(argv=None) -> int:
         print(exc, file=sys.stderr)
         return EXIT_NO_CONVERGENCE
 
-    if not out_path:
+    if not args.out:
         sys.stdout.write(buf.getvalue())
         return status
     try:
-        with open(out_path, "w") as fh:
+        with open(args.out, "w") as fh:
             fh.write(buf.getvalue())
     except OSError as exc:
-        return _cannot_write(field, out_path, exc.strerror)
+        return _cannot_write(args.out, exc.strerror)
     return status
 
 

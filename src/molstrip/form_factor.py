@@ -68,9 +68,8 @@ class ProjectileSpec:
         if not 1 <= self.N_P <= 3:
             raise ValueError(f"N_P must be 1..3, got {self.N_P}")
         if not self.Z_nucleus - self.N_P >= 1:
-            raise ValueError(
-                f"net charge Z-N_P must be >= 1, got {self.Z_nucleus - self.N_P}"
-            )
+            raise ValueError(f"N_P must leave a net charge Z - N_P >= 1, "
+                             f"got {self.Z_nucleus - self.N_P}")
         if not self.Z_nucleus < np.inf:
             raise ValueError(f"Z_nucleus must be finite, got {self.Z_nucleus}")
         if self.z_eff is not None and not 0 < self.z_eff < np.inf:

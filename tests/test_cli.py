@@ -97,7 +97,8 @@ class TestConfigLoading:
             ({"projectile": {"Z": 26, "N_P": 2.5}}, "projectile.N_P"),
             ({"target": {"diatomic": {"Z": 7, "bond_length": 2.0, "L": 1}}},
              "target.diatomic.L"),
-            ({"output": 5}, "output"),
+            ({"output": "out.csv"}, "output: unknown field"),
+            ({"hfs_table": 5}, "hfs_table: expected a path string"),
             ({"target": {"atoms": [{"Z": 7, "position": [0.0, 0.0, 1.0]},
                                    {"Z": 7, "position": [0.0, 1.0]}]}},
              "target.atoms[1].position"),
@@ -113,9 +114,9 @@ class TestConfigLoading:
             ({"target": {"diatomic": 5}}, "target.diatomic: expected an object"),
             ({"target": {"diatomic": {"Z": 7}}}, "target.diatomic.bond_length"),
             ({"target": {"diatomic": {"Z": 7, "bond_length": 0}}},
-             "target.diatomic.bond_length: bond length must be positive"),
+             "target.diatomic.bond_length must be positive"),
             ({"target": {"diatomic": {"Z": 7, "bond_length": -1}}},
-             "target.diatomic.bond_length: bond length must be positive"),
+             "target.diatomic.bond_length must be positive"),
             ({"theta_grid": [-0.1]}, "theta_grid"),
             ({"theta_grid": []}, "theta_grid"),
             ({"theta_grid": {"points": 10**50}}, "theta_grid.points"),
@@ -125,19 +126,19 @@ class TestConfigLoading:
             ({"table": {"n_max": 10**20}}, "table.n_max"),
             ({"table": {"n_max": 10**400}}, "table.n_max"),
             ({"projectile": 26}, "projectile: expected a preset name or an object"),
-            ({"projectile": {"N_P": 2}}, "projectile: missing field 'Z'"),
-            ({"projectile": {"Z": 26, "N_P": 5}}, "projectile: N_P must be 1..3"),
-            ({"projectile": {"Z": 3, "N_P": 3}}, "projectile: net charge"),
-            ({"projectile": {"Z": 26, "N_P": 2, "Z_eff": -1}}, "projectile: Z_eff"),
+            ({"projectile": {"N_P": 2}}, "projectile.Z: missing required field"),
+            ({"projectile": {"Z": 26, "N_P": 5}}, "projectile.N_P must be 1..3"),
+            ({"projectile": {"Z": 3, "N_P": 3}}, "projectile.N_P must leave a net charge"),
+            ({"projectile": {"Z": 26, "N_P": 2, "Z_eff": -1}}, "projectile.Z_eff"),
             ({"target": 7}, "target: expected a preset name or an object"),
             ({"target": {"atoms": [{"Z": 7, "position": [0.0, 0.0, 1.0]},
                                    {"Z": 7, "position": [0.0, 0.0, 1.0]}]}},
-             "target.atoms[0] and atoms[1] coincide"),
+             "target.atoms[1] coincides with atoms[0]"),
             ({"theta_grid": "31"}, "theta_grid: expected"),
         ],
     )
     def test_invalid_fields_are_named(self, config_path, overrides, field):
-        with pytest.raises(ConfigError, match=re.escape(field)):
+        with pytest.raises(ConfigError, match="^" + re.escape(field)):
             load_config(config_path(overrides))
 
     def test_config_must_be_an_object(self, tmp_path):
@@ -184,14 +185,13 @@ class TestConfigLoading:
         assert (len(table.w_values), table.n_max, table.s_grid[-1]) == (400, 20, 20.0)
 
     def test_reserved_and_execution_fields_accepted(self, config_path):
-        cfg = load_config(config_path({"seed": 7, "output": None}))
-        assert cfg.output is None
+        cfg = load_config(config_path({"seed": 7}))
         assert cfg.raw["seed"] == 7
 
     def test_missing_required_field(self, config_path, tmp_path):
         path = tmp_path / "incomplete.json"
         path.write_text(json.dumps({"projectile": "Fe25+", "target": "N2"}))
-        with pytest.raises(ConfigError, match="energies_mev_u"):
+        with pytest.raises(ConfigError, match="^energies_mev_u: missing required field$"):
             load_config(path)
 
     def test_explicit_projectile_and_target(self, config_path):
@@ -357,17 +357,13 @@ class TestExitCodes:
         capsys.readouterr()
         assert out.read_bytes() == b"good"
 
-    @pytest.mark.parametrize("field", ["--out", "output"])
-    def test_unwritable_output_path(self, config_path, tmp_path, capsys, field):
+    def test_unwritable_output_path(self, config_path, tmp_path, capsys):
         target = str(tmp_path / "no" / "such" / "dir" / "x.csv")
-        if field == "--out":
-            args = ["table", "--config", config_path(), "--out", target]
-        else:
-            args = ["table", "--config", config_path({"output": target})]
-        assert run_cli(args) == EXIT_CONFIG_ERROR
+        assert run_cli(["table", "--config", config_path(), "--out", target]) \
+            == EXIT_CONFIG_ERROR
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == (f"config error: {field}: cannot write {target!r}: "
+        assert err == (f"config error: --out: cannot write {target!r}: "
                        "No such file or directory\n")
 
     def test_missing_output_directory_fails_before_the_run(self, config_path, tmp_path,
@@ -396,22 +392,18 @@ class TestExitCodes:
         assert err == (f"config error: --out: cannot write {target!r}: "
                        "No such file or directory\n")
 
-    @pytest.mark.parametrize("field", ["--out", "output"])
     def test_directory_as_output_fails_before_the_run(self, config_path, tmp_path, capsys,
-                                                      monkeypatch, field):
+                                                      monkeypatch):
         def no_integrals(*args, **kwargs):
             raise AssertionError("cross_section_fixed was called")
 
         monkeypatch.setattr(cross_section, "cross_section_fixed", no_integrals)
         target = str(tmp_path)
-        if field == "--out":
-            args = ["scan-theta", "--config", config_path(), "--out", target]
-        else:
-            args = ["scan-theta", "--config", config_path({"output": target})]
-        assert run_cli(args) == EXIT_CONFIG_ERROR
+        code = run_cli(["scan-theta", "--config", config_path(), "--out", target])
+        assert code == EXIT_CONFIG_ERROR
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == f"config error: {field}: cannot write {target!r}: Is a directory\n"
+        assert err == f"config error: --out: cannot write {target!r}: Is a directory\n"
 
     @pytest.mark.parametrize("bond", [6000, 20700, 1e308])
     def test_far_apart_atoms(self, config_path, tmp_path, capsys, bond):
@@ -435,6 +427,16 @@ class TestExitCodes:
         code = run_cli(["table", "--config", config_path(), "--tolerance", "0.9"])
         assert code == EXIT_CONFIG_ERROR
         capsys.readouterr()
+
+    def test_tolerance_flag_replaces_the_config_value(self, config_path, tmp_path):
+        # The run and its echoed config are those of a config stating 5e-3.
+        outs = [tmp_path / "flag.csv", tmp_path / "stated.csv"]
+        flagged = config_path({"tolerance": 1e-2}, name="flag.json")
+        stated = config_path({"tolerance": 5e-3}, name="stated.json")
+        assert run_cli(["scan-theta", "--config", flagged, "--tolerance", "5e-3",
+                        "--out", str(outs[0])]) == 0
+        assert run_cli(["scan-theta", "--config", stated, "--out", str(outs[1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     @pytest.mark.parametrize("flag,value", [("--threads", "2"), ("--units", "cm2"),
                                             ("--seed", "0")])

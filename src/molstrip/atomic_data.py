@@ -27,7 +27,6 @@ import numpy as np
 __all__ = [
     "HfsAtom",
     "MoleculeGeometry",
-    "Orientation",
     "HfsTableError",
     "charge_density",
     "transverse_positions",
@@ -64,20 +63,6 @@ class HfsAtom:
             raise ValueError(
                 f"screening amplitudes must sum to 1 (got {sum(self.A):.8f})"
             )
-
-
-@dataclass(frozen=True)
-class Orientation:
-    """Molecular-axis direction relative to the beam: polar theta, azimuth phi."""
-
-    theta: float
-    phi: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.theta <= math.pi:
-            raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
-        if not 0.0 <= self.phi < 2.0 * math.pi:
-            raise ValueError(f"phi must lie in [0, 2 pi), got {self.phi}")
 
 
 @dataclass(frozen=True)
@@ -137,21 +122,21 @@ def charge_density(atom: HfsAtom, r: float) -> float:
     return float(-atom.Z / (4.0 * math.pi * r) * s)
 
 
-def _rotation_matrix(orient: Orientation) -> np.ndarray:
-    ct, st = math.cos(orient.theta), math.sin(orient.theta)
-    cp, sp = math.cos(orient.phi), math.sin(orient.phi)
-    ry = np.array([[ct, 0.0, st], [0.0, 1.0, 0.0], [-st, 0.0, ct]])
-    rz = np.array([[cp, -sp, 0.0], [sp, cp, 0.0], [0.0, 0.0, 1.0]])
-    return rz @ ry
-
-
-def transverse_positions(geom: MoleculeGeometry, orient: Orientation) -> np.ndarray:
+def transverse_positions(geom: MoleculeGeometry, theta: float, phi: float = 0.0) -> np.ndarray:
     """Atom positions rotated to the lab frame and projected onto the b-plane.
 
-    Returns an (n_atoms, 2) array; the beam direction (lab z) drops out.
+    theta in [0, pi] and phi in [0, 2 pi) orient the molecular axis as in the
+    module docstring.  Returns an (n_atoms, 2) array; the beam axis drops out.
     """
-    rot = _rotation_matrix(orient)
-    lab = np.asarray(geom.positions, dtype=float) @ rot.T
+    if not 0.0 <= theta <= math.pi:
+        raise ValueError(f"theta must lie in [0, pi], got {theta}")
+    if not 0.0 <= phi < 2.0 * math.pi:
+        raise ValueError(f"phi must lie in [0, 2 pi), got {phi}")
+    ct, st = math.cos(theta), math.sin(theta)
+    cp, sp = math.cos(phi), math.sin(phi)
+    ry = np.array([[ct, 0.0, st], [0.0, 1.0, 0.0], [-st, 0.0, ct]])
+    rz = np.array([[cp, -sp, 0.0], [sp, cp, 0.0], [0.0, 0.0, 1.0]])
+    lab = np.asarray(geom.positions, dtype=float) @ (rz @ ry).T
     return lab[:, :2].copy()
 
 

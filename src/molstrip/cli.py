@@ -210,9 +210,10 @@ def load_config(path, tolerance: float | None = None) -> RunConfig:
         raw = {**raw, "tolerance": tolerance}
 
     hfs_path = raw.get("hfs_table")
-    if hfs_path is not None and not isinstance(hfs_path, str):
+    if hfs_path is not None and not (isinstance(hfs_path, str) and hfs_path):
         raise ConfigError(f"hfs_table: expected a path string, got {hfs_path!r}")
-    hfs = _built("hfs_table: ", load_hfs_table, hfs_path) if hfs_path else builtin_hfs_table()
+    hfs = (_built("hfs_table: ", load_hfs_table, hfs_path) if hfs_path is not None
+           else builtin_hfs_table())
 
     energies = _required(raw, "energies_mev_u")
     if not isinstance(energies, (list, tuple)) or not energies:
@@ -355,7 +356,7 @@ def _output_dir_error(path: str) -> str | None:
     is computed only to be lost.  Creates nothing."""
     if os.path.isdir(path):
         return os.strerror(errno.EISDIR)
-    directory = os.path.dirname(path) or "."
+    directory = os.path.dirname(path) or path and "."     # "" has no directory
     if os.path.exists(path) or os.access(directory, os.W_OK | os.X_OK):
         return None
     return os.strerror(errno.EACCES if os.path.isdir(directory) else errno.ENOENT)
@@ -373,7 +374,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    reason = args.out and _output_dir_error(args.out)
+    reason = args.out is not None and _output_dir_error(args.out)
     if reason:
         return _cannot_write(args.out, reason)
 
@@ -391,7 +392,7 @@ def main(argv=None) -> int:
         print(exc, file=sys.stderr)
         return EXIT_NO_CONVERGENCE
 
-    if not args.out:
+    if args.out is None:
         sys.stdout.write(buf.getvalue())
         return status
     try:

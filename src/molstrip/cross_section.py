@@ -1,4 +1,4 @@
-"""Orientation-dependent electron-loss cross sections.
+"""Electron-loss cross sections of an oriented molecule.
 
 At each impact parameter b the projectile electrons all receive the same
 total kick Q(b), so with the per-electron ionization probability
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atomic_data import MoleculeGeometry, Orientation, transverse_positions
+from .atomic_data import MoleculeGeometry, transverse_positions
 from .form_factor import IonizationTable, ProjectileSpec
 from .kinematics import CollisionParams, RegimeCheck
 from .quadrature import QuadratureError, integrate_b_plane
@@ -183,7 +183,7 @@ def cross_section_fixed(
     single = isinstance(systems, CollisionSystem)
     systems = _as_systems([systems] if single else systems)
     geom, proj = systems[0].geometry, systems[0].projectile
-    projections = transverse_positions(geom, Orientation(theta, phi))
+    projections = transverse_positions(geom, theta, phi)
     # With the bond of a homonuclear diatomic on the x axis, the integrand is
     # mirror-symmetric in both axes.
     quadrant = use_symmetry and geom.is_homonuclear_diatomic

@@ -33,7 +33,6 @@ import numpy as np
 __all__ = [
     "ProjectileSpec",
     "IonizationTable",
-    "elastic_form_factor",
     "ionization_probability",
     "build_ionization_table",
 ]
@@ -84,16 +83,6 @@ class ProjectileSpec:
     @property
     def net_charge(self) -> float:
         return self.Z_nucleus - self.N_P
-
-
-def elastic_form_factor(q: float, z_eff: float) -> float:
-    """|<1s| exp(-i q.r) |1s>| = (1 + q^2 / (4 Z_eff^2))^-2."""
-    if not q >= 0:
-        raise ValueError(f"q must be non-negative, got {q}")
-    if not z_eff > 0:
-        raise ValueError(f"z_eff must be positive, got {z_eff}")
-    s = q / z_eff
-    return (1.0 + 0.25 * s * s) ** -2
 
 
 def _zeta3(n: int) -> float:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import mpmath as mp
 import numpy as np
 
-from .atomic_data import Orientation, transverse_positions
+from .atomic_data import transverse_positions
 from .cross_section import CollisionSystem, _binomial_channels
 from .transfer import total_kick_magnitude
 
@@ -63,7 +63,7 @@ def mc_cross_section(
     n_samples: int = 10**6,
     seed: int = 0,
 ) -> list[McEstimate]:
-    """Monte-Carlo sigma^{m+}(theta) at phi = 0, one estimate per channel.
+    """Monte-Carlo sigma^{m+}(theta) at phi = 0, theta in [0, pi], one estimate per channel.
 
     Proposal: pick an atom uniformly, then an exponential radial step r around
     its projection with rate equal to the atom's softest screening exponent
@@ -81,7 +81,7 @@ def mc_cross_section(
         if not isinstance(value, (int, np.integer)) or value < low:
             raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
     geom, proj = system.geometry, system.projectile
-    projections = transverse_positions(geom, Orientation(theta))
+    projections = transverse_positions(geom, theta)
     atoms = geom.atoms
     v = system.velocity
     n_atoms = len(atoms)

@@ -19,7 +19,7 @@ from molstrip.cross_section import (
     delta_scan,
     orientation_average,
 )
-from molstrip.form_factor import elastic_form_factor, ionization_probability
+from molstrip.form_factor import ionization_probability
 from molstrip.special_functions import bessel_k0, bessel_k1
 from molstrip.transfer import eikonal_phase_single, total_kick_magnitude
 from molstrip.verification import (
@@ -189,12 +189,18 @@ def test_criterion_5_structural_invariants(nitrogen, make_system, ionization_tab
     if ionization_table(0.0) != 0.0 or np.any(samples < 0) or np.any(samples > 1):
         failures.append("W_ion range invariant violated")
     for s in (0.02, 0.05, 0.1):
-        inelastic = 1.0 - elastic_form_factor(s, 1.0) ** 2
+        inelastic = ionization_probability(s, n_max=1)     # 1 - F(s)^2
         if abs(inelastic / s**2 - 1.0) > 0.05:
             failures.append(f"small-s sum rule fails at s={s}")
-    for q in (0.5, 3.0, 40.0):
-        if abs(elastic_form_factor(q, 7.0) - elastic_form_factor(3 * q, 21.0)) > 1e-10:
-            failures.append(f"scaling law fails at q={q}")
+    # p reads the kick only as |Q| / (v Z_eff): Z_eff 7 at v is Z_eff 21 at v / 3.
+    def loss(z_eff, v):
+        return _loss_probability([(1.0, 0.0), (-1.0, 0.0)], system.geometry.atoms,
+                                 ProjectileSpec(26.0, 1, z_eff=z_eff), v, ionization_table)(
+            np.array([[0.2, 0.1], [0.9, 0.4], [3.0, -2.0], [40.0, 1.0]]))
+
+    p7, p21 = loss(7.0, system.velocity), loss(21.0, system.velocity / 3.0)
+    if not np.all(p7 > 0) or not np.allclose(p7, p21, rtol=1e-12, atol=0.0):
+        failures.append("scaling law fails")
 
     _report(capsys, 5, "structural invariants", failures)
 

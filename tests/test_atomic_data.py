@@ -12,7 +12,6 @@ from molstrip.atomic_data import (
     HfsAtom,
     HfsTableError,
     MoleculeGeometry,
-    Orientation,
     builtin_hfs_table,
     charge_density,
     load_hfs_table,
@@ -86,15 +85,15 @@ class TestChargeDensity:
 
 
 class TestOrientation:
-    def test_angle_ranges(self):
-        Orientation(0.0, 0.0)
-        Orientation(math.pi, 6.2)
-        with pytest.raises(ValueError):
-            Orientation(-0.1)
-        with pytest.raises(ValueError):
-            Orientation(3.5)
-        with pytest.raises(ValueError):
-            Orientation(1.0, 2.0 * math.pi)
+    def test_angle_ranges(self, n2_geometry):
+        transverse_positions(n2_geometry, 0.0, 0.0)
+        transverse_positions(n2_geometry, math.pi, 6.2)
+        with pytest.raises(ValueError, match="theta must lie in"):
+            transverse_positions(n2_geometry, -0.1)
+        with pytest.raises(ValueError, match="theta must lie in"):
+            transverse_positions(n2_geometry, 3.5)
+        with pytest.raises(ValueError, match="phi must lie in"):
+            transverse_positions(n2_geometry, 1.0, 2.0 * math.pi)
 
 
 class TestMoleculeGeometry:
@@ -149,15 +148,15 @@ class TestMoleculeGeometry:
 
 class TestTransversePositions:
     def test_parallel_axis_projections_coincide(self, n2_geometry):
-        proj = transverse_positions(n2_geometry, Orientation(0.0, 0.0))
+        proj = transverse_positions(n2_geometry, 0.0, 0.0)
         assert np.allclose(proj, 0.0, atol=1e-14)
 
     def test_perpendicular_separation_is_bond_length(self, n2_geometry):
-        proj = transverse_positions(n2_geometry, Orientation(math.pi / 2, 0.0))
+        proj = transverse_positions(n2_geometry, math.pi / 2, 0.0)
         assert np.linalg.norm(proj[0] - proj[1]) == pytest.approx(N2_BOND_LENGTH, rel=1e-12)
 
     def test_separation_at_45_degrees(self, n2_geometry):
-        proj = transverse_positions(n2_geometry, Orientation(math.pi / 4, 0.0))
+        proj = transverse_positions(n2_geometry, math.pi / 4, 0.0)
         assert np.linalg.norm(proj[0] - proj[1]) == pytest.approx(
             N2_BOND_LENGTH / math.sqrt(2.0), rel=1e-12
         )
@@ -168,7 +167,7 @@ class TestTransversePositions:
         st.floats(min_value=0.0, max_value=2.0 * math.pi, exclude_max=True),
     )
     def test_separation_law(self, n2_geometry, theta, phi):
-        proj = transverse_positions(n2_geometry, Orientation(theta, phi))
+        proj = transverse_positions(n2_geometry, theta, phi)
         sep = np.linalg.norm(proj[0] - proj[1])
         assert sep == pytest.approx(N2_BOND_LENGTH * abs(math.sin(theta)), abs=1e-10)
 

@@ -99,6 +99,7 @@ class TestConfigLoading:
              "target.diatomic.L"),
             ({"output": "out.csv"}, "output: unknown field"),
             ({"hfs_table": 5}, "hfs_table: expected a path string"),
+            ({"hfs_table": ""}, "hfs_table: expected a path string"),
             ({"target": {"atoms": [{"Z": 7, "position": [0.0, 0.0, 1.0]},
                                    {"Z": 7, "position": [0.0, 1.0]}]}},
              "target.atoms[1].position"),
@@ -380,6 +381,17 @@ class TestExitCodes:
         assert err == (f"config error: --out: cannot write {target!r}: "
                        "No such file or directory\n")
         assert not (tmp_path / "missing").exists()
+
+    def test_empty_output_path_fails_before_the_run(self, config_path, capsys, monkeypatch):
+        def no_integrals(*args, **kwargs):
+            raise AssertionError("cross_section_fixed was called")
+
+        monkeypatch.setattr(cross_section, "cross_section_fixed", no_integrals)
+        code = run_cli(["scan-theta", "--config", config_path(), "--out", ""])
+        assert code == EXIT_CONFIG_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "config error: --out: cannot write '': No such file or directory\n"
 
     def test_write_failing_after_the_check(self, config_path, tmp_path, capsys, monkeypatch):
         # The pre-check passes, and the open itself fails: still exit 2, naming the path.

@@ -23,6 +23,7 @@ from molstrip.cross_section import (
 from molstrip.form_factor import ProjectileSpec
 from molstrip.kinematics import RegimeCheck, velocity_from_energy
 from molstrip.quadrature import QuadratureError, integrate_b_plane
+from molstrip.verification import mc_cross_section
 
 N2_BOND_LENGTH = 2.07
 
@@ -96,6 +97,14 @@ class TestCrossSectionResult:
 
 
 class TestFixedOrientation:
+    def test_angles_out_of_range_are_named(self, make_system):
+        system = make_system(1, 10.0)
+        for call, name in ((lambda: cross_section_fixed(system, 3.5), "theta"),
+                           (lambda: cross_section_fixed(system, 1.0, 2.0 * math.pi), "phi"),
+                           (lambda: mc_cross_section(system, -0.1), "theta")):
+            with pytest.raises(ValueError, match=f"^{name} must lie in"):
+                call()
+
     def test_azimuth_is_a_pure_rotation(self, make_system):
         system = make_system(1, 10.0)
         a = cross_section_fixed(system, 0.5, 0.0, rel_tol=1e-3, use_symmetry=False)[0]

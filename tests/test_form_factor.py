@@ -19,7 +19,6 @@ from molstrip.form_factor import (
     _survival_batch,
     _zeta3,
     build_ionization_table,
-    elastic_form_factor,
     ionization_probability,
 )
 
@@ -51,28 +50,6 @@ class TestProjectileSpec:
         for z_eff in (0.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="Z_eff"):
                 ProjectileSpec(26.0, 1, z_eff=z_eff)
-
-
-class TestElasticFormFactor:
-    def test_normalization_at_zero_kick(self):
-        assert elastic_form_factor(0.0, 26.0) == 1.0
-
-    def test_closed_form_at_twice_z(self):
-        assert elastic_form_factor(52.0, 26.0) == pytest.approx(0.25, rel=1e-14)
-
-    def test_scaling_law(self):
-        for q in (0.3, 2.0, 40.0):
-            assert elastic_form_factor(q, 7.0) == pytest.approx(
-                elastic_form_factor(3.0 * q, 21.0), rel=1e-10
-            )
-
-    def test_domain(self):
-        for q in (-1.0, float("nan")):
-            with pytest.raises(ValueError, match="q must"):
-                elastic_form_factor(q, 26.0)
-        for z_eff in (0.0, float("nan")):
-            with pytest.raises(ValueError, match="z_eff must"):
-                elastic_form_factor(1.0, z_eff)
 
 
 class TestShellProbabilities:
@@ -130,9 +107,9 @@ class TestBoundSurvival:
         assert 1.0 - ionization_probability(40.0) < 1e-3
 
     def test_elastic_only_matches_closed_form(self):
-        # n_max = 1 keeps just the ground-state term, F(s)^2.
+        # n_max = 1 keeps just the ground-state term, F(s)^2 = (1 + s^2/4)^-4.
         for s in (0.2, 1.0, 3.0, 7.0):
-            expected = elastic_form_factor(s, 1.0) ** 2
+            expected = (1.0 + 0.25 * s * s) ** -4
             assert 1.0 - ionization_probability(s, n_max=1) == pytest.approx(expected, abs=1e-8)
 
     def test_domain(self):
@@ -159,13 +136,13 @@ class TestIonizationProbability:
     def test_subset_of_inelastic(self):
         # Ionization cannot exceed the total inelastic probability 1 - F^2.
         for s in np.linspace(0.05, 10.0, 30):
-            bound_total = 1.0 - elastic_form_factor(s, 1.0) ** 2
+            bound_total = 1.0 - (1.0 + 0.25 * s * s) ** -4
             assert ionization_probability(s) <= bound_total + 1e-10
 
     def test_small_kick_sum_rule(self):
         # 1 - F^2 = s^2 + O(s^4) from the <r^2> moment of the 1s density.
         for s in (0.01, 0.05, 0.1):
-            inelastic = 1.0 - elastic_form_factor(s, 1.0) ** 2
+            inelastic = ionization_probability(s, n_max=1)
             assert abs(inelastic / s**2 - 1.0) <= 0.05
 
     def test_shell_cutoff_convergence(self):

@@ -12,7 +12,7 @@ from scipy.integrate import simpson
 from scipy.special import gammaln, loggamma, spherical_jn
 
 from molstrip import verification
-from molstrip.form_factor import elastic_form_factor, ionization_probability
+from molstrip.form_factor import ionization_probability
 from molstrip.verification import (
     _simpson_weights,
     bessel_reference,
@@ -100,7 +100,7 @@ class TestContinuumOracle:
     def test_small_kick_subset_bound(self):
         s = 0.01
         w = continuum_ionization_oracle(s)
-        inelastic = 1.0 - elastic_form_factor(s, 1.0) ** 2
+        inelastic = ionization_probability(s, n_max=1)     # 1 - F(s)^2
         assert 0.0 < w <= inelastic * (1.0 + 1e-6)
         assert inelastic == pytest.approx(s * s, rel=0.01)
 

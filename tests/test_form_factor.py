@@ -52,6 +52,16 @@ class TestProjectileSpec:
                 ProjectileSpec(26.0, 1, z_eff=z_eff)
 
 
+class TestElasticFormFactor:
+    # The elastic term F(s)^2 = (1 + s^2/4)^-4 is what n_max = 1 keeps of P_bound.
+    def test_normalization_at_zero_kick(self):
+        assert 1.0 - ionization_probability(0.0, n_max=1) == 1.0
+
+    def test_closed_form_at_twice_z(self):
+        # |Q| = 2 Z_eff is s = 2, where F = 1/4.
+        assert 1.0 - ionization_probability(2.0, n_max=1) == pytest.approx(0.25**2, rel=1e-14)
+
+
 class TestShellProbabilities:
     @staticmethod
     def _partial_wave_route(n, s):

@@ -11,7 +11,9 @@ tabulated data (Salvat-style analytic screening fits), not produced here.
 Geometry convention: the molecular body axis is the body-frame z axis; the
 beam travels along the lab z axis; the lab orientation of the molecule is
 R_z(phi) . R_y(theta), so theta is the angle between the molecular axis and
-the beam.  The impact-parameter plane is the lab (x, y) plane.
+the beam.  The impact-parameter plane is the lab (x, y) plane, with its
+origin at the projection of the atoms' mean position: only the atoms'
+relative positions matter, so they may be given in any body frame.
 """
 
 from __future__ import annotations
@@ -97,13 +99,6 @@ class MoleculeGeometry:
         return cls(atoms=(atom_a, atom_b), positions=((0.0, 0.0, h), (0.0, 0.0, -h)))
 
     @property
-    def is_homonuclear_diatomic(self) -> bool:
-        if len(self.atoms) != 2 or self.atoms[0] != self.atoms[1]:
-            return False
-        p = np.asarray(self.positions)
-        return bool(np.allclose(p[0], -p[1]))
-
-    @property
     def extent(self) -> float:
         """Largest internuclear distance (0 for a single atom)."""
         pos = np.asarray(self.positions, dtype=float)
@@ -123,10 +118,12 @@ def charge_density(atom: HfsAtom, r: float) -> float:
 
 
 def transverse_positions(geom: MoleculeGeometry, theta: float, phi: float = 0.0) -> np.ndarray:
-    """Atom positions rotated to the lab frame and projected onto the b-plane.
+    """Atom positions about their mean, rotated to the lab frame and projected
+    onto the b-plane.
 
     theta in [0, pi] and phi in [0, 2 pi) orient the molecular axis as in the
     module docstring.  Returns an (n_atoms, 2) array; the beam axis drops out.
+    The +-L/2 ``diatomic`` has a mean of exactly 0, so it rotates bit for bit.
     """
     if not 0.0 <= theta <= math.pi:
         raise ValueError(f"theta must lie in [0, pi], got {theta}")
@@ -136,7 +133,8 @@ def transverse_positions(geom: MoleculeGeometry, theta: float, phi: float = 0.0)
     cp, sp = math.cos(phi), math.sin(phi)
     ry = np.array([[ct, 0.0, st], [0.0, 1.0, 0.0], [-st, 0.0, ct]])
     rz = np.array([[cp, -sp, 0.0], [sp, cp, 0.0], [0.0, 0.0, 1.0]])
-    lab = np.asarray(geom.positions, dtype=float) @ (rz @ ry).T
+    pos = np.asarray(geom.positions, dtype=float)
+    lab = (pos - pos.mean(axis=0)) @ (rz @ ry).T
     return lab[:, :2].copy()
 
 

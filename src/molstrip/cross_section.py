@@ -89,10 +89,6 @@ class CollisionSystem:
     params: CollisionParams
     table: IonizationTable
 
-    @property
-    def velocity(self) -> float:
-        return self.params.velocity_au
-
 
 class DegenerateSystemError(ValueError):
     """A channel's sigma at theta = pi/2 is zero, so a ratio to it is undefined."""
@@ -136,7 +132,7 @@ def _loss_probability(projections, atoms, proj, v, table):
 def _outer_cutoff(projections, p_fn) -> tuple[float, float]:
     """(b_max, outer): the radius beyond which p is below CUTOFF_FRACTION of its
     peak for every column of p (the largest of the columns' radii), and the
-    outermost atom's distance from the beam axis, along whose ray p is probed.
+    outermost atom's distance from the molecule's centre, along whose ray p is probed.
 
     Raises QuadratureError when p is still above that fraction at the last
     sample, 150 a.u. past the outermost atom, or when the b-plane coordinates
@@ -146,8 +142,8 @@ def _outer_cutoff(projections, p_fn) -> tuple[float, float]:
     i = int(np.argmax(radii))
     outer = float(radii[i])
     if np.spacing(outer + 150.0) > MIN_IMPACT_RADIUS:
-        raise QuadratureError(f"b-plane coordinates {outer:g} a.u. off the beam axis do not "
-                              f"resolve {MIN_IMPACT_RADIUS:g} a.u.")
+        raise QuadratureError(f"b-plane coordinates {outer:g} a.u. from the molecule's centre "
+                              f"do not resolve {MIN_IMPACT_RADIUS:g} a.u.")
     u = projections[i] / outer if outer > 0 else np.array([1.0, 0.0])
 
     t = np.concatenate([np.geomspace(1e-4, 1.0, 40), np.linspace(1.1, 150.0, 600)])
@@ -184,14 +180,14 @@ def cross_section_fixed(
     systems = _as_systems([systems] if single else systems)
     geom, proj = systems[0].geometry, systems[0].projectile
     projections = transverse_positions(geom, theta, phi)
-    # With the bond of a homonuclear diatomic on the x axis, the integrand is
-    # mirror-symmetric in both axes.
-    quadrant = use_symmetry and geom.is_homonuclear_diatomic
+    # Two equal atoms sit at +-d about the centre; with the bond on the x axis
+    # the integrand is mirror-symmetric in both axes.
+    quadrant = use_symmetry and len(geom.atoms) == 2 and geom.atoms[0] == geom.atoms[1]
     if quadrant:
         d = float(np.hypot(*projections[0]))
         projections = np.array([[d, 0.0], [-d, 0.0]])
-    p_fn = _loss_probability(projections, geom.atoms, proj, [s.velocity for s in systems],
-                             systems[0].table)
+    p_fn = _loss_probability(projections, geom.atoms, proj,
+                             [s.params.velocity_au for s in systems], systems[0].table)
     b_max, outer = _outer_cutoff(projections, p_fn)
     # The integrand reaches b_max - outer past an atom.  An atom farther out lies in
     # an initial cell too wide for any node to see it, so edges at +- reach frame it.

@@ -49,8 +49,8 @@ _U0 = math.log(MIN_IMPACT_RADIUS)
 _H = (math.log(200.0) - _U0) / 999
 # The reach is capped so that alpha_min r and the node count (<= 2,047) stay
 # finite for any alpha > 0.  The cap costs nothing: _outer_cutoff exits once an
-# atom lies 2^33 = 8.6e9 a.u. off the beam axis, so no run that proceeds asks
-# for the kick farther than about 2.1e10 a.u. from an atom.
+# atom lies 2^33 = 8.6e9 a.u. from the molecule's centre in the b-plane, so no
+# run that proceeds asks for the kick farther than about 2.1e10 a.u. from an atom.
 _MAX_REACH = 1e11
 
 

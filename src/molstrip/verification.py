@@ -83,7 +83,7 @@ def mc_cross_section(
     geom, proj = system.geometry, system.projectile
     projections = transverse_positions(geom, theta)
     atoms = geom.atoms
-    v = system.velocity
+    v = system.params.velocity_au
     n_atoms = len(atoms)
     n_p = proj.N_P
 
@@ -404,15 +404,6 @@ def continuum_ionization_oracle(s: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _check_bessel_args(x: float, order: int) -> float:
-    x = float(x)
-    if math.isnan(x) or math.isinf(x) or x <= 0.0:
-        raise ValueError(f"reference Bessel requires positive finite x, got {x!r}")
-    if order not in (0, 1):
-        raise ValueError(f"order must be 0 or 1, got {order}")
-    return x
-
-
 def bessel_reference(x: float, order: int) -> float:
     """K_order(x) from mpmath's ``besselk`` at 40 significant digits.
 
@@ -420,6 +411,10 @@ def bessel_reference(x: float, order: int) -> float:
     independent of the trapezoid sum in ``special_functions``.
     Relative accuracy far beyond 1e-14; test use only.
     """
-    x = _check_bessel_args(x, order)
+    x = float(x)
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"reference Bessel requires positive finite x, got {x!r}")
+    if order not in (0, 1):
+        raise ValueError(f"order must be 0 or 1, got {order}")
     with mp.workdps(40):
         return float(mp.besselk(order, mp.mpf(x)))

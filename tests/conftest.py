@@ -1,10 +1,12 @@
 """Shared fixtures: atoms, geometries, the W_ion table, collision systems."""
 
+import math
 import os
 from pathlib import Path
 
 import pytest
 
+from molstrip import cross_section
 from molstrip.atomic_data import HfsAtom, MoleculeGeometry, builtin_hfs_table
 from molstrip.cross_section import CollisionSystem
 from molstrip.form_factor import ProjectileSpec, build_ionization_table
@@ -65,3 +67,24 @@ def make_system(n2_geometry, ionization_table):
         )
 
     return factory
+
+
+@pytest.fixture
+def quadrant_used(monkeypatch):
+    """The ``quadrant`` keyword cross_section_fixed passes to integrate_b_plane
+    for a system at theta = pi/3; the integral itself is not run."""
+
+    class Recorded(Exception):
+        pass
+
+    def record(integrand, **kwargs):
+        raise Recorded(kwargs["quadrant"])
+
+    monkeypatch.setattr(cross_section, "integrate_b_plane", record)
+
+    def run(system, **kwargs):
+        with pytest.raises(Recorded) as recorded:
+            cross_section.cross_section_fixed(system, math.pi / 3, **kwargs)
+        return recorded.value.args[0]
+
+    return run

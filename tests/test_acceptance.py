@@ -166,7 +166,7 @@ def test_criterion_5_structural_invariants(nitrogen, make_system, ionization_tab
     # Binomial channel normalization.
     from molstrip.form_factor import ProjectileSpec
     p = _loss_probability([(1.0, 0.0), (-1.0, 0.0)], system.geometry.atoms,
-                          ProjectileSpec(26.0, 3), system.velocity, ionization_table)(
+                          ProjectileSpec(26.0, 3), system.params.velocity_au, ionization_table)(
         np.array([[0.9, 0.4]]))
     cols = _binomial_channels(p, 3)[0]     # P_1..P_3
     if abs(cols.sum() + (1.0 - p[0]) ** 3 - 1.0) > 1e-12:
@@ -198,7 +198,7 @@ def test_criterion_5_structural_invariants(nitrogen, make_system, ionization_tab
                                  ProjectileSpec(26.0, 1, z_eff=z_eff), v, ionization_table)(
             np.array([[0.2, 0.1], [0.9, 0.4], [3.0, -2.0], [40.0, 1.0]]))
 
-    p7, p21 = loss(7.0, system.velocity), loss(21.0, system.velocity / 3.0)
+    p7, p21 = loss(7.0, system.params.velocity_au), loss(21.0, system.params.velocity_au / 3.0)
     if not np.all(p7 > 0) or not np.allclose(p7, p21, rtol=1e-12, atol=0.0):
         failures.append("scaling law fails")
 

@@ -125,21 +125,34 @@ class TestMoleculeGeometry:
                 positions=((0.0, 0.0, 1.0), (0.0, 0.0, bad)),
             )
 
-    def test_diatomic_constructor(self, nitrogen):
+    def test_diatomic_constructor(self, nitrogen, make_system, quadrant_used):
         geom = MoleculeGeometry.diatomic(nitrogen, nitrogen, N2_BOND_LENGTH)
         pos = np.asarray(geom.positions)
         assert pos[0] == pytest.approx([0.0, 0.0, N2_BOND_LENGTH / 2])
         assert pos[1] == pytest.approx([0.0, 0.0, -N2_BOND_LENGTH / 2])
-        assert geom.is_homonuclear_diatomic
+        system = make_system(geometry=geom)
+        assert quadrant_used(system) is True
+        assert quadrant_used(system, use_symmetry=False) is False
         assert geom.extent == pytest.approx(N2_BOND_LENGTH)
+
+    @pytest.mark.parametrize("shift", [(0.0, 0.0, 0.5), (3.0, 0.0, 0.0), (0.0, 1e10, 0.0)],
+                             ids=["0.5 along the bond", "3 along body x", "1e10 along body y"])
+    def test_shifted_homonuclear_pair_takes_the_quadrant_path(self, nitrogen, make_system,
+                                                              quadrant_used, shift):
+        x, y, z = shift
+        h = N2_BOND_LENGTH / 2
+        geom = MoleculeGeometry(atoms=(nitrogen, nitrogen),
+                                positions=((x, y, z + h), (x, y, z - h)))
+        assert quadrant_used(make_system(geometry=geom)) is True
 
     def test_diatomic_rejects_nonpositive_bond(self, nitrogen):
         with pytest.raises(ValueError):
             MoleculeGeometry.diatomic(nitrogen, nitrogen, 0.0)
 
-    def test_heteronuclear_not_flagged_homonuclear(self, nitrogen, synthetic_atom):
+    def test_heteronuclear_not_flagged_homonuclear(self, nitrogen, synthetic_atom, make_system,
+                                                   quadrant_used):
         geom = MoleculeGeometry.diatomic(nitrogen, synthetic_atom, 2.0)
-        assert not geom.is_homonuclear_diatomic
+        assert quadrant_used(make_system(geometry=geom)) is False
 
     def test_single_atom_extent_zero(self, nitrogen):
         geom = MoleculeGeometry(atoms=(nitrogen,), positions=((0.0, 0.0, 0.0),))
@@ -154,6 +167,13 @@ class TestTransversePositions:
     def test_perpendicular_separation_is_bond_length(self, n2_geometry):
         proj = transverse_positions(n2_geometry, math.pi / 2, 0.0)
         assert np.linalg.norm(proj[0] - proj[1]) == pytest.approx(N2_BOND_LENGTH, rel=1e-12)
+
+    def test_translation_drops_out_bit_for_bit(self, nitrogen, synthetic_atom):
+        atoms = (nitrogen, synthetic_atom)
+        far = MoleculeGeometry(atoms=atoms, positions=((3.0, 1e10, 1.0), (3.0, 1e10, -2.0)))
+        centred = MoleculeGeometry(atoms=atoms, positions=((0.0, 0.0, 1.5), (0.0, 0.0, -1.5)))
+        assert np.array_equal(transverse_positions(far, 0.7, 2.3),
+                              transverse_positions(centred, 0.7, 2.3))
 
     def test_separation_at_45_degrees(self, n2_geometry):
         proj = transverse_positions(n2_geometry, math.pi / 4, 0.0)

@@ -55,10 +55,10 @@ def data_rows(text):
 
 
 class TestConfigLoading:
-    def test_valid_config(self, config_path):
+    def test_valid_config(self, config_path, quadrant_used):
         (system,) = load_config(config_path()).systems
         assert system.projectile.N_P == 1
-        assert system.geometry.is_homonuclear_diatomic
+        assert quadrant_used(system) is True
         assert system.params.energy_mev_u == 10.0
 
     @pytest.mark.parametrize(
@@ -485,6 +485,35 @@ class TestScanTheta:
         assert head[0].startswith("# molstrip ")
         assert head[1].startswith("# config = ")
         assert any(ln.startswith("# velocity_au") for ln in head)
+
+    @pytest.mark.parametrize("shift", [(0.0, 0.0, 0.5), (3.0, 0.0, 0.0), (0.0, 1e10, 0.0)],
+                             ids=["0.5 along the bond", "3 along body x", "1e10 along body y"])
+    def test_shifted_n2_prints_the_preset_rows(self, config_path, tmp_path, monkeypatch, shift):
+        # Only the atoms' relative positions matter: the same rows from the same
+        # number of integrand points, wherever the pair is written.
+        points = []
+        original = cross_section.integrate_b_plane
+
+        def counting(integrand, **kwargs):
+            def counted(p):
+                points.append(len(p))
+                return integrand(p)
+
+            return original(counted, **kwargs)
+
+        monkeypatch.setattr(cross_section, "integrate_b_plane", counting)
+
+        def scan(target):
+            points.clear()
+            out = tmp_path / "scan.csv"
+            assert run_cli(["scan-theta", "--config", config_path({"target": target}),
+                            "--out", str(out)]) == 0
+            return ([ln for ln in out.read_text().splitlines() if not ln.startswith("# config")],
+                    sum(points))
+
+        atoms = [{"Z": 7, "position": [shift[0], shift[1], shift[2] + z]}
+                 for z in (1.035, -1.035)]
+        assert scan({"atoms": atoms}) == scan("N2")
 
 
 class TestAverage:

@@ -126,6 +126,18 @@ class TestFixedOrientation:
             3.0 * (parallel.quad_error + fused.quad_error)
         )
 
+    def test_unequal_half_bonds_integrate_the_true_bond(self, nitrogen, make_system):
+        # The body origin is not the pair's midpoint, so atom 0's distance from
+        # it is not half the bond.
+        far = 1.035 * (1.0 + 9e-6)
+        skewed = MoleculeGeometry(atoms=(nitrogen, nitrogen),
+                                  positions=((0.0, 0.0, 1.035), (0.0, 0.0, -far)))
+        true = MoleculeGeometry.diatomic(nitrogen, nitrogen, 1.035 + far)
+        a = cross_section_fixed(make_system(2, 100.0, skewed), math.pi / 2)
+        b = cross_section_fixed(make_system(2, 100.0, true), math.pi / 2)
+        for ra, rb in zip(a, b):
+            assert ra.sigma_au == pytest.approx(rb.sigma_au, rel=1e-12, abs=0.0), ra.m
+
     @pytest.mark.parametrize("energy", [10.0, 1000.0])
     @pytest.mark.parametrize("theta", [0.0, 0.7, math.pi / 2], ids=["0", "0.7", "pi/2"])
     def test_quadrant_matches_full_plane(self, make_system, energy, theta):

@@ -129,6 +129,35 @@ class TestContinuumOracle:
         assert w == pytest.approx(expected, rel=1e-12)
         assert w == pytest.approx(numerov, rel=2e-5)
 
+    @pytest.mark.parametrize("s", [1e-3, 1.0, 30.0])
+    def test_matches_mpmath_quadrature(self, s):
+        # The same closed form, integrated by mpmath's adaptive quadrature at
+        # 30 digits: this checks the panels, also at s = 1e-3, where closure
+        # with the bound route holds only to 1.5e-9.  The worst is 7.2e-14
+        # at s = 30.
+        with mp.workdps(30):
+            sm = mp.mpf(s)
+            s2 = sm * sm
+
+            def density(k):
+                return (2**8 * k * s2 * (s2 + (1 + k * k) / 3)
+                        * mp.exp(-2 / k * mp.atan2(2 * k, s2 - k * k + 1))
+                        / (((sm + k) ** 2 + 1) ** 3 * ((sm - k) ** 2 + 1) ** 3
+                           * -mp.expm1(-2 * mp.pi / k)))
+
+            edges = [0, 1, 3] + ([sm - 6, sm, sm + 6] if s > 6 else [6]) + [mp.inf]
+            ref = float(mp.quad(density, edges))
+        assert continuum_ionization_oracle(s) == pytest.approx(ref, rel=1e-13)
+
+    @pytest.mark.parametrize("s", [1e-3, 1.0, 30.0])
+    def test_k_nodes_layout(self, s):
+        # Sorted nodes with positive weights that span [0, 1000 (s + 6)], and
+        # at most 77 panels of 10 nodes.
+        k, weights = verification._k_nodes(s)
+        assert len(k) == len(weights) <= 770
+        assert np.all(np.diff(k) > 0) and k[0] > 0 and np.all(weights > 0)
+        assert weights.sum() == pytest.approx(1000.0 * (s + 6.0), rel=1e-14)
+
     def test_panel_rule_is_leggauss_10(self):
         rule = (verification._GL_X.tobytes(), verification._GL_W.tobytes())
         assert rule == tuple(a.tobytes() for a in np.polynomial.legendre.leggauss(10))

@@ -55,8 +55,26 @@ AU_TO_CM2 = 2.8002852e-17      # a_0^2 in cm^2
 # Outer cutoff: drop the domain where p falls below this fraction of its peak.
 CUTOFF_FRACTION = 1e-8
 
-# Gauss-Legendre nodes in u, cos(theta) = 1 - u^2, for the chaotic-orientation average.
-AVERAGE_NODES = 20
+# The 20-node Gauss-Legendre rule on [-1, 1] of the chaotic-orientation average (in
+# u, cos(theta) = 1 - u^2), equal bit for bit to numpy.polynomial.legendre.leggauss(20)
+# without importing it.
+_GL_X = np.array([-0.993128599185095, -0.9639719272779138, -0.912234428251326,
+                  -0.8391169718222188, -0.7463319064601508, -0.636053680726515,
+                  -0.5108670019508271, -0.37370608871541955, -0.22778585114164507,
+                  -0.07652652113349734, 0.07652652113349734, 0.22778585114164507,
+                  0.37370608871541955, 0.5108670019508271, 0.636053680726515,
+                  0.7463319064601508, 0.8391169718222188, 0.912234428251326,
+                  0.9639719272779138, 0.993128599185095])
+_GL_W = np.array([0.017614007139150893, 0.040601429800386446, 0.06267204833410879,
+                  0.08327674157670471, 0.1019301198172407, 0.1181945319615186,
+                  0.1316886384491769, 0.1420961093183824, 0.14917298647260424,
+                  0.15275338713072628, 0.15275338713072628, 0.14917298647260424,
+                  0.1420961093183824, 0.1316886384491769, 0.1181945319615186,
+                  0.1019301198172407, 0.08327674157670471, 0.06267204833410879,
+                  0.040601429800386446, 0.017614007139150893])
+
+# Offsets past the outermost atom at which _outer_cutoff probes p.
+_PROBE_OFFSETS = np.concatenate([np.geomspace(1e-4, 1.0, 40), np.linspace(1.1, 150.0, 600)])
 
 
 @dataclass(frozen=True)
@@ -111,8 +129,11 @@ def _as_systems(systems) -> tuple[CollisionSystem, ...]:
 
 def _binomial_channels(p: np.ndarray, n: int) -> np.ndarray:
     """P_m for m = 1..n along a new last axis."""
-    cols = [math.comb(n, m) * p**m * (1.0 - p) ** (n - m) for m in range(1, n + 1)]
-    return np.stack(cols, axis=-1)
+    q = 1.0 - p
+    out = np.empty(p.shape + (n,))
+    for m in range(1, n + 1):
+        np.multiply(math.comb(n, m) * p**m, q ** (n - m), out=out[..., m - 1])
+    return out
 
 
 def _loss_probability(projections, atoms, proj, v, table):
@@ -146,7 +167,7 @@ def _outer_cutoff(projections, p_fn) -> tuple[float, float]:
                               f"do not resolve {MIN_IMPACT_RADIUS:g} a.u.")
     u = projections[i] / outer if outer > 0 else np.array([1.0, 0.0])
 
-    t = np.concatenate([np.geomspace(1e-4, 1.0, 40), np.linspace(1.1, 150.0, 600)])
+    t = _PROBE_OFFSETS
     pts = u[None, :] * (outer + t)[:, None]
     p = p_fn(pts).reshape(len(t), -1)
     peak = p.max(axis=0)
@@ -289,7 +310,7 @@ def orientation_average(systems, rel_tol: float = 1e-3):
     """Chaotic-orientation average: integral of sigma(theta) (1/2) sin(theta).
 
     Folding theta -> pi - theta and substituting cos(theta) = 1 - u^2 turn this
-    into the integral of 2 u sigma over u in [0, 1], done by AVERAGE_NODES-point
+    into the integral of 2 u sigma over u in [0, 1], done by 20-point
     Gauss-Legendre through delta_scan.  Returns one (channel list, scan) pair
     per system, the scan (with sigma at pi/2) being the one the average was
     taken over.  In u the nodes reach sigma's sharp feature near theta = 0,
@@ -301,7 +322,7 @@ def orientation_average(systems, rel_tol: float = 1e-3):
     quadrature errors only; no estimate of the Gauss-Legendre truncation is
     made yet.
     """
-    x, w = np.polynomial.legendre.leggauss(AVERAGE_NODES)
+    x, w = _GL_X, _GL_W
     u = 0.5 * (x + 1.0)         # on [0, 1]; the weights become (w / 2) dc/du = w u
     scans = delta_scan(systems, 2.0 * np.arcsin(u / math.sqrt(2.0)), rel_tol=rel_tol)
     averages = []

@@ -266,15 +266,19 @@ class IonizationTable:
 
     def __call__(self, s) -> np.ndarray:
         s = np.asarray(s, dtype=float)
-        s_max = TABLE_S_MAX
-        out = np.full_like(s, np.nan)
-        inside = (s >= 0.0) & (s <= s_max)
-        out[inside] = self._fit(s[inside] * ((len(self.w_values) - 1) / s_max))
-        big = s > s_max
+        flat = s.reshape(-1)
+        # The fit runs on every point, clamped to the grid (nan to 0); the closed
+        # form then overwrites s > TABLE_S_MAX, and nan overwrites s < 0 and nan.
+        t = np.fmax(flat, 0.0)
+        np.fmin(t, TABLE_S_MAX, out=t)
+        t *= (len(self.w_values) - 1) / TABLE_S_MAX
+        out = self._fit(t)
+        big = flat > TABLE_S_MAX
         if big.any():
-            out[big] = 1.0 - _survival_batch(s[big], self.n_max)
+            out[big] = 1.0 - _survival_batch(flat[big], self.n_max)
+        np.copyto(out, np.nan, where=~(flat >= 0.0))
         np.minimum(np.maximum(out, 0.0, out=out), 1.0, out=out)
-        return out
+        return out.reshape(s.shape)
 
 
 def build_ionization_table(

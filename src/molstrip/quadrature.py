@@ -67,11 +67,17 @@ def _eval_cells(integrand, rects: np.ndarray):
     times its gap to the degree-5 estimate.
     """
     est = []
-    for part in np.split(rects, range(_CALL_CELLS, len(rects), _CALL_CELLS)):
-        pts = (part[:, None, 0:2] + part[:, None, 2:4] * _NODES).reshape(-1, 2)
-        vals = np.asarray(integrand(pts), dtype=float).reshape(len(part), len(_NODES), -1)
+    for start in range(0, len(rects), _CALL_CELLS):
+        part = rects[start:start + _CALL_CELLS]
+        # x0 + dx * node, one coordinate at a time.
+        pts = np.empty((len(part), len(_NODES), 2))
+        for c in range(2):
+            np.multiply(part[:, c + 2, None], _NODES[:, c], out=pts[:, :, c])
+            pts[:, :, c] += part[:, c, None]
+        vals = np.asarray(integrand(pts.reshape(-1, 2)), dtype=float).reshape(
+            len(part), len(_NODES), -1)
         est.append((_WEIGHTS.T @ vals) * (part[:, 2] * part[:, 3])[:, None, None])
-    est = np.concatenate(est)
+    est = est[0] if len(est) == 1 else np.concatenate(est)
     return est[:, 0], _ERR_FACTOR * np.abs(est[:, 1])
 
 
@@ -80,8 +86,8 @@ def _excess_cover(sorted_err: np.ndarray, excess: np.ndarray) -> int:
     covers ``excess`` in every component that is above its tolerance
     (``excess > 0``); all rows if no prefix does."""
     over = excess > 0
-    covered = np.all(np.cumsum(sorted_err[:, over], axis=0) >= excess[over], axis=1)
-    hits = np.flatnonzero(covered)
+    covered = (sorted_err[:, over].cumsum(axis=0) >= excess[over]).all(axis=1)
+    hits = covered.nonzero()[0]
     return int(hits[0]) + 1 if hits.size else len(sorted_err)
 
 
@@ -118,24 +124,26 @@ def integrate_b_plane(
     xe = _initial_edges(lo, half_width, x_splits)
     ye = _initial_edges(lo, half_width, y_splits)
 
-    rects = np.array([
-        (x0, y0, x1 - x0, y1 - y0)
-        for x0, x1 in zip(xe[:-1], xe[1:])
-        for y0, y1 in zip(ye[:-1], ye[1:])
-    ])
+    # [x0, y0, dx, dy] per cell, x-major.
+    rects = np.empty((len(xe) - 1, len(ye) - 1, 4))
+    rects[..., 0] = xe[:-1, None]
+    rects[..., 1] = ye[:-1]
+    rects[..., 2] = (xe[1:] - xe[:-1])[:, None]
+    rects[..., 3] = ye[1:] - ye[:-1]
+    rects = rects.reshape(-1, 4)
     high, err = _eval_cells(integrand, rects)
 
     while True:
         totals = high.sum(axis=0)
         tot_err = err.sum(axis=0)
         scale = np.maximum(np.abs(totals) * rel_tol, _ABS_TOL)
-        if np.all(tot_err <= scale):
+        if (tot_err <= scale).all():
             break
 
         refinable = np.minimum(rects[:, 2], rects[:, 3]) > _MIN_CELL_SIZE
         score = (err / scale[None, :]).max(axis=1)
         score[~refinable] = -1.0
-        order = np.argsort(-score, kind="stable")
+        order = (-score).argsort(kind="stable")
         n_refine = min(
             _excess_cover(err[order], tot_err - scale),
             int(np.count_nonzero(score > 0)),
@@ -152,11 +160,12 @@ def integrate_b_plane(
         keep[worst] = False
 
         # _SPLIT**2 children per parent, parent-major, in _CHILD_OFFSETS order.
-        size = rects[worst, None, 2:4]
-        children = np.concatenate(
-            [rects[worst, None, 0:2] + _CHILD_OFFSETS * size,
-             np.broadcast_to(size / _SPLIT, (n_refine, _SPLIT**2, 2))], axis=2,
-        ).reshape(-1, 4)
+        parents = rects[worst, None, :]
+        children = np.empty((n_refine, _SPLIT**2, 4))
+        np.multiply(_CHILD_OFFSETS, parents[..., 2:4], out=children[..., 0:2])
+        children[..., 0:2] += parents[..., 0:2]
+        children[..., 2:4] = parents[..., 2:4] / _SPLIT
+        children = children.reshape(-1, 4)
         child_high, child_err = _eval_cells(integrand, children)
 
         rects = np.concatenate([rects[keep], children])

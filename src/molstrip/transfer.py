@@ -17,7 +17,8 @@ atom, which ``kick_profile`` builds from its own K0 and K1 sums and which is 0
 past its end (alpha_min r > 600, or r > 1e11 a.u.).  The direct sum
 ``kick_magnitude`` and the phase ``eikonal_phase_single`` are the references
 that judge the table (5e-12 relative).  ``total_kick_magnitude`` takes all its
-points in one pass; ``verification`` slices the Monte Carlo blocks for it.
+points in one stacked pass per distinct atom (one for N2, two for O-C-O);
+``verification`` slices the Monte Carlo blocks for it.
 """
 
 from __future__ import annotations
@@ -93,7 +94,8 @@ class KickProfile:
         """The profile at squared radii r2, clamped below MIN_IMPACT_RADIUS and 0
         past r_hi; in place."""
         beyond = r2 > self.r_hi**2
-        t = np.clip(r2, MIN_IMPACT_RADIUS**2, self.r_hi**2, out=r2)
+        t = np.maximum(r2, MIN_IMPACT_RADIUS**2, out=r2)
+        np.minimum(t, self.r_hi**2, out=t)
         np.log(t, out=t)                # t = (ln(r2) / 2 - _U0) / _H
         t -= 2.0 * _U0
         t /= 2.0 * _H
@@ -139,18 +141,25 @@ def total_kick_magnitude(projections, atoms, v: float, points: np.ndarray) -> np
     points = np.asarray(points, dtype=float)
     if not np.isfinite(points).all():
         raise ValueError("b-plane points must be finite")
-    terms = [(s_m, kick_profile(atom), 2.0 * atom.Z / v)
-             for s_m, atom in zip(np.asarray(projections, dtype=float), atoms)]
+    projections = np.asarray(projections, dtype=float)
+    # One row per atom: dx, dy and r^2, then |q_m| / r in place.
+    dx = points[:, 0] - projections[:, 0, None]
+    dy = points[:, 1] - projections[:, 1, None]
+    w = dx * dx
+    w += dy * dy
+    rows_of: dict = {}
+    for row, atom in enumerate(atoms):
+        rows_of.setdefault(atom, []).append(row)
+    for atom, same in rows_of.items():
+        if len(same) == len(w):
+            kick_profile(atom)(w)
+        else:
+            w[same] = kick_profile(atom)(w[same])
+    w *= np.array([[2.0 * atom.Z / v] for atom in atoms])
+    dx *= w
+    dy *= w
     qx, qy = np.zeros((2, len(points)))
-    for s_m, profile, scale in terms:
-        dx = points[:, 0] - s_m[0]
-        dy = points[:, 1] - s_m[1]
-        w = dx * dx                     # r^2, then |q_m| / r in place
-        w += dy * dy
-        profile(w)
-        w *= scale
-        dx *= w
-        dy *= w
-        qx += dx
-        qy += dy
+    for row_x, row_y in zip(dx, dy):
+        qx += row_x
+        qy += row_y
     return np.hypot(qx, qy)

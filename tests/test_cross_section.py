@@ -1,7 +1,10 @@
 """Integration engine: channel probabilities, sigma(theta), delta, averages."""
 
 import math
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -347,8 +350,30 @@ class TestOrientationAverage:
             return np.array([r.sigma_au for r in avg]) / scan.sigma_perp - 1.0
 
         shipped = corrections()
-        monkeypatch.setattr(cross_section, "AVERAGE_NODES", 40)
+        x40, w40 = np.polynomial.legendre.leggauss(40)
+        monkeypatch.setattr(cross_section, "_GL_X", x40)
+        monkeypatch.setattr(cross_section, "_GL_W", w40)
         assert np.abs(shipped - corrections()).max() <= 3e-5
+
+    def test_rule_is_leggauss_20(self):
+        rule = (cross_section._GL_X.tobytes(), cross_section._GL_W.tobytes())
+        assert rule == tuple(a.tobytes() for a in np.polynomial.legendre.leggauss(20))
+
+    def test_average_loads_no_numpy_polynomial(self, child_env):
+        # leggauss(20) imported numpy.polynomial's 9 modules on every average run.
+        config = Path(__file__).resolve().parents[1] / "configs" / "fe24_n2.json"
+        code = ("import os, sys, tempfile\n"
+                "import molstrip.cli\n"
+                "before = set(sys.modules)\n"
+                "with tempfile.TemporaryDirectory() as tmp:\n"
+                f"    code = molstrip.cli.main(['average', '--config', {str(config)!r},\n"
+                "                              '--out', os.path.join(tmp, 'avg.csv')])\n"
+                "print(code, sorted(m for m in set(sys.modules) - before\n"
+                "                   if m.startswith('numpy.polynomial')))\n")
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                env=child_env)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "0 []"
 
     def test_average_respects_mean_value_bound(self, make_system):
         system = make_system(1, 10.0)

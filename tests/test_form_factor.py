@@ -209,6 +209,34 @@ class TestIonizationTable:
         for s in (25.0, 80.0):
             assert abs(ionization_table(s) - ionization_probability(s)) <= 1e-15
 
+    # The edges of the lookup's screening, next to ordinary kicks.
+    EDGES = [math.nan, -1.0, -0.0, 0.0, 20.0, float(np.nextafter(20.0, math.inf)),
+             1e300, math.inf, 1e-3, 0.37, 7.5, 19.99]
+
+    def reference_lookup(self, table, s: float) -> float:
+        """One point the way the lookup reads it: nan off the domain, the fit on
+        [0, TABLE_S_MAX], the closed form past it, clipped to [0, 1]."""
+        if not s >= 0.0:
+            return math.nan
+        if s > TABLE_S_MAX:
+            w = 1.0 - _survival_batch(np.array([s]), table.n_max)[0]
+        else:
+            w = table._fit(np.array([s * ((len(table.w_values) - 1) / TABLE_S_MAX)]))[0]
+        return min(max(w, 0.0), 1.0)
+
+    def test_array_matches_elementwise_evaluation(self, ionization_table):
+        s = np.array(self.EDGES).reshape(-1, 3)
+        w = ionization_table(s)
+        assert w.shape == s.shape
+        expected = [self.reference_lookup(ionization_table, x) for x in s.ravel()]
+        np.testing.assert_array_equal(w.ravel(), expected)
+        assert np.array_equal(np.isnan(w), ~(s >= 0.0))
+        for x, wx in zip(s.ravel(), w.ravel()):
+            for scalar in (np.array(x), float(x)):
+                out = ionization_table(scalar)
+                assert isinstance(out, np.ndarray) and out.shape == ()
+                np.testing.assert_array_equal(out, wx)
+
     @settings(max_examples=50, deadline=None)
     @given(
         st.floats(min_value=0.0, max_value=40.0),

@@ -75,6 +75,28 @@ class TestGenzMalikRule:
         assert np.all((quadrature._NODES > 0.0) & (quadrature._NODES < 1.0))
 
 
+class TestNodePoints:
+    @pytest.mark.parametrize("k", [1, 128, 129])
+    def test_node_points_bitwise(self, k):
+        # 129 cells take a second integrand call.
+        rng = np.random.default_rng(k)
+        rects = np.column_stack([rng.uniform(-80.0, 80.0, (k, 2)),
+                                 rng.uniform(1e-4, 20.0, (k, 2))])
+        seen = []
+
+        def integrand(points):
+            seen.append(points.copy())
+            return np.ones((len(points), 1))
+
+        quadrature._eval_cells(integrand, rects)
+        parts = [rects[i:i + quadrature._CALL_CELLS]
+                 for i in range(0, k, quadrature._CALL_CELLS)]
+        assert len(seen) == len(parts) == (2 if k > quadrature._CALL_CELLS else 1)
+        for points, part in zip(seen, parts):
+            expected = part[:, None, 0:2] + part[:, None, 2:4] * quadrature._NODES
+            assert points.tobytes() == expected.reshape(-1, 2).tobytes()
+
+
 class TestVectorIntegrands:
     def test_componentwise_values_and_errors(self):
         def two_fields(pts):

@@ -193,6 +193,62 @@ class TestTotalKick:
                 assert fast[i] == pytest.approx(slow, rel=1e-12)
 
 
+def _per_atom_total_kick(projections, atoms, v, points):
+    """|Q| as total_kick_magnitude summed it one atom at a time, with the
+    profile's clip, log, Horner and exp spelled out; the stacked pass must
+    match it bit for bit."""
+    points = np.asarray(points, dtype=float)
+    qx, qy = np.zeros((2, len(points)))
+    for s_m, atom in zip(np.asarray(projections, dtype=float), atoms):
+        profile = kick_profile(atom)
+        dx = points[:, 0] - s_m[0]
+        dy = points[:, 1] - s_m[1]
+        r2 = dx * dx
+        r2 += dy * dy
+        t = np.log(np.clip(r2, MIN_IMPACT_RADIUS**2, profile.r_hi**2))
+        t -= 2.0 * transfer._U0
+        t /= 2.0 * transfer._H
+        w = np.exp(profile.z(t))
+        w[r2 > profile.r_hi**2] = 0.0
+        w *= 2.0 * atom.Z / v
+        dx *= w
+        dy *= w
+        qx += dx
+        qy += dy
+    return np.hypot(qx, qy)
+
+
+class TestStackedKick:
+    """The stacked pass gives the per-atom loop's bits on every path, including
+    those the shipped N2 configs do not reach."""
+
+    def cases(self, hfs_table):
+        o, c, n = hfs_table[8], hfs_table[6], hfs_table[7]
+        return {
+            # A repeated atom and a distinct one: each profile reads a subset of rows.
+            "O-C-O": ([(1.9, 0.7), (0.1, -0.05), (-1.7, -0.75)], [o, c, o]),
+            "single": ([(0.4, -0.2)], [n]),
+            "N2": ([(1.035, 0.0), (-1.035, 0.0)], [n, n]),
+        }
+
+    @pytest.mark.parametrize("name", ["O-C-O", "single", "N2"])
+    def test_equals_per_atom_loop_bitwise(self, hfs_table, name):
+        projections, atoms = self.cases(hfs_table)[name]
+        r_hi = max(kick_profile(atom).r_hi for atom in atoms)
+        rng = np.random.default_rng(17)
+        pts = np.concatenate([
+            rng.uniform(-6.0, 6.0, (200, 2)),
+            rng.uniform(-1.5 * r_hi, 1.5 * r_hi, (50, 2)),       # many past r_hi
+            [[2.0 * r_hi, 0.0], [0.5 * r_hi, -0.5 * r_hi]],
+            np.asarray(projections, dtype=float),                # below MIN_IMPACT_RADIUS
+        ])
+        for v in (1.0, 19.9):
+            fast = total_kick_magnitude(projections, atoms, v, pts)
+            slow = _per_atom_total_kick(projections, atoms, v, pts)
+            assert fast.tobytes() == slow.tobytes(), (name, v)
+        assert fast[250] == 0.0         # (2 r_hi, 0) lies past every atom's r_hi
+
+
 class TestKickProfile:
     """total_kick_magnitude reads each atom's tabulated profile; kick_magnitude judges it."""
 
@@ -298,7 +354,7 @@ class TestKickProfile:
         assert np.array_equal(whole, np.concatenate(parts))
 
     def test_call_sizes_stay_bounded(self, monkeypatch, tmp_path, make_system):
-        # One pass per call is cheap only while every caller bounds its batch.
+        # One stacked pass per call is cheap only while every caller bounds its batch.
         kick_sizes, integrand_sizes = [], []
 
         def kick(projections, atoms, v, points):

@@ -8,12 +8,15 @@ rho(r) = -(Z / 4 pi r) sum_i A_i alpha_i^2 exp(-alpha_i r).
 The numeric coefficients shipped in ``data/hfs_coefficients.csv`` are external
 tabulated data (Salvat-style analytic screening fits), not produced here.
 
-Geometry convention: the molecular body axis is the body-frame z axis; the
-beam travels along the lab z axis; the lab orientation of the molecule is
-R_z(phi) . R_y(theta), so theta is the angle between the molecular axis and
-the beam.  The impact-parameter plane is the lab (x, y) plane, with its
-origin at the projection of the atoms' mean position: only the atoms'
-relative positions matter, so they may be given in any body frame.
+Geometry convention: the beam travels along the lab z axis and the lab
+orientation of the molecule is R_z(phi) . R_y(theta).  For one orientation
+(``cross_section_fixed``) the molecular body axis is the body-frame z axis as
+the positions are written, so theta is the angle between body z and the beam.
+The orientation scans first turn the atoms' own line onto body z
+(``MoleculeGeometry.on_axis``), so there theta is the angle between that line
+and the beam however the atoms are written.  The impact-parameter plane is
+the lab (x, y) plane, with its origin at the projection of the atoms' mean
+position: only the atoms' relative positions matter.
 """
 
 from __future__ import annotations
@@ -37,6 +40,10 @@ __all__ = [
 ]
 
 SUM_A_TOLERANCE = 1e-6
+
+# How far (a.u.) MoleculeGeometry.on_axis may move an atom onto the line through
+# the atoms: the radius at which the kick is clamped (transfer.MIN_IMPACT_RADIUS).
+COLLINEAR_TOLERANCE = 1e-6
 
 
 class HfsTableError(ValueError):
@@ -97,6 +104,31 @@ class MoleculeGeometry:
             raise ValueError(f"bond_length must be positive, got {bond_length}")
         h = 0.5 * bond_length
         return cls(atoms=(atom_a, atom_b), positions=((0.0, 0.0, h), (0.0, 0.0, -h)))
+
+    def on_axis(self) -> "MoleculeGeometry":
+        """The same atoms, in the same order, at (0, 0, t_i) on the body z axis.
+
+        The axis runs through the atoms' mean along their first farthest pair
+        (a, b), from b to a; t_i is atom i's signed distance from the mean
+        along it.  ValueError, naming the atom farthest off that line and its
+        distance, when that is over COLLINEAR_TOLERANCE; two atoms always pass.
+        """
+        # In units of 2^e above every coordinate: exact, and no square overflows.
+        e = math.frexp(np.abs(self.positions).max())[1]
+        pos = np.ldexp(np.asarray(self.positions, dtype=float), -e)
+        rel = pos - pos.mean(axis=0)
+        gaps = np.linalg.norm(rel[:, None] - rel[None, :], axis=-1)
+        a, b = np.unravel_index(np.argmax(gaps), gaps.shape)
+        u = (rel[a] - rel[b]) / gaps[a, b] if a != b else np.array([0.0, 0.0, 1.0])
+        t = rel @ u
+        off = np.ldexp(np.linalg.norm(rel - t[:, None] * u, axis=1), e)
+        t = np.ldexp(t, e)
+        i = int(np.argmax(off))
+        if len(rel) > 2 and off[i] > COLLINEAR_TOLERANCE:
+            raise ValueError(f"atoms[{i}] lies {off[i]:.3g} a.u. off the line through the "
+                             f"atoms; orientation scans need every atom within "
+                             f"{COLLINEAR_TOLERANCE:g} a.u. of it")
+        return MoleculeGeometry(self.atoms, tuple((0.0, 0.0, float(z)) for z in t))
 
     @property
     def extent(self) -> float:

@@ -4,10 +4,11 @@ All commands read a JSON config, write `#`-commented CSV (9 significant
 digits), and echo the config into the output header so every file is
 self-describing and byte-reproducible for a fixed config.
 
-Exit codes: 0 success (regime warnings allowed), 2 config error or an
-unwritable output path, 3 numerical non-convergence, a failed
-azimuthal-invariance check or a perpendicular cross section of zero (delta
-and the average's correction divide by it; the azimuthal check is vacuous).
+Exit codes: 0 success (regime warnings allowed), 2 config error (for
+scan-theta and average, also atoms that do not lie on one line) or an
+unwritable output path, 3 numerical non-convergence or, in scan-theta and
+average, a perpendicular cross section of zero (delta and the average's
+correction divide by it).
 """
 
 from __future__ import annotations
@@ -301,31 +302,19 @@ def cmd_table(config: RunConfig, out) -> None:
     out.write("\n".join(lines) + "\n")
 
 
-def cmd_validate(config: RunConfig, out) -> int:
-    # A failed azimuthal-invariance check means the phi = 0 scans are wrong for
-    # this target, so it exits 3 where a regime check only warns.
-    phi_checks = cross_section.phi_invariance_check(config.systems, config.tolerance)
+def cmd_validate(config: RunConfig, out) -> None:
     out.write(f"molstrip {__version__} validate\n")
-    failed = []
-    for system, phi_check in zip(config.systems, phi_checks):
+    for system in config.systems:
         params = system.params
         out.write(
             f"\nenergy {_fmt(params.energy_mev_u)} MeV/u: "
             f"v = {_fmt(params.velocity_au)} a.u., gamma = {_fmt(params.gamma)}\n"
         )
-        regime = validate_regime(params, system.projectile, system.geometry)
-        for check in regime + [phi_check]:
-            status = "pass" if check.passed else "WARN" if check in regime else "FAIL"
-            out.write(
-                f"  [{status}] {check.label} = {_fmt(check.value)} (want {check.requirement})\n"
-            )
+        for check in validate_regime(params, system.projectile, system.geometry):
+            out.write(f"  [{'pass' if check.passed else 'WARN'}] {check.label} = "
+                      f"{_fmt(check.value)} (want {check.requirement})\n")
             if not check.passed:
                 out.write(f"         {check.message}\n")
-        if not phi_check.passed:
-            failed.append(_fmt(params.energy_mev_u))
-    if failed:
-        print(f"azimuthal invariance check failed at {', '.join(failed)} MeV/u", file=sys.stderr)
-    return EXIT_NO_CONVERGENCE if failed else 0
 
 
 COMMANDS = {
@@ -371,6 +360,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args.config, args.tolerance)
+        if args.command in ("scan-theta", "average"):     # theta is measured from the atoms' line
+            _built("target.", config.systems[0].geometry.on_axis)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
@@ -384,7 +375,7 @@ def main(argv=None) -> int:
     # output file as it was.
     buf = io.StringIO()
     try:
-        status = command(config, buf) or 0
+        command(config, buf)
     except QuadratureError as exc:
         print(f"numerical non-convergence: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
@@ -394,13 +385,13 @@ def main(argv=None) -> int:
 
     if args.out is None:
         sys.stdout.write(buf.getvalue())
-        return status
+        return 0
     try:
         with open(args.out, "w") as fh:
             fh.write(buf.getvalue())
     except OSError as exc:
         return _cannot_write(args.out, exc.strerror)
-    return status
+    return 0
 
 
 if __name__ == "__main__":

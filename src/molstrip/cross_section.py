@@ -12,28 +12,28 @@ systems that share geometry, projectile and W_ion table and differ in
 energy are integrated together, one b-plane mesh per orientation with a
 column per (energy, channel), F evaluated once per point and
 p_E = W_ion(F / (v_E Z_eff)).  The mesh is refined until every column meets
-the relative tolerance, so each energy's sigma does.  The azimuthal average
-is taken by symmetry (the full b-plane integral is invariant under rotations
-about the beam): scans evaluate phi = 0 only, and phi_invariance_check, run
-by ``molstrip validate``, tests the symmetry numerically with two full-plane
-integrals that carry every energy.  delta(theta) compares each orientation
-against the perpendicular one, and the chaotic average integrates sigma(theta)
-with the isotropic weight over [0, pi/2], using the theta -> pi - theta
-symmetry, by Gauss-Legendre in u = sqrt(1 - cos(theta)), whose nodes crowd
-towards theta = 0.
+the relative tolerance, so each energy's sigma does.  Scans evaluate phi = 0
+only, and that is exact for every target: R_z(phi) acts after R_y(theta), so
+it only turns the b-plane picture about the beam, and the full b-plane
+integral does not change.  The scans take the molecular axis from the atoms
+(MoleculeGeometry.on_axis), so they need a linear target.  delta(theta)
+compares each orientation against the perpendicular one, and the chaotic
+average integrates sigma(theta) with the isotropic weight over [0, pi/2],
+using the theta -> pi - theta symmetry, by Gauss-Legendre in
+u = sqrt(1 - cos(theta)), whose nodes crowd towards theta = 0.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .atomic_data import MoleculeGeometry, transverse_positions
 from .form_factor import IonizationTable, ProjectileSpec
-from .kinematics import CollisionParams, RegimeCheck
+from .kinematics import CollisionParams
 from .quadrature import QuadratureError, integrate_b_plane
 from .transfer import MIN_IMPACT_RADIUS, total_kick_magnitude
 
@@ -47,7 +47,6 @@ __all__ = [
     "cross_section_fixed",
     "delta_scan",
     "orientation_average",
-    "phi_invariance_check",
 ]
 
 AU_TO_CM2 = 2.8002852e-17      # a_0^2 in cm^2
@@ -240,37 +239,6 @@ def _check_perp(systems, perp) -> None:
                     f"{system.params.energy_mev_u:.9g} MeV/u, so no ratio to it is defined")
 
 
-def phi_invariance_check(systems, rel_tol: float):
-    """Check numerically that sigma at theta = pi/2 does not depend on the azimuth phi.
-
-    The scans evaluate phi = 0 only and take it as the azimuthal average.  This
-    integrates two azimuths over the full b-plane, without the symmetric fast
-    path, each in one cross_section_fixed call for all of ``systems``, which
-    share geometry, projectile and table.  It returns one RegimeCheck per
-    system, whose value is the largest channel gap over its allowance
-    3 (err_a + err_b) + 1e-12 |sigma| and must not exceed 1.  A vanishing
-    sigma, which would pass vacuously, raises DegenerateSystemError naming
-    its energy.
-    """
-    systems = _as_systems(systems)
-    theta, tol = math.pi / 2, max(rel_tol, 1e-3)
-    a = cross_section_fixed(systems, theta, 0.7, rel_tol=tol, use_symmetry=False)
-    _check_perp(systems, a)
-    b = cross_section_fixed(systems, theta, 2.3, rel_tol=tol, use_symmetry=False)
-    checks = []
-    for channels_a, channels_b in zip(a, b):
-        ratio = 0.0
-        for ra, rb in zip(channels_a, channels_b):
-            allowance = 3.0 * (ra.quad_error + rb.quad_error) + 1e-12 * abs(ra.sigma_au)
-            ratio = max(ratio, abs(ra.sigma_au - rb.sigma_au) / max(allowance, sys.float_info.min))
-        passed = ratio <= 1.0
-        checks.append(RegimeCheck(
-            "azimuth", "azimuthal invariance (max gap/allowance)", ratio, "<= 1", passed,
-            "" if passed else f"sigma at phi = 0.7 and 2.3 (theta = {theta:.6g}) differ by "
-            f"{ratio:.3g} times the allowance: the phi = 0 shortcut does not hold"))
-    return checks
-
-
 def check_theta_grid(theta_grid) -> np.ndarray:
     """``theta_grid`` as a float array; ValueError unless it is nonempty and
     lies within [0, pi/2], allowing 1e-12 of rounding past pi/2."""
@@ -285,12 +253,17 @@ def delta_scan(systems, theta_grid, rel_tol: float = 1e-3):
 
     ``systems`` is a sequence sharing geometry, projectile and table; it
     returns one OrientationScan per system from one cross_section_fixed call
-    per angle.  delta is measured against sigma at theta = pi/2, computed
-    once.  Raises DegenerateSystemError, naming the energy and the channel,
-    when a channel's sigma at pi/2 is not positive.
+    per angle.  theta is the angle between the atoms' line and the beam: the
+    geometry is first turned onto body z by MoleculeGeometry.on_axis, which
+    raises ValueError, naming the atom, unless the atoms lie on one line.
+    delta is measured against sigma at theta = pi/2, computed once.  Raises
+    DegenerateSystemError, naming the energy and the channel, when a
+    channel's sigma at pi/2 is not positive.
     """
     systems = _as_systems(systems)
     theta_grid = check_theta_grid(theta_grid)
+    axis = systems[0].geometry.on_axis()
+    systems = [replace(system, geometry=axis) for system in systems]
     perp = cross_section_fixed(systems, math.pi / 2, rel_tol=rel_tol)
     _check_perp(systems, perp)
 
@@ -311,9 +284,10 @@ def orientation_average(systems, rel_tol: float = 1e-3):
 
     Folding theta -> pi - theta and substituting cos(theta) = 1 - u^2 turn this
     into the integral of 2 u sigma over u in [0, 1], done by 20-point
-    Gauss-Legendre through delta_scan.  Returns one (channel list, scan) pair
-    per system, the scan (with sigma at pi/2) being the one the average was
-    taken over.  In u the nodes reach sigma's sharp feature near theta = 0,
+    Gauss-Legendre through delta_scan, so the atoms must lie on one line:
+    ValueError names the atom that does not.  Returns one (channel list, scan)
+    pair per system, the scan (with sigma at pi/2) being the one the average
+    was taken over.  In u the nodes reach sigma's sharp feature near theta = 0,
     which no node of the same rule in cos(theta) sampled: for Fe24+ at
     10 MeV/u alone, m = 2, tol 1e-3, the relative correction is 0.000940
     against 0.000933 with 40 nodes (0.000525 in cos(theta)); on one mesh with

@@ -1,10 +1,11 @@
-"""Every annotation in the package resolves.
+"""Every annotation and every ``__all__`` entry in the package resolves.
 
 With ``from __future__ import annotations`` an annotation is a string that
 nothing evaluates, so a name dropped from a module's imports goes unnoticed
 until something asks for the hints.  This asks ``typing.get_type_hints`` for
 every class, function, method and property each module of ``molstrip``
-defines.
+defines.  Likewise a name left in ``__all__`` after its definition is gone
+breaks only ``from molstrip.<module> import *``.
 """
 
 import importlib
@@ -54,3 +55,10 @@ def test_annotations_resolve(module_name):
             pytest.fail(f"{module_name}.{name}: {type(exc).__name__}: {exc}")
         checked += 1
     assert checked or not vars(module).get("__all__"), module_name
+
+
+@pytest.mark.parametrize("module_name", MODULES)
+def test_all_names_exist(module_name):
+    module = importlib.import_module(f"molstrip.{module_name}")
+    missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+    assert not missing, f"{module_name}.__all__ lists undefined names {missing}"

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from molstrip.atomic_data import (
+    COLLINEAR_TOLERANCE,
     HfsAtom,
     HfsTableError,
     MoleculeGeometry,
@@ -190,6 +191,64 @@ class TestTransversePositions:
         proj = transverse_positions(n2_geometry, theta, phi)
         sep = np.linalg.norm(proj[0] - proj[1])
         assert sep == pytest.approx(N2_BOND_LENGTH * abs(math.sin(theta)), abs=1e-10)
+
+
+class TestOnAxis:
+    """MoleculeGeometry.on_axis: the atoms' own line turned onto body z."""
+
+    def test_preset_comes_back_bit_for_bit(self, n2_geometry):
+        assert n2_geometry.on_axis() == n2_geometry
+
+    @pytest.mark.parametrize("first,second", [
+        ((1.035, 0.0, 0.0), (-1.035, 0.0, 0.0)),
+        ((0.0, -1.035, 0.0), (0.0, 1.035, 0.0)),
+        ((3.0, 5.0, 1.535), (3.0, 5.0, -0.535)),
+    ], ids=["along body x", "along body -y", "shifted along body z"])
+    def test_pair_lands_on_the_preset(self, nitrogen, n2_geometry, first, second):
+        # Atom a of the farthest pair (a, b), a < b, takes the positive end.
+        written = MoleculeGeometry(atoms=(nitrogen, nitrogen), positions=(first, second))
+        assert written.on_axis() == n2_geometry
+
+    def test_signed_distances_from_the_mean_in_atom_order(self, hfs_table):
+        # An asymmetric linear O-C-N along an oblique line, far from the origin.
+        atoms = (hfs_table[8], hfs_table[6], hfs_table[7])
+        s = np.array([2.19, 0.0, -1.5])
+        d = np.array([1.0, -2.0, 0.5]) / math.sqrt(5.25)
+        written = MoleculeGeometry(atoms=atoms,
+                                   positions=tuple(tuple(40.0 + si * d) for si in s))
+        axis = written.on_axis()
+        assert axis.atoms == atoms
+        got = np.array(axis.positions)
+        assert np.array_equal(got[:, :2], np.zeros((3, 2)))
+        assert got[:, 2] == pytest.approx(s - s.mean(), rel=1e-12, abs=1e-12)
+
+    def test_single_atom_sits_at_the_origin(self, nitrogen):
+        single = MoleculeGeometry(atoms=(nitrogen,), positions=((4.0, -1.0, 2.0),))
+        assert single.on_axis().positions == ((0.0, 0.0, 0.0),)
+
+    def test_bent_target_names_its_off_line_atom(self, hfs_table):
+        # O-H-H: the H-H line runs through the mean 0.74 a.u. above O.
+        bent = MoleculeGeometry(atoms=(hfs_table[8], hfs_table[1], hfs_table[1]),
+                                positions=((0.0, 0.0, 0.0), (1.43, 0.0, 1.11),
+                                           (-1.43, 0.0, 1.11)))
+        with pytest.raises(ValueError, match=r"^atoms\[0\] lies 0\.74 a\.u\. off the line "
+                                             r"through the atoms; .* within 1e-06 a\.u\."):
+            bent.on_axis()
+
+    @pytest.mark.parametrize("factor", [1.0 - 1e-3, 1.0 + 1e-3])
+    def test_collinearity_tolerance_on_both_sides(self, hfs_table, factor):
+        # One O of an O-C-O moved 3 f tol sideways moves the mean, and the line
+        # through it, by f tol: C is then the farthest off it, by f tol.
+        shift = 3.0 * factor * COLLINEAR_TOLERANCE
+        oco = MoleculeGeometry(atoms=(hfs_table[8], hfs_table[6], hfs_table[8]),
+                               positions=((0.0, 0.0, 2.19), (0.0, 0.0, 0.0),
+                                          (0.0, shift, -2.19)))
+        if factor < 1.0:
+            assert np.array(oco.on_axis().positions)[:, 2] == pytest.approx(
+                [2.19, 0.0, -2.19], abs=1e-12)
+        else:
+            with pytest.raises(ValueError, match=r"^atoms\[1\] lies 1e-06 a\.u\. off"):
+                oco.on_axis()
 
 
 class TestHfsTableLoading:

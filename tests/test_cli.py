@@ -5,7 +5,6 @@ import math
 import re
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -339,11 +338,15 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["scan-theta", "average", "validate"])
     def test_vanishing_perpendicular_sigma(self, config_path, capsys, command):
         # Z_eff = 1e200 scales every kick to s ~ 1e-200, so p and each sigma are 0.
-        # validate's azimuthal check would then compare zeros and pass vacuously.
+        # validate computes no sigma, so only the scans, which divide by it, fail.
         cfg = config_path({"projectile": {"Z": 26, "N_P": 2, "Z_eff": 1e200},
                            "energies_mev_u": [100.0]})
-        assert run_cli([command, "--config", cfg]) == EXIT_NO_CONVERGENCE
+        code = run_cli([command, "--config", cfg])
         out, err = capsys.readouterr()
+        if command == "validate":
+            assert (code, err, out.count("[pass]")) == (0, "", 3)
+            return
+        assert code == EXIT_NO_CONVERGENCE
         assert out == ""
         assert err == ("degenerate system: sigma^1+ at theta = pi/2 vanishes at 100 MeV/u, "
                        "so no ratio to it is defined\n")
@@ -486,11 +489,16 @@ class TestScanTheta:
         assert head[1].startswith("# config = ")
         assert any(ln.startswith("# velocity_au") for ln in head)
 
-    @pytest.mark.parametrize("shift", [(0.0, 0.0, 0.5), (3.0, 0.0, 0.0), (0.0, 1e10, 0.0)],
-                             ids=["0.5 along the bond", "3 along body x", "1e10 along body y"])
-    def test_shifted_n2_prints_the_preset_rows(self, config_path, tmp_path, monkeypatch, shift):
-        # Only the atoms' relative positions matter: the same rows from the same
-        # number of integrand points, wherever the pair is written.
+    @pytest.mark.parametrize("shift,axis", [
+        ((0.0, 0.0, 0.5), 2), ((3.0, 0.0, 0.0), 2), ((0.0, 1e10, 0.0), 2),
+        ((0.0, 0.0, 0.0), 0), ((0.0, 0.0, 0.0), 1),
+    ], ids=["0.5 along the bond", "3 along body x", "1e10 along body y",
+            "bond along body x", "bond along body y"])
+    def test_shifted_n2_prints_the_preset_rows(self, config_path, tmp_path, monkeypatch,
+                                               shift, axis):
+        # Only the atoms' relative positions matter, and theta is measured from
+        # their line: the same rows from the same number of integrand points,
+        # wherever and along whichever body axis the pair is written.
         points = []
         original = cross_section.integrate_b_plane
 
@@ -511,9 +519,51 @@ class TestScanTheta:
             return ([ln for ln in out.read_text().splitlines() if not ln.startswith("# config")],
                     sum(points))
 
-        atoms = [{"Z": 7, "position": [shift[0], shift[1], shift[2] + z]}
+        atoms = [{"Z": 7, "position": [c + z if k == axis else c for k, c in enumerate(shift)]}
                  for z in (1.035, -1.035)]
         assert scan({"atoms": atoms}) == scan("N2")
+
+
+BENT_OHH = {"atoms": [{"Z": 8, "position": [0.0, 0.0, 0.0]},
+                      {"Z": 1, "position": [1.43, 0.0, 1.11]},
+                      {"Z": 1, "position": [-1.43, 0.0, 1.11]}]}
+
+
+class TestLinearTargets:
+    """The scans measure theta from the line through the atoms, so they take
+    only atoms on one line; table and validate take any rigid target."""
+
+    @pytest.mark.parametrize("command", ["scan-theta", "average"])
+    def test_bent_target_exits_2_from_the_scans(self, config_path, tmp_path, capsys, command):
+        out = tmp_path / "keep.csv"
+        out.write_bytes(b"good")
+        cfg = config_path({"target": BENT_OHH})
+        assert run_cli([command, "--config", cfg]) == EXIT_CONFIG_ERROR
+        assert run_cli([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG_ERROR
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert err == 2 * ("config error: target.atoms[0] lies 0.74 a.u. off the line through "
+                           "the atoms; orientation scans need every atom within 1e-06 a.u. "
+                           "of it\n")
+        assert out.read_bytes() == b"good"
+
+    @pytest.mark.parametrize("command", ["table", "validate"])
+    def test_bent_target_still_tables_and_validates(self, config_path, capsys, command):
+        assert run_cli([command, "--config", config_path({"target": BENT_OHH})]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("command", ["scan-theta", "average"])
+    def test_oco_along_x_prints_the_rows_along_z(self, config_path, tmp_path, command):
+        # Three atoms of two kinds: the path without the quadrant.
+        def rows(axis):
+            atoms = [{"Z": z, "position": [t if k == axis else 0.0 for k in range(3)]}
+                     for z, t in ((8, 2.19), (6, 0.0), (8, -2.19))]
+            out = tmp_path / f"{command}.csv"
+            assert run_cli([command, "--config", config_path({"target": {"atoms": atoms}}),
+                            "--out", str(out)]) == 0
+            return [ln for ln in out.read_text().splitlines() if not ln.startswith("# config")]
+
+        assert rows(0) == rows(2)
 
 
 class TestAverage:
@@ -554,47 +604,18 @@ class TestValidate:
         assert run_cli(["validate", "--config", cfg]) == 0
         assert "[WARN]" in capsys.readouterr().out
 
-    def test_every_energy_checks_azimuthal_invariance(self, config_path, capsys, monkeypatch):
-        # Two full-plane integrals, one per azimuth, carry all three energies.
-        integrals = []
-        honest = cross_section.integrate_b_plane
+    def test_runs_no_b_plane_integral(self, config_path, capsys, monkeypatch):
+        # The three regime checks per energy are closed forms; sigma does not
+        # depend on the azimuth for any target, so nothing checks that.
+        def no_integrals(*args, **kwargs):
+            raise AssertionError("integrate_b_plane was called")
 
-        def counted(integrand, **kwargs):
-            integrals.append(kwargs["half_width"])
-            return honest(integrand, **kwargs)
-
-        monkeypatch.setattr(cross_section, "integrate_b_plane", counted)
+        monkeypatch.setattr(cross_section, "integrate_b_plane", no_integrals)
         cfg = config_path({"energies_mev_u": [10.0, 100.0, 1000.0]})
         assert run_cli(["validate", "--config", cfg]) == 0
-        assert len(integrals) == 2
         report = capsys.readouterr().out
-        assert [b.count("azimuthal invariance") for b in report.split("\nenergy ")[1:]] == [1] * 3
-        assert report.count("[pass] azimuthal invariance") == 3
-
-    def test_phi_dependent_sigma_exits_3(self, config_path, tmp_path, capsys, monkeypatch):
-        honest = cross_section.cross_section_fixed
-
-        def skewed(systems, theta, phi=0.0, rel_tol=1e-3, use_symmetry=True):
-            # sigma of the 10 MeV/u system alone grows with phi.
-            results = honest(systems, theta, phi, rel_tol=rel_tol, use_symmetry=use_symmetry)
-            return [[replace(r, sigma_au=r.sigma_au * (1.0 + 0.1 * phi)) for r in channels]
-                    if system.params.energy_mev_u == 10.0 else channels
-                    for system, channels in zip(systems, results)]
-
-        monkeypatch.setattr(cross_section, "cross_section_fixed", skewed)
-        cfg = config_path({"energies_mev_u": [10.0, 100.0, 1000.0]})
-        assert run_cli(["validate", "--config", cfg]) == EXIT_NO_CONVERGENCE
-        captured = capsys.readouterr()
-        blocks = captured.out.split("\nenergy ")[1:]
-        assert ["[FAIL] azimuthal invariance" in b for b in blocks] == [True, False, False]
-        assert captured.err == "azimuthal invariance check failed at 10 MeV/u\n"
-
-        # The failing report is still written to the output file.
-        out = tmp_path / "report.txt"
-        code = run_cli(["validate", "--config", cfg, "--out", str(out)])
-        assert code == EXIT_NO_CONVERGENCE
-        assert "[FAIL] azimuthal invariance" in out.read_text()
-        assert capsys.readouterr().out == ""
+        assert [b.count("\n  [") for b in report.split("\nenergy ")[1:]] == [3] * 3
+        assert "azimuth" not in report
 
 
 class TestShippedConfigs:
@@ -607,7 +628,7 @@ class TestShippedConfigs:
         assert [s.params.energy_mev_u for s in systems] == [10.0, 100.0, 1000.0]
         assert run_cli(["validate", "--config", str(path)]) == 0
         report = capsys.readouterr().out
-        assert report.count("[pass]") == 12 and "[WARN]" not in report
+        assert report.count("[pass]") == 9 and "[WARN]" not in report
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"

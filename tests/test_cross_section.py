@@ -21,10 +21,9 @@ from molstrip.cross_section import (
     cross_section_fixed,
     delta_scan,
     orientation_average,
-    phi_invariance_check,
 )
 from molstrip.form_factor import ProjectileSpec
-from molstrip.kinematics import RegimeCheck, velocity_from_energy
+from molstrip.kinematics import velocity_from_energy
 from molstrip.quadrature import QuadratureError, integrate_b_plane
 from molstrip.verification import mc_cross_section
 
@@ -285,31 +284,48 @@ class TestSharedMesh:
         assert [len(avg) for avg, _ in averages] == [2, 2, 2]
         assert [scan.sigma_au.shape for _, scan in averages] == [(20, 2)] * 3
 
-    def test_phi_checks_come_per_system(self, systems, monkeypatch):
-        integrals = []
-        honest = cross_section.integrate_b_plane
-        monkeypatch.setattr(cross_section, "integrate_b_plane",
-                            lambda f, **kw: integrals.append(kw) or honest(f, **kw))
-        checks = phi_invariance_check(systems, 1e-2)
-        assert len(integrals) == 2 and not any(kw["quadrant"] for kw in integrals)
-        assert [(type(c), c.name, c.passed) for c in checks] == [
-            (RegimeCheck, "azimuth", True)] * 3
-        assert all(0.0 <= check.value <= 1.0 for check in checks)
-
     def test_degenerate_perpendicular_sigma_names_its_energy(self, systems):
         # A speed of 1e200 a.u. scales every kick to s ~ 1e-200, so p and sigma are 0.
         dead = replace(systems[1], params=replace(systems[1].params, velocity_au=1e200))
-        for run in (lambda joint: delta_scan(joint, [0.0], rel_tol=1e-2),
-                    lambda joint: phi_invariance_check(joint, 1e-2)):
-            with pytest.raises(cross_section.DegenerateSystemError,
-                               match="sigma\\^1\\+ at theta = pi/2 vanishes at 100 MeV/u"):
-                run([systems[0], dead, systems[2]])
+        with pytest.raises(cross_section.DegenerateSystemError,
+                           match="sigma\\^1\\+ at theta = pi/2 vanishes at 100 MeV/u"):
+            delta_scan([systems[0], dead, systems[2]], [0.0], rel_tol=1e-2)
 
     def test_systems_must_share_geometry_projectile_and_table(self, systems, make_system):
         with pytest.raises(ValueError, match="share geometry, projectile and table"):
             cross_section_fixed([systems[0], make_system(1, 100.0)], 0.0)
         with pytest.raises(ValueError, match="at least one"):
             delta_scan([], [0.0])
+
+
+class TestLinearTargets:
+    """The scans turn the atoms' own line onto body z before they tilt it."""
+
+    def test_bent_target_is_rejected_before_any_integral(self, hfs_table, make_system,
+                                                         monkeypatch):
+        def no_integrals(*args, **kwargs):
+            raise AssertionError("cross_section_fixed was called")
+
+        monkeypatch.setattr(cross_section, "cross_section_fixed", no_integrals)
+        bent = MoleculeGeometry(atoms=(hfs_table[8], hfs_table[1], hfs_table[1]),
+                                positions=((0.0, 0.0, 0.0), (1.43, 0.0, 1.11),
+                                           (-1.43, 0.0, 1.11)))
+        system = make_system(2, 10.0, geometry=bent)
+        for run in (lambda: delta_scan([system], [0.0]), lambda: orientation_average([system])):
+            with pytest.raises(ValueError, match=r"^atoms\[0\] lies 0\.74 a\.u\. off the line"):
+                run()
+
+    def test_oblique_shifted_n2_scans_as_the_preset(self, nitrogen, make_system):
+        d = np.array([0.48, -0.6, 0.64])                  # |d| = 1
+        centre = np.array([2.5, -7.0, 0.3])
+        oblique = MoleculeGeometry(atoms=(nitrogen, nitrogen),
+                                   positions=(tuple(centre + 1.035 * d),
+                                              tuple(centre - 1.035 * d)))
+        grid = [0.0, 0.3, 1.1]
+        (got,) = delta_scan([make_system(2, 100.0, geometry=oblique)], grid)
+        (want,) = delta_scan([make_system(2, 100.0)], grid)
+        np.testing.assert_allclose(got.sigma_au, want.sigma_au, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(got.sigma_perp, want.sigma_perp, rtol=1e-12, atol=0.0)
 
 
 class TestPhiInvarianceProperty:
